@@ -19,7 +19,7 @@ import scipy.sparse.linalg as spla
 from .errors import (InsufficientHistory, NotBlowingUp, SolveFailure,
                      StabilityViolation)
 from .mesh import (SurfaceMesh, mesh_bnorm, mesh_mean_curvature,
-                   mesh_phase_field, write_off4)
+                   mesh_tangent_frames, write_off4)
 from .phase import arc_distance, tension
 from .structure import StructureTriple, standard_structure
 from .surfaces import (ParametricSurface, frames, mean_curvature,
@@ -29,7 +29,12 @@ from .util import json_dumps
 
 @dataclass
 class FlowState:
-    """One time slice of a mesh flow with measured statistics."""
+    """One time slice of a mesh flow with measured statistics.
+
+    cot_matrix and mixed_areas are the operators of mesh that measure
+    assembled for |H|; the next step solves with them instead of building
+    them again.
+    """
 
     t: float
     mesh: SurfaceMesh
@@ -37,17 +42,22 @@ class FlowState:
     max_h: float
     area: float
     margin: float
+    cot_matrix: sp.csr_matrix = field(repr=False, compare=False)
+    mixed_areas: np.ndarray = field(repr=False, compare=False)
 
     @classmethod
     def measure(cls, mesh: SurfaceMesh, t: float) -> "FlowState":
-        h, valid = mesh_mean_curvature(mesh)
+        w = mesh.cotangent_matrix()
+        areas = mesh.mixed_areas()
+        h, valid = mesh_mean_curvature(mesh, w, areas)
         max_h = float(np.nanmax(np.linalg.norm(h[valid], axis=1))) if valid.any() else 0.0
-        b = mesh_bnorm(mesh)
+        fr = mesh_tangent_frames(mesh)
+        b = mesh_bnorm(mesh, fr)
         max_b = float(np.nanmax(b)) if np.any(np.isfinite(b)) else 0.0
-        lam = mesh_phase_field(mesh)
-        margin = float(np.min(arc_distance(lam)))
+        margin = float(np.min(arc_distance(fr[4])))
         return cls(t=t, mesh=mesh, max_b=max_b, max_h=max_h,
-                   area=mesh.area(), margin=margin)
+                   area=mesh.area(), margin=margin, cot_matrix=w,
+                   mixed_areas=areas)
 
     def record(self) -> dict:
         return {"t": self.t, "max_B": self.max_b, "max_H": self.max_h,
@@ -69,23 +79,26 @@ class FlowHistory:
             raise ValueError("history times must be strictly increasing")
 
 
-def _advance_vertices(mesh: SurfaceMesh, dt: float, scheme: str,
+def _advance_vertices(state: FlowState, dt: float, scheme: str,
                       stability_c: float = 0.25) -> np.ndarray:
+    """New vertex positions after one step from state, using the cotangent
+    matrix and mixed areas that its measurement assembled."""
+    mesh = state.mesh
     if scheme == "explicit":
         h_min = mesh.min_edge_length()
         if dt > stability_c * h_min * h_min:
             raise StabilityViolation(
                 f"explicit dt={dt:g} exceeds {stability_c:g}*h_min^2="
                 f"{stability_c * h_min * h_min:g}")
-        h, valid = mesh_mean_curvature(mesh)
+        h, valid = mesh_mean_curvature(mesh, state.cot_matrix,
+                                       state.mixed_areas)
         disp = np.where(valid[:, None], h, 0.0)
         return mesh.vertices + dt * disp
     if scheme != "semi-implicit":
         raise ValueError(f"unknown scheme {scheme!r}")
 
-    w = mesh.cotangent_matrix()
-    m = sp.diags(mesh.mixed_areas())
-    a = (m - dt * w).tocsr()
+    m = sp.diags(state.mixed_areas)
+    a = (m - dt * state.cot_matrix).tocsr()
     rhs = m @ mesh.vertices
     x0 = mesh.vertices
     bdry = mesh.boundary_vertex_mask
@@ -118,7 +131,7 @@ def mcf_step(state: FlowState, dt: float,
     """Advance the mesh by one step of mean curvature motion."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    verts = _advance_vertices(state.mesh, dt, scheme)
+    verts = _advance_vertices(state, dt, scheme)
     return FlowState.measure(state.mesh.with_vertices(verts), state.t + dt)
 
 
@@ -142,7 +155,8 @@ def run_mcf(mesh: SurfaceMesh, dt: float, t_end: float,
             break
         state = mcf_step(state, dt, scheme)
         records.append(state.record())
-        states.append(state)
+        if keep_states:
+            states.append(state)
         if checkpoint_every and checkpoint_dir is not None \
                 and (k + 1) % checkpoint_every == 0:
             write_off4(state.mesh, f"{checkpoint_dir}/checkpoint_{k + 1:06d}.off")
@@ -155,7 +169,7 @@ def run_mcf(mesh: SurfaceMesh, dt: float, t_end: float,
         max_b=np.array([r["max_B"] for r in records]),
         area=np.array([r["area"] for r in records]),
         truncated=truncated,
-        states=states if keep_states else [states[0], states[-1]],
+        states=states if keep_states else [states[0], state],
     )
     return hist
 

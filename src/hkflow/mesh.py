@@ -9,6 +9,13 @@ triangles.
 Per-vertex tangent planes, phase directions and a second-fundamental-form
 norm are estimated from two-ring neighborhoods; these feed the flow
 diagnostics, where only max norms are consumed, not pointwise accuracy.
+
+Connectivity lives in a `MeshTopology`, built and validated once per
+triangle array: the orientation check, the boundary, and the padded one-
+and two-ring index arrays.  A flow never changes connectivity, so
+`SurfaceMesh.with_vertices` shares the topology of its source; only the
+checks that depend on vertex positions (shapes, index range, triangle
+areas) run again for each new vertex set.
 """
 from __future__ import annotations
 
@@ -22,19 +29,86 @@ from .structure import StructureTriple, standard_structure
 from .util import format_float
 
 
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _padded_rows(pattern: sp.csr_matrix):
+    """Off-diagonal column indices of each row, zero-padded, with a mask.
+
+    Columns come out in increasing order, so the neighbors of a vertex are
+    listed in index order.
+    """
+    pattern.sum_duplicates()
+    pattern.sort_indices()
+    n = pattern.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(pattern.indptr))
+    cols = pattern.indices
+    off = rows != cols
+    rows, cols = rows[off], cols[off]
+    counts = np.bincount(rows, minlength=n)
+    mask = np.arange(counts.max(initial=0)) < counts[:, None]
+    idx = np.zeros(mask.shape, dtype=int)
+    idx[mask] = cols
+    return _readonly(idx), _readonly(mask)
+
+
+class MeshTopology:
+    """Validated connectivity of a triangle array over n_vertices vertices.
+
+    Construction checks that the triangle windings are globally consistent
+    (each interior edge traversed once in each direction, which also rules
+    out edges shared by more than two triangles).  Every array is
+    read-only: meshes that share a topology may rely on it not changing.
+
+    ring1 and ring2 are (idx, mask) pairs of shape (n_vertices, k): row i
+    lists the one-ring (two-ring) neighbors of vertex i in increasing index
+    order, vertex i excluded, padded with index 0 where mask is False.  The
+    two-ring is the nonzero pattern of A + A^2 for the vertex adjacency A.
+    """
+
+    def __init__(self, triangles: np.ndarray, n_vertices: int):
+        t = _readonly(np.array(triangles, dtype=int))
+        self.triangles = t
+        self.n_vertices = n_vertices
+        directed = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
+        key = directed[:, 0].astype(np.int64) * n_vertices + directed[:, 1]
+        if len(np.unique(key)) < len(key):
+            raise NonOrientableMesh("a directed edge appears twice; windings "
+                                    "are not globally consistent")
+        rev = directed[:, 1].astype(np.int64) * n_vertices + directed[:, 0]
+        # boundary edges are the directed edges without a reversed partner
+        self.boundary_edges = _readonly(directed[~np.isin(key, rev)])
+        mask = np.zeros(n_vertices, dtype=bool)
+        mask[self.boundary_edges.ravel()] = True
+        self.boundary_mask = _readonly(mask)
+
+        adj = sp.csr_matrix(
+            (np.ones(2 * len(directed), dtype=np.int64),
+             (np.concatenate([directed[:, 0], directed[:, 1]]),
+              np.concatenate([directed[:, 1], directed[:, 0]]))),
+            shape=(n_vertices, n_vertices))
+        self.ring1 = _padded_rows(adj)
+        self.ring2 = _padded_rows(adj + adj @ adj)
+
+
 @dataclass
 class SurfaceMesh:
     """Oriented triangle mesh with vertices in R^4.
 
-    Construction validates that triangle areas are positive, that no edge is
-    shared by more than two triangles, and that triangle windings are
-    globally consistent (each interior edge traversed once in each
-    direction).
+    Every construction checks the vertex and triangle shapes, the index
+    range and that every triangle area exceeds 1e-14 (`DegenerateTriangle`
+    otherwise).  Without a `topology`, one is built from the triangles,
+    which runs the orientation check (`NonOrientableMesh`); with one, as
+    `with_vertices` passes, the triangles must be its own array and the
+    connectivity is not validated again.  `triangles` is read-only.
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
-    _cache: dict = field(default_factory=dict, repr=False)
+    topology: MeshTopology | None = field(default=None, repr=False,
+                                          compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float)
@@ -45,45 +119,35 @@ class SurfaceMesh:
             raise ValueError(f"triangles must be (m, 3), got {t.shape}")
         if t.min(initial=0) < 0 or t.max(initial=-1) >= len(v):
             raise ValueError("triangle indices out of range")
+        topo = self.topology
+        if topo is not None:
+            if t is not topo.triangles:
+                raise ValueError("triangles must be the topology's own array")
+            if topo.n_vertices != len(v):
+                raise ValueError(f"topology has {topo.n_vertices} vertices, "
+                                 f"got {len(v)}")
         self.vertices = v
         self.triangles = t
         if np.any(self.triangle_areas() <= 1e-14):
             raise DegenerateTriangle("mesh contains a triangle of area <= 1e-14")
-        self._check_orientation()
+        if topo is None:
+            self.topology = MeshTopology(t, len(v))
+            self.triangles = self.topology.triangles
 
     # -- topology -----------------------------------------------------------
 
-    def _check_orientation(self):
-        t = self.triangles
-        directed = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-        key = directed[:, 0].astype(np.int64) * len(self.vertices) + directed[:, 1]
-        uniq, counts = np.unique(key, return_counts=True)
-        if np.any(counts > 1):
-            raise NonOrientableMesh("a directed edge appears twice; windings "
-                                    "are not globally consistent")
-        rev = directed[:, 1].astype(np.int64) * len(self.vertices) + directed[:, 0]
-        has_partner = np.isin(key, uniq[np.isin(uniq, rev)])
-        # boundary edges are the directed edges without a reversed partner
-        boundary = directed[~np.isin(key, rev)]
-        self._cache["boundary_edges"] = boundary
-        del has_partner
-
     @property
     def boundary_vertex_mask(self) -> np.ndarray:
-        mask = np.zeros(len(self.vertices), dtype=bool)
-        be = self._cache["boundary_edges"]
-        if len(be):
-            mask[np.unique(be)] = True
-        return mask
+        return self.topology.boundary_mask
 
     @property
     def is_closed(self) -> bool:
-        return len(self._cache["boundary_edges"]) == 0
+        return len(self.topology.boundary_edges) == 0
 
     def with_vertices(self, vertices) -> "SurfaceMesh":
-        """Same connectivity, new vertex positions."""
+        """Same connectivity (the shared topology), new vertex positions."""
         return SurfaceMesh(np.asarray(vertices, dtype=float),
-                           self.triangles.copy())
+                           self.triangles, self.topology)
 
     # -- metric quantities ---------------------------------------------------
 
@@ -151,7 +215,6 @@ class SurfaceMesh:
 
     def cotangent_matrix(self) -> sp.csr_matrix:
         """Symmetric weight matrix W with (W x)_i = sum_j w_ij (x_j - x_i)."""
-        key = "cot_matrix"
         t = self.triangles
         cots = self.cotangents()
         n = len(self.vertices)
@@ -167,42 +230,29 @@ class SurfaceMesh:
         vals = np.concatenate(vals)
         w = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
         w = w - sp.diags(np.asarray(w.sum(axis=1)).ravel())
-        del key
         return w.tocsr()
 
     def vertex_neighbors(self, rings: int = 1) -> list:
-        """Ragged neighbor index lists (one- or two-ring, vertex excluded)."""
-        cache_key = ("neighbors", rings)
-        if cache_key in self._cache:
-            return self._cache[cache_key]
-        n = len(self.vertices)
-        one: list[set] = [set() for _ in range(n)]
-        for a, b, c in self.triangles:
-            one[a].update((b, c))
-            one[b].update((a, c))
-            one[c].update((a, b))
-        if rings == 1:
-            out = [sorted(s) for s in one]
-        else:
-            out = []
-            for i in range(n):
-                s = set(one[i])
-                for j in one[i]:
-                    s.update(one[j])
-                s.discard(i)
-                out.append(sorted(s))
-        self._cache[cache_key] = out
-        return out
+        """Neighbor index arrays per vertex (one- or two-ring, vertex
+        excluded), in increasing order, read off the topology's rings."""
+        if rings not in (1, 2):
+            raise ValueError(f"rings must be 1 or 2, got {rings}")
+        idx, mask = self.topology.ring1 if rings == 1 else self.topology.ring2
+        return [row[m] for row, m in zip(idx, mask)]
 
 
-def mesh_mean_curvature(mesh: SurfaceMesh):
+def mesh_mean_curvature(mesh: SurfaceMesh, w: sp.csr_matrix | None = None,
+                        areas: np.ndarray | None = None):
     """Per-vertex mean curvature vectors from the cotangent Laplacian.
 
     Returns (H, valid) where H has NaN rows on the boundary (flagged, not
-    computed) and valid marks interior vertices.
+    computed) and valid marks interior vertices.  w and areas are
+    mesh.cotangent_matrix() and mesh.mixed_areas(), when the caller has them.
     """
-    w = mesh.cotangent_matrix()
-    areas = mesh.mixed_areas()
+    if w is None:
+        w = mesh.cotangent_matrix()
+    if areas is None:
+        areas = mesh.mixed_areas()
     h = (w @ mesh.vertices) / areas[:, None]
     valid = ~mesh.boundary_vertex_mask
     h[~valid] = np.nan
@@ -212,17 +262,6 @@ def mesh_mean_curvature(mesh: SurfaceMesh):
 # ---------------------------------------------------------------------------
 # Per-vertex frames, phase field, curvature-norm estimate
 # ---------------------------------------------------------------------------
-
-def _padded_neighbors(mesh: SurfaceMesh, rings: int):
-    nbrs = mesh.vertex_neighbors(rings)
-    kmax = max(len(s) for s in nbrs)
-    idx = np.zeros((len(nbrs), kmax), dtype=int)
-    mask = np.zeros((len(nbrs), kmax), dtype=bool)
-    for i, s in enumerate(nbrs):
-        idx[i, :len(s)] = s
-        mask[i, :len(s)] = True
-    return idx, mask
-
 
 def mesh_tangent_frames(mesh: SurfaceMesh, s: StructureTriple | None = None):
     """Oriented tangent frames (t1, t2), normal legs (m1, m2), phase field.
@@ -234,7 +273,7 @@ def mesh_tangent_frames(mesh: SurfaceMesh, s: StructureTriple | None = None):
     """
     if s is None:
         s = standard_structure()
-    idx, mask = _padded_neighbors(mesh, rings=2)
+    idx, mask = mesh.topology.ring2
     d = mesh.vertices[idx] - mesh.vertices[:, None, :]
     d = d * mask[..., None]
     cov = np.einsum("nki,nkj->nij", d, d)
@@ -270,16 +309,19 @@ def mesh_tangent_frames(mesh: SurfaceMesh, s: StructureTriple | None = None):
     return t1, t2, m1, m2, lam
 
 
-def mesh_bnorm(mesh: SurfaceMesh) -> np.ndarray:
+def mesh_bnorm(mesh: SurfaceMesh, frames=None) -> np.ndarray:
     """Per-vertex |B| estimate from a two-ring quadratic fit.
 
     Offsets to two-ring neighbors are split into tangent coordinates (u, v)
     and normal deflections; fitting  w ~ c1 u + c2 v + (a u^2 + 2b uv + c v^2)/2
     per normal direction recovers the second fundamental form.  Vertices
-    with fewer than six neighbors (or on the boundary) return NaN.
+    with fewer than six neighbors (or on the boundary) return NaN.  frames
+    is the output of mesh_tangent_frames(mesh) when the caller has it.
     """
-    t1, t2, m1, m2, _lam = mesh_tangent_frames(mesh)
-    idx, mask = _padded_neighbors(mesh, rings=2)
+    if frames is None:
+        frames = mesh_tangent_frames(mesh)
+    t1, t2, m1, m2, _lam = frames
+    idx, mask = mesh.topology.ring2
     d = mesh.vertices[idx] - mesh.vertices[:, None, :]
     u = np.einsum("nki,ni->nk", d, t1)
     v = np.einsum("nki,ni->nk", d, t2)

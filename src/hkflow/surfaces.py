@@ -44,13 +44,6 @@ class SurfaceJet:
                 raise ValueError(f"{name} must have trailing dimension 4")
             setattr(self, name, arr)
 
-    def gram_residual(self) -> np.ndarray:
-        """det g / (|Xu|^2 |Xv|^2): 1 for orthogonal legs, 0 when degenerate."""
-        g11 = np.sum(self.xu * self.xu, axis=-1)
-        g22 = np.sum(self.xv * self.xv, axis=-1)
-        g12 = np.sum(self.xu * self.xv, axis=-1)
-        return (g11 * g22 - g12 * g12) / (g11 * g22)
-
 
 @dataclass
 class FrameData:
@@ -68,12 +61,6 @@ class FrameData:
     lam: np.ndarray
     g: np.ndarray
     coeffs: np.ndarray
-
-    def gram_residual(self) -> float:
-        """Max deviation of the 4-frame Gram matrix from the identity."""
-        basis = np.stack([self.e1, self.e2, self.nu1, self.nu2], axis=-2)
-        gram = np.einsum("...ik,...jk->...ij", basis, basis)
-        return float(np.abs(gram - np.eye(4)).max())
 
 
 def frames(jet: SurfaceJet, s: StructureTriple | None = None,

@@ -1,11 +1,14 @@
 """End-to-end command line checks, in-process plus one subprocess run."""
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hkflow
 from hkflow.cli import main
 
 
@@ -220,10 +223,14 @@ def test_phase_reaper_stays_clear(tmp_path):
 # -- subprocess -------------------------------------------------------------------
 
 def test_module_entry_point(tmp_path):
+    # the child imports the package from where this process found it, also
+    # when only pytest's pythonpath setting put it on sys.path
+    src = str(Path(hkflow.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "hkflow.cli", "--out", str(tmp_path / "out"),
          "verify", "--suite", "quaternionic"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "quaternionic" in proc.stdout and "PASS" in proc.stdout
     assert (tmp_path / "out" / "verify_report.json").exists()

@@ -11,7 +11,9 @@ from hkflow.flow import (FlowHistory, FlowState, blowup_point, mcf_step,
                          shrinker_radius_by_bisection, shrinker_residual,
                          shrinker_residual_of_family, translator_residual,
                          type1_monitor)
-from hkflow.mesh import flat_square, icosphere, mesh_bnorm, read_off4
+from hkflow.mesh import (flat_square, icosphere, mesh_bnorm,
+                         mesh_mean_curvature, mesh_phase_field, read_off4)
+from hkflow.phase import arc_distance
 from hkflow.surfaces import (Cylinder, GrimReaper, Plane, Sphere, frames,
                              mean_curvature)
 
@@ -79,6 +81,50 @@ def test_run_mcf_log_and_checkpoints(tmp_path):
     assert files == ["checkpoint_000005.off", "checkpoint_000010.off"]
     m = read_off4(ckpt / "checkpoint_000010.off")
     assert np.allclose(m.vertices, hist.states[-1].mesh.vertices, atol=0)
+
+
+@pytest.mark.parametrize("torus", [False, True], ids=["icosphere", "torus"])
+def test_measure_matches_separate_estimators(torus):
+    """One frames pass per state gives the same bits as separate calls."""
+    if torus:
+        from hkflow.curves import PlaneCurve, embed_torus
+        mesh, _ = embed_torus(PlaneCurve.circle(1.0, n=32), ny=16)
+    else:
+        mesh = icosphere(3)
+    state = FlowState.measure(mesh, 0.0)
+    h, valid = mesh_mean_curvature(mesh)
+    assert state.max_h == float(np.nanmax(np.linalg.norm(h[valid], axis=1)))
+    assert state.max_b == float(np.nanmax(mesh_bnorm(mesh)))
+    assert state.margin == float(np.min(arc_distance(mesh_phase_field(mesh))))
+
+
+def test_run_mcf_fingerprint():
+    """max|B| and area along a short flow, pinned to the last bit."""
+    hist = run_mcf(icosphere(3), dt=1e-3, t_end=0.01)
+    max_b = [1.4454841364939275, 1.4483780115346057, 1.4512890948374744,
+             1.4542176057840484, 1.457163758661628, 1.460127763896506,
+             1.4631098291072326, 1.4661101600051378, 1.4691289611654108,
+             1.472166436688504, 1.4752227907683777]
+    area = [12.506492733969928, 12.456615425578903, 12.406738716594937,
+            12.356862611834883, 12.306987116172145, 12.257112234537612,
+            12.207237971920673, 12.157364333370257, 12.107491323995923,
+            12.057618948968946, 12.007747213523436]
+    assert hist.max_b.tolist() == max_b
+    assert hist.area.tolist() == area
+
+
+def test_flow_mesh_outputs_byte_identical(tmp_path):
+    from hkflow.cli import main
+
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[mesh]\nkind = icosphere\nsubdivisions = 2\n"
+                   "[flow]\ndt = 1e-3\nt_end = 0.01\n")
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert main(["--config", str(cfg), "--out", str(out),
+                     "flow-mesh"]) == 0
+    for name in ("history.jsonl", "summary.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_run_mcf_truncates_under_resolved():

@@ -29,6 +29,12 @@ def test_inconsistent_winding_rejected():
     SurfaceMesh(verts, np.array([[0, 1, 2], [1, 3, 2]]))  # consistent: fine
     with pytest.raises(NonOrientableMesh):
         SurfaceMesh(verts, np.array([[0, 1, 2], [1, 2, 3]]))
+    # one flipped triangle inside a larger mesh with a boundary
+    sq = flat_square(3)
+    tris = sq.triangles.copy()
+    tris[4] = tris[4, ::-1]
+    with pytest.raises(NonOrientableMesh):
+        SurfaceMesh(sq.vertices, tris)
 
 
 def test_boundary_detection():
@@ -66,6 +72,76 @@ def test_cotangent_matrix_row_sums():
     w = m.cotangent_matrix()
     assert np.allclose(np.asarray(w.sum(axis=1)).ravel(), 0.0, atol=1e-12)
     assert np.abs(w - w.T).max() < 1e-12
+
+
+# -- topology -----------------------------------------------------------------
+
+def _rings_by_sets(triangles, n):
+    """One- and two-ring neighbor lists, built from Python sets."""
+    one = [set() for _ in range(n)]
+    for a, b, c in triangles.tolist():
+        one[a].update((b, c))
+        one[b].update((a, c))
+        one[c].update((a, b))
+    two = []
+    for i in range(n):
+        ring = set(one[i])
+        for j in one[i]:
+            ring |= one[j]
+        ring.discard(i)
+        two.append(sorted(ring))
+    return [sorted(ring) for ring in one], two
+
+
+def _clifford_torus(nx=10, ny=7):
+    u = 2 * np.pi * np.arange(nx) / nx
+    v = 2 * np.pi * np.arange(ny) / ny
+    uu, vv = np.meshgrid(u, v, indexing="ij")
+    pts = np.stack([np.cos(uu), np.sin(uu), np.cos(vv), np.sin(vv)], axis=-1)
+    return grid_torus_mesh(pts / np.sqrt(2.0))
+
+
+@pytest.mark.parametrize("make", [lambda: icosphere(2),
+                                  lambda: flat_square(6), _clifford_torus],
+                         ids=["icosphere", "flat_square", "torus"])
+def test_rings_match_set_reference(make):
+    mesh = make()
+    refs = _rings_by_sets(mesh.triangles, len(mesh.vertices))
+    for rings, (idx, mask), ref in zip((1, 2), (mesh.topology.ring1,
+                                                mesh.topology.ring2), refs):
+        assert mask.shape == (len(ref), max(len(r) for r in ref))
+        assert [idx[i][mask[i]].tolist() for i in range(len(ref))] == ref
+        assert np.all(idx[~mask] == 0)
+        assert [r.tolist() for r in mesh.vertex_neighbors(rings)] == ref
+
+
+def test_with_vertices_shares_readonly_topology():
+    m = flat_square(4)
+    m2 = m.with_vertices(m.vertices * 2.0)
+    assert m2.topology is m.topology
+    assert m2.triangles is m.triangles
+    topo = m.topology
+    for arr in (topo.triangles, topo.boundary_edges, topo.boundary_mask,
+                *topo.ring1, *topo.ring2):
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        m2.triangles[0, 0] = 1
+    with pytest.raises(ValueError):
+        m.with_vertices(m.vertices[:-1])  # vertex count must match
+
+
+def test_with_vertices_rejects_collapsed_triangle():
+    m = icosphere(1)
+    verts, tris, area = m.vertices.copy(), m.triangles.copy(), m.area()
+    a, b, _c = m.triangles[0]
+    collapsed = m.vertices.copy()
+    collapsed[b] = collapsed[a]
+    with pytest.raises(DegenerateTriangle):
+        m.with_vertices(collapsed)
+    # the failed call leaves the source mesh as it was
+    assert np.array_equal(m.vertices, verts)
+    assert np.array_equal(m.triangles, tris)
+    assert m.area() == area
 
 
 # -- estimators ---------------------------------------------------------------
