@@ -547,8 +547,7 @@ def cmd_phase(cfg, args, out: Path) -> int:
     name = args.surface or cfg["surface"]["family"]
     fam = _make_surface(cfg, rng, name)
     csv_path = out / "phase_field.csv"
-    write_phase_field_csv(csv_path, fam, n=cfg["surface"]["n"])
-    margin = np.loadtxt(csv_path, delimiter=",", skiprows=1)[:, 8]
+    margin = write_phase_field_csv(csv_path, fam, n=cfg["surface"]["n"])
     report = {
         "family": fam.name,
         "n": cfg["surface"]["n"],

@@ -17,6 +17,7 @@ winding of x -> gamma(x) gamma'(x) about 0.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,7 @@ from .errors import (DegenerateDerivative, DegenerateSpacing, OriginCollision,
 from .flow import FlowHistory
 from .mesh import SurfaceMesh, grid_torus_mesh
 from .surfaces import ParametricSurface, SurfaceJet
-from .util import format_float
+from .util import readonly, write_csv
 
 
 @dataclass
@@ -35,6 +36,8 @@ class PlaneCurve:
 
     Invariants: N >= 16, consecutive samples separated (immersed polyline),
     and the origin stays off the image; the flow equation is singular there.
+    The samples are stored read-only, so the diameter and the smallest gap
+    measured once at construction stay valid.
     """
 
     samples: np.ndarray
@@ -43,13 +46,15 @@ class PlaneCurve:
         z = np.asarray(self.samples)
         if z.ndim != 1 or len(z) < 16:
             raise ValueError("need at least 16 samples on one closed loop")
-        self.samples = z.astype(complex)
-        d = self.diameter()
-        gaps = np.abs(np.roll(self.samples, -1) - self.samples)
-        if np.min(gaps) <= 1e-10 * d:
+        self.samples = z = readonly(z.astype(complex))
+        d = float(np.hypot(np.ptp(z.real), np.ptp(z.imag)))
+        h = float(np.abs(np.diff(z, append=z[:1])).min())
+        if h <= 1e-10 * d:
             raise ValueError("curve is not immersed at sample resolution")
-        if np.min(np.abs(self.samples)) <= 1e-10 * d:
+        if np.min(np.abs(z)) <= 1e-10 * d:
             raise OriginCollision("curve passes through the origin")
+        self._diameter = d
+        self._min_spacing = h
 
     @property
     def n(self) -> int:
@@ -60,11 +65,10 @@ class PlaneCurve:
         return 2 * np.pi * np.arange(self.n) / self.n
 
     def diameter(self) -> float:
-        z = np.asarray(self.samples, dtype=complex)
-        return float(np.hypot(np.ptp(z.real), np.ptp(z.imag)))
+        return self._diameter
 
     def min_spacing(self) -> float:
-        return float(np.min(np.abs(np.roll(self.samples, -1) - self.samples)))
+        return self._min_spacing
 
     @classmethod
     def circle(cls, radius: float = 1.0, center: complex = 0.0,
@@ -78,8 +82,27 @@ class PlaneCurve:
         return cls(np.asarray(fn(x), dtype=complex))
 
 
+# Per-grid spectral factors, built on first use and shared read-only by
+# every caller; a run touches a handful of grid sizes.
+
+@functools.lru_cache(maxsize=32)
 def _spectral_modes(n: int) -> np.ndarray:
-    return np.fft.fftfreq(n, d=1.0 / n)
+    return readonly(np.fft.fftfreq(n, d=1.0 / n))
+
+
+@functools.lru_cache(maxsize=64)
+def _derivative_factor(n: int, order: int) -> np.ndarray:
+    """(i k)^order; the Nyquist mode is zeroed for odd orders on even grids."""
+    factor = (1j * _spectral_modes(n)) ** order
+    if order % 2 == 1 and n % 2 == 0:
+        factor[n // 2] = 0.0
+    return readonly(factor)
+
+
+@functools.lru_cache(maxsize=32)
+def _filter_profile(n: int) -> np.ndarray:
+    k = np.abs(_spectral_modes(n)) / (n // 2)
+    return readonly(np.exp(-36.0 * k ** 36))
 
 
 def spectral_derivative(values: np.ndarray, order: int = 1) -> np.ndarray:
@@ -88,12 +111,16 @@ def spectral_derivative(values: np.ndarray, order: int = 1) -> np.ndarray:
     The Nyquist mode is zeroed for odd orders (it carries no well-defined
     odd derivative on an even grid).
     """
-    n = len(values)
-    k = _spectral_modes(n)
-    factor = (1j * k) ** order
-    if order % 2 == 1 and n % 2 == 0:
-        factor[n // 2] = 0.0
-    return np.fft.ifft(np.fft.fft(values) * factor)
+    return np.fft.ifft(np.fft.fft(values)
+                       * _derivative_factor(len(values), order))
+
+
+def _first_two_derivatives(samples: np.ndarray):
+    """spectral_derivative orders 1 and 2 from one forward transform."""
+    n = len(samples)
+    zhat = np.fft.fft(samples)
+    return (np.fft.ifft(zhat * _derivative_factor(n, 1)),
+            np.fft.ifft(zhat * _derivative_factor(n, 2)))
 
 
 def curvature_vector(curve: PlaneCurve) -> np.ndarray:
@@ -103,8 +130,7 @@ def curvature_vector(curve: PlaneCurve) -> np.ndarray:
                 / |gamma'|^2;
     a counterclockwise circle of radius R gives -gamma / R^2.
     """
-    g1 = spectral_derivative(curve.samples, 1)
-    g2 = spectral_derivative(curve.samples, 2)
+    g1, g2 = _first_two_derivatives(curve.samples)
     speed2 = np.abs(g1) ** 2
     if np.min(np.sqrt(speed2)) < 1e-8 * np.max(np.sqrt(speed2)):
         raise DegenerateSpacing("parametrization speed collapses somewhere")
@@ -113,8 +139,12 @@ def curvature_vector(curve: PlaneCurve) -> np.ndarray:
 
 
 def _flow_rhs(samples: np.ndarray) -> np.ndarray:
-    g1 = spectral_derivative(samples, 1)
-    g2 = spectral_derivative(samples, 2)
+    return _velocity(samples, *_first_two_derivatives(samples))
+
+
+def _velocity(samples: np.ndarray, g1: np.ndarray,
+              g2: np.ndarray) -> np.ndarray:
+    """Flow velocity from the samples and their first two derivatives."""
     speed2 = np.abs(g1) ** 2
     radial = np.real(np.conj(g1) * g2) / speed2
     kap = (g2 - g1 * radial) / speed2
@@ -132,9 +162,7 @@ def _spectral_filter(values: np.ndarray) -> np.ndarray:
     profile is machine-zero at Nyquist and below 1e-9 for |k| <= kmax/2,
     so resolved content is untouched even over millions of steps.
     """
-    n = len(values)
-    k = np.abs(_spectral_modes(n)) / (n // 2)
-    return np.fft.ifft(np.fft.fft(values) * np.exp(-36.0 * k ** 36))
+    return np.fft.ifft(np.fft.fft(values) * _filter_profile(len(values)))
 
 
 def csf_step(curve: PlaneCurve, dt: float, scheme: str = "rk4",
@@ -160,11 +188,10 @@ def csf_step(curve: PlaneCurve, dt: float, scheme: str = "rk4",
         k4 = _flow_rhs(z + dt * k3)
         z_new = z + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
     elif scheme == "semi-implicit":
-        g1 = spectral_derivative(z, 1)
+        g1, g2 = _first_two_derivatives(z)
         a = float(np.max(1.0 / np.abs(g1) ** 2))
         k = _spectral_modes(curve.n)
-        g2 = spectral_derivative(z, 2)
-        explicit = _flow_rhs(z) - a * g2
+        explicit = _velocity(z, g1, g2) - a * g2
         zhat = np.fft.fft(z + dt * explicit)
         zhat /= 1.0 + dt * a * k * k
         z_new = np.fft.ifft(zhat)
@@ -303,6 +330,9 @@ def diagnostics(curve: PlaneCurve) -> CurveDiagnostics:
 # Lift to the Lagrangian torus
 # ---------------------------------------------------------------------------
 
+JET_BLOCK = 2048   # points per block of TorusFromCurve._gamma_jets
+
+
 class TorusFromCurve(ParametricSurface):
     """Analytic jets of (x, y) -> (gamma(x) cos y, gamma(x) sin y) in C^2.
 
@@ -320,20 +350,34 @@ class TorusFromCurve(ParametricSurface):
     def __init__(self, curve: PlaneCurve):
         self.curve = curve
         n = curve.n
-        self._coef = np.fft.fft(curve.samples) / n
+        coef = np.fft.fft(curve.samples) / n
         self._k = _spectral_modes(n)
-        self._kd1 = 1j * self._k.copy()
-        self._kd2 = -(self._k ** 2)
+        kd1 = 1j * self._k
         if n % 2 == 0:
-            self._kd1[n // 2] = 0.0
+            kd1[n // 2] = 0.0
+        # coefficients of gamma, gamma' and gamma''
+        self._coefs = (coef, kd1 * coef, -(self._k ** 2) * coef)
 
     def _gamma_jets(self, u):
+        """gamma and its first two derivatives at the parameters u.
+
+        The (points x modes) matrix of exponentials is built for at most
+        JET_BLOCK points at a time, which bounds memory on large grids.
+        The blocks are near-equal, so none holds a single point: numpy
+        sends a one-row product to a dot kernel that rounds differently
+        from the matrix-vector kernel of the one-shot product.
+        """
         u = np.asarray(u, dtype=float)
-        e = np.exp(1j * u[..., None] * self._k)
-        g = e @ self._coef
-        g1 = e @ (self._kd1 * self._coef)
-        g2 = e @ (self._kd2 * self._coef)
-        return g, g1, g2
+        if u.size <= JET_BLOCK:
+            return self._block_jets(u)
+        blocks = np.array_split(u.reshape(-1), -(-u.size // JET_BLOCK))
+        return tuple(np.concatenate(parts).reshape(u.shape)
+                     for parts in zip(*map(self._block_jets, blocks)))
+
+    def _block_jets(self, u):
+        e = 1j * u[..., None] * self._k
+        np.exp(e, out=e)
+        return tuple(e @ c for c in self._coefs)
 
     @staticmethod
     def _embed(z1, z2):
@@ -380,8 +424,7 @@ def torus_bnorm2(curve: PlaneCurve) -> np.ndarray:
     -Im(conj(gamma) gamma')/(|gamma|^2 |gamma'|) (second normal).
     """
     z = curve.samples
-    g1 = spectral_derivative(z, 1)
-    g2 = spectral_derivative(z, 2)
+    g1, g2 = _first_two_derivatives(z)
     speed = np.abs(g1)
     nrm = -1j * g1 / speed
     kap = (g2 - g1 * np.real(np.conj(g1) * g2) / speed ** 2) / speed ** 2
@@ -413,9 +456,5 @@ def b_norm_history(result: CurveFlowResult) -> FlowHistory:
 
 def write_curve_csv(path, curve: PlaneCurve) -> None:
     """CSV columns x_j, Re gamma_j, Im gamma_j."""
-    lines = ["x,re,im"]
-    for xj, zj in zip(curve.x, curve.samples):
-        lines.append(",".join(format_float(val)
-                              for val in (xj, zj.real, zj.imag)))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, "x,re,im",
+              [curve.x, curve.samples.real, curve.samples.imag])

@@ -26,12 +26,7 @@ import scipy.sparse as sp
 
 from .errors import (DegenerateTriangle, NonClosedSurface, NonOrientableMesh)
 from .structure import StructureTriple, standard_structure
-from .util import format_float
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+from .util import format_rows, readonly
 
 
 def _padded_rows(pattern: sp.csr_matrix):
@@ -51,7 +46,7 @@ def _padded_rows(pattern: sp.csr_matrix):
     mask = np.arange(counts.max(initial=0)) < counts[:, None]
     idx = np.zeros(mask.shape, dtype=int)
     idx[mask] = cols
-    return _readonly(idx), _readonly(mask)
+    return readonly(idx), readonly(mask)
 
 
 class MeshTopology:
@@ -69,7 +64,7 @@ class MeshTopology:
     """
 
     def __init__(self, triangles: np.ndarray, n_vertices: int):
-        t = _readonly(np.array(triangles, dtype=int))
+        t = readonly(np.array(triangles, dtype=int))
         self.triangles = t
         self.n_vertices = n_vertices
         directed = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
@@ -79,10 +74,10 @@ class MeshTopology:
                                     "are not globally consistent")
         rev = directed[:, 1].astype(np.int64) * n_vertices + directed[:, 0]
         # boundary edges are the directed edges without a reversed partner
-        self.boundary_edges = _readonly(directed[~np.isin(key, rev)])
+        self.boundary_edges = readonly(directed[~np.isin(key, rev)])
         mask = np.zeros(n_vertices, dtype=bool)
         mask[self.boundary_edges.ravel()] = True
-        self.boundary_mask = _readonly(mask)
+        self.boundary_mask = readonly(mask)
 
         adj = sp.csr_matrix(
             (np.ones(2 * len(directed), dtype=np.int64),
@@ -444,9 +439,8 @@ def grid_torus_mesh(points: np.ndarray) -> SurfaceMesh:
 
 def write_off4(mesh: SurfaceMesh, path) -> None:
     """Write OFF with exactly four coordinates per vertex row."""
-    lines = ["OFF", f"{len(mesh.vertices)} {len(mesh.triangles)} 0"]
-    for v in mesh.vertices:
-        lines.append(" ".join(format_float(c) for c in v))
+    lines = ["OFF", f"{len(mesh.vertices)} {len(mesh.triangles)} 0",
+             *format_rows(mesh.vertices.T, sep=" ")]
     for t in mesh.triangles:
         lines.append(f"3 {t[0]} {t[1]} {t[2]}")
     with open(path, "w") as fh:

@@ -24,7 +24,7 @@ from .errors import (IdentityViolation, NonClosedSurface, NonNormalInput,
 from .structure import StructureTriple, standard_structure
 from .surfaces import (FrameData, ParametricSurface, frames, mean_curvature,
                        normal_projection, second_fundamental_form)
-from .util import format_float
+from .util import format_float, write_csv
 
 
 @dataclass
@@ -407,8 +407,8 @@ def containment_margin(lams) -> ContainmentReport:
 # ---------------------------------------------------------------------------
 
 def write_phase_field_csv(path, family: ParametricSurface, n: int = 32,
-                          s: StructureTriple | None = None) -> None:
-    """Midpoint-grid phase field as CSV.
+                          s: StructureTriple | None = None) -> np.ndarray:
+    """Midpoint-grid phase field as CSV; returns the margins, shape (n, n).
 
     Columns: u, v, lam1, lam2, lam3, e_del, e_delbar, detdJ, margin, where
     margin is the pointwise distance to the half circle.
@@ -427,10 +427,5 @@ def write_phase_field_csv(path, family: ParametricSurface, n: int = 32,
     margin = arc_distance(sample.lam)
     cols = [ug, vg, sample.lam[..., 0], sample.lam[..., 1], sample.lam[..., 2],
             sample.e_del, sample.e_delbar, sample.detdj, margin]
-    header = "u,v,lam1,lam2,lam3,e_del,e_delbar,detdJ,margin"
-    lines = [header]
-    flat = [np.ravel(c) for c in cols]
-    for row in zip(*flat):
-        lines.append(",".join(format_float(x) for x in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, "u,v,lam1,lam2,lam3,e_del,e_delbar,detdJ,margin", cols)
+    return margin

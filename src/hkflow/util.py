@@ -1,8 +1,9 @@
-"""Small shared helpers: deterministic serialization and rotations.
+"""Small shared helpers: deterministic serialization, read-only arrays and
+rotations.
 
-JSON written by this package must be byte-stable across runs with the same
-inputs, so floats are always rendered with 17 significant digits (enough to
-round-trip a double) instead of whatever repr() feels like.
+JSON and CSV written by this package must be byte-stable across runs with
+the same inputs, so floats are always rendered with 17 significant digits
+(enough to round-trip a double) instead of whatever repr() feels like.
 """
 from __future__ import annotations
 
@@ -20,6 +21,33 @@ def format_float(x) -> str:
     if x in (float("inf"), float("-inf")):
         return "Infinity" if x > 0 else "-Infinity"
     return format(x, ".17g")
+
+
+def readonly(a: np.ndarray) -> np.ndarray:
+    """Mark an array read-only in place and return it."""
+    a.flags.writeable = False
+    return a
+
+
+def format_rows(cols, sep: str = ",") -> list[str]:
+    """Rows of equal-length float columns, each value as format_float writes it.
+
+    When every value is finite one "%.17g" template formats a whole row;
+    for finite doubles it prints exactly what format_float prints, -0 and
+    subnormals included.  Otherwise every value goes through format_float,
+    which spells NaN and Infinity the JSON way.
+    """
+    flat = [np.ravel(np.asarray(c, dtype=float)) for c in cols]
+    if all(np.isfinite(c).all() for c in flat):
+        template = sep.join(["%.17g"] * len(flat))
+        return [template % row for row in zip(*(c.tolist() for c in flat))]
+    return [sep.join(format_float(x) for x in row) for row in zip(*flat)]
+
+
+def write_csv(path, header: str, cols) -> None:
+    """Write a header line, then the columns as comma-separated rows."""
+    with open(path, "w") as fh:
+        fh.write("\n".join([header, *format_rows(cols)]) + "\n")
 
 
 def json_dumps(obj, indent: int = 0) -> str:

@@ -1,4 +1,5 @@
 """End-to-end command line checks, in-process plus one subprocess run."""
+import hashlib
 import json
 import os
 import subprocess
@@ -118,6 +119,18 @@ def test_flow_curve_end_to_end(tmp_path):
     assert all(r["margin"] == 0.0 for r in records)
 
 
+def test_flow_curve_outputs_byte_identical(tmp_path):
+    cfg = config(tmp_path, "\n".join([
+        "[curve]", "family = perturbed-circle", "n = 64",
+        "[flow]", "t_end = 0.02", "snapshot_every = 5",
+    ]))
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert main(["--config", cfg, "--out", str(out), "flow-curve"]) == 0
+    for name in ("history.jsonl", "diagnostics.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_flow_curve_origin_crossing_exits_2(tmp_path):
     # eps = 1 pinches the loop onto the origin at a grid point
     cfg = config(tmp_path, "\n".join([
@@ -218,6 +231,54 @@ def test_phase_reaper_stays_clear(tmp_path):
     report = json.loads((out / "phase_report.json").read_text())
     assert not report["touches_forbidden_set"]
     assert report["min_margin"] > 0.0
+
+
+# -- golden outputs ---------------------------------------------------------------
+
+# sha256 over (relative name, bytes) of history.jsonl, diagnostics.json and
+# every snapshot CSV, or of phase_field.csv, in that order.  Recorded at
+# the parent commit of the spectral factor cache, the 17-digit row writer
+# and the blocked torus jets (numpy 2.4.6, OpenBLAS, x86-64), which had to
+# leave these bytes unchanged; another FFT or BLAS build may round
+# differently.
+GOLDEN = {
+    "rk4": ("flow-curve", "[curve]\nfamily = perturbed-circle\nn = 64\n"
+            "[flow]\nt_end = 0.05\nsnapshot_every = 5\n",
+            "5a32c235ec05e937f38d838de523dda66423e055405958a7409539a4a5e16b72"),
+    "semi-implicit": (
+        "flow-curve", "[curve]\nfamily = perturbed-circle\nn = 64\n"
+        "[flow]\ndt = 2e-3\nt_end = 0.05\nscheme = semi-implicit\n"
+        "snapshot_every = 5\n",
+        "0c34ab98151230c15155b04239dd3e58b285d09cbaeecd04459f404eb4477ba1"),
+    "torus-16": ("phase", "[surface]\nn = 16\n",
+                 "69c1818e2684a992711a2c81ab786d0ca7fd6412e40189bf63fd1f77445039c2"),
+    # 48 x 48 points: the torus jets are evaluated in blocks
+    "torus-48": ("phase", "[surface]\nn = 48\n",
+                 "58b24c453d2e3308e0abb0859b741d2994719ae0f785f5f2cfa243c3ca14d8c4"),
+}
+
+
+def _fingerprint(out: Path) -> str:
+    files = [out / name for name in
+             ("history.jsonl", "diagnostics.json", "phase_field.csv")]
+    files = [f for f in files if f.exists()]
+    files += sorted(out.glob("snapshots/*.csv"))
+    h = hashlib.sha256()
+    for f in files:
+        h.update(f.relative_to(out).as_posix().encode() + b"\0"
+                 + f.read_bytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_outputs_match_recorded_fingerprint(tmp_path, case):
+    command, text, digest = GOLDEN[case]
+    argv = ["--config", config(tmp_path, text), "--out", str(tmp_path / "out"),
+            command]
+    if command == "phase":
+        argv += ["--surface", "torus"]
+    assert main(argv) == 0
+    assert _fingerprint(tmp_path / "out") == digest
 
 
 # -- subprocess -------------------------------------------------------------------

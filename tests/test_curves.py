@@ -41,6 +41,37 @@ def test_spectral_derivative_modes():
     assert np.max(np.abs(spectral_derivative(nyq, 1))) < 1e-12
 
 
+@pytest.mark.parametrize("n", [31, 32])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_spectral_derivative_bitwise_matches_reference(n, order):
+    z = np.random.default_rng(n + order).standard_normal((n, 2)) @ [1, 1j]
+    factor = (1j * np.fft.fftfreq(n, d=1.0 / n)) ** order
+    if order % 2 == 1 and n % 2 == 0:
+        factor[n // 2] = 0.0
+    expect = np.fft.ifft(np.fft.fft(z) * factor)
+    assert np.array_equal(spectral_derivative(z, order), expect)
+
+
+def test_spectral_factors_are_cached_read_only():
+    from hkflow.curves import (_derivative_factor, _filter_profile,
+                               _spectral_modes)
+    for table in (_spectral_modes(64), _derivative_factor(64, 1),
+                  _derivative_factor(64, 2), _filter_profile(64)):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+    assert _derivative_factor(64, 1) is _derivative_factor(64, 1)
+    assert _derivative_factor(64, 1)[32] == 0.0
+
+
+def test_curve_measures_stored_at_construction():
+    c = _limacon(64)
+    z = c.samples
+    assert not z.flags.writeable
+    assert c.diameter() == float(np.hypot(np.ptp(z.real), np.ptp(z.imag)))
+    assert c.min_spacing() == float(np.min(np.abs(np.roll(z, -1) - z)))
+
+
 def test_curvature_vector_circle():
     for r in (1.0, 0.5):
         c = PlaneCurve.circle(r, n=128)
@@ -264,6 +295,23 @@ def test_embed_torus_mesh_matches_family_area():
     assert mesh.is_closed
     # chordal mesh area converges to the smooth area from below
     assert abs(mesh.area() - torus_area(c)) / torus_area(c) < 5e-3
+
+
+def test_gamma_jets_blocks_match_one_shot_product():
+    from hkflow.curves import JET_BLOCK
+    fam = TorusFromCurve(_limacon(64))
+
+    def one_shot(u):
+        e = np.exp(1j * np.asarray(u)[..., None] * fam._k)
+        return [e @ c for c in fam._coefs]
+
+    rng = np.random.default_rng(3)
+    for shape in [(2 * JET_BLOCK + 1,), (70, 71), (), (5,)]:
+        u = rng.uniform(0.0, 2 * np.pi, shape)
+        got = fam._gamma_jets(u)
+        for a, b in zip(got, one_shot(u)):
+            assert a.shape == np.shape(u)
+            assert np.array_equal(a, b)
 
 
 def test_write_curve_csv(tmp_path):
