@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import os
 import sys
 from pathlib import Path
 
@@ -341,18 +340,6 @@ def cmd_verify(cfg, args, out: Path) -> int:
 # flow-curve
 # ---------------------------------------------------------------------------
 
-def _torus_margins(curve):
-    import numpy as np
-    from .curves import spectral_derivative
-    from .phase import containment_margin
-
-    z = curve.samples
-    w = z * spectral_derivative(z, 1)
-    w = w / np.abs(w)
-    lams = np.stack([np.zeros(len(z)), w.real, w.imag], axis=-1)
-    return containment_margin(lams)
-
-
 def cmd_flow_curve(cfg, args, out: Path) -> int:
     import numpy as np
     from .curves import b_norm_history, diagnostics, run_csf, write_curve_csv
@@ -375,9 +362,9 @@ def cmd_flow_curve(cfg, args, out: Path) -> int:
 
     hist = b_norm_history(result)
     with open(out / "history.jsonl", "w") as fh:
-        for t, b, a, c in zip(hist.t, hist.max_b, hist.area, result.curves):
+        for t, b, a, m in zip(hist.t, hist.max_b, hist.area, hist.margin):
             rec = {"t": float(t), "max_B": float(b), "area": float(a),
-                   "margin": _torus_margins(c).margin}
+                   "margin": float(m)}
             fh.write(json_dumps(rec) + "\n")
 
     diag = diagnostics(result.curves[0]).as_dict()
@@ -572,8 +559,6 @@ def build_parser() -> _Parser:
                         help="INI config file (flat key=value sections)")
     parser.add_argument("--out", metavar="DIR", default=None,
                         help="output directory (default from config)")
-    parser.add_argument("--threads", metavar="N", type=int, default=None,
-                        help="cap BLAS/OpenMP threads")
     parser.add_argument("--seed", metavar="N", type=int, default=None,
                         help="seed for randomized checks")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -609,12 +594,6 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads is not None:
-        # must happen before numpy spins up its pools on first import
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
-
     from .errors import GeometryError
 
     try:

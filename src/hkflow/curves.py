@@ -26,6 +26,7 @@ from .errors import (DegenerateDerivative, DegenerateSpacing, OriginCollision,
                      PointOnCurve, StabilityViolation)
 from .flow import FlowHistory
 from .mesh import SurfaceMesh, grid_torus_mesh
+from .phase import containment_margin
 from .surfaces import ParametricSurface, SurfaceJet
 from .util import readonly, write_csv
 
@@ -361,13 +362,23 @@ class TorusFromCurve(ParametricSurface):
     def _gamma_jets(self, u):
         """gamma and its first two derivatives at the parameters u.
 
-        The (points x modes) matrix of exponentials is built for at most
-        JET_BLOCK points at a time, which bounds memory on large grids.
-        The blocks are near-equal, so none holds a single point: numpy
-        sends a one-row product to a dot kernel that rounds differently
-        from the matrix-vector kernel of the one-shot product.
+        Each distinct parameter is evaluated once and gathered back (a
+        parameter grid repeats every u along v).  The (points x modes)
+        matrix of exponentials is built for at most JET_BLOCK points at a
+        time, which bounds memory on large grids.  No point is evaluated on
+        its own when the input has more, since numpy sends a one-row
+        product to a dot kernel that rounds differently from the
+        matrix-vector kernel of the one-shot product: a lone distinct value
+        is evaluated on the whole input, and the blocks are near-equal.
         """
         u = np.asarray(u, dtype=float)
+        uniq, inverse = np.unique(u, return_inverse=True)
+        if 1 < uniq.size < u.size:
+            return tuple(g[inverse].reshape(u.shape)
+                         for g in self._blocked_jets(uniq))
+        return self._blocked_jets(u)
+
+    def _blocked_jets(self, u):
         if u.size <= JET_BLOCK:
             return self._block_jets(u)
         blocks = np.array_split(u.reshape(-1), -(-u.size // JET_BLOCK))
@@ -424,7 +435,10 @@ def torus_bnorm2(curve: PlaneCurve) -> np.ndarray:
     -Im(conj(gamma) gamma')/(|gamma|^2 |gamma'|) (second normal).
     """
     z = curve.samples
-    g1, g2 = _first_two_derivatives(z)
+    return _torus_bnorm2(z, *_first_two_derivatives(z))
+
+
+def _torus_bnorm2(z, g1, g2) -> np.ndarray:
     speed = np.abs(g1)
     nrm = -1j * g1 / speed
     kap = (g2 - g1 * np.real(np.conj(g1) * g2) / speed ** 2) / speed ** 2
@@ -436,18 +450,38 @@ def torus_bnorm2(curve: PlaneCurve) -> np.ndarray:
 
 def torus_area(curve: PlaneCurve) -> float:
     """Exact-to-quadrature area of the lift: 2 pi * integral |gamma||gamma'|."""
-    g1 = spectral_derivative(curve.samples, 1)
-    return float(2 * np.pi * np.mean(np.abs(curve.samples) * np.abs(g1))
-                 * 2 * np.pi)
+    return _torus_area(curve.samples, spectral_derivative(curve.samples, 1))
+
+
+def _torus_area(z, g1) -> float:
+    return float(2 * np.pi * np.mean(np.abs(z) * np.abs(g1)) * 2 * np.pi)
+
+
+def _torus_margin(z, g1) -> float:
+    """Containment margin of the lift's phase (0, Re w, Im w), where
+    w = gamma gamma' / |gamma gamma'| is constant along each circle."""
+    w = z * g1
+    w = w / np.abs(w)
+    lams = np.stack([np.zeros(len(z)), w.real, w.imag], axis=-1)
+    return containment_margin(lams).margin
 
 
 def b_norm_history(result: CurveFlowResult) -> FlowHistory:
-    """FlowHistory of the lifted tori along a curve-flow trajectory."""
-    max_b = np.array([float(np.sqrt(np.max(torus_bnorm2(c))))
-                      for c in result.curves])
-    area = np.array([torus_area(c) for c in result.curves])
+    """FlowHistory of the lifted tori along a curve-flow trajectory.
+
+    max|B|, area and phase margin of each snapshot share one transform of
+    its samples (gamma' and gamma'').
+    """
+    n = len(result.curves)
+    max_b, area, margin = np.empty(n), np.empty(n), np.empty(n)
+    for k, c in enumerate(result.curves):
+        z = c.samples
+        g1, g2 = _first_two_derivatives(z)
+        max_b[k] = np.sqrt(np.max(_torus_bnorm2(z, g1, g2)))
+        area[k] = _torus_area(z, g1)
+        margin[k] = _torus_margin(z, g1)
     return FlowHistory(t=np.asarray(result.times, dtype=float), max_b=max_b,
-                       area=area, truncated=result.truncated)
+                       area=area, margin=margin, truncated=result.truncated)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import scipy.sparse.linalg as spla
 from .errors import (InsufficientHistory, NotBlowingUp, SolveFailure,
                      StabilityViolation)
 from .mesh import (SurfaceMesh, mesh_bnorm, mesh_mean_curvature,
-                   mesh_tangent_frames, write_off4)
+                   mesh_tangent_frames, two_ring_offsets, write_off4)
 from .phase import arc_distance, tension
 from .structure import StructureTriple, standard_structure
 from .surfaces import (ParametricSurface, frames, mean_curvature,
@@ -51,8 +51,10 @@ class FlowState:
         areas = mesh.mixed_areas()
         h, valid = mesh_mean_curvature(mesh, w, areas)
         max_h = float(np.nanmax(np.linalg.norm(h[valid], axis=1))) if valid.any() else 0.0
-        fr = mesh_tangent_frames(mesh)
-        b = mesh_bnorm(mesh, fr)
+        # one two-ring gather for both estimators, dropped after measuring
+        d = two_ring_offsets(mesh)
+        fr = mesh_tangent_frames(mesh, offsets=d)
+        b = mesh_bnorm(mesh, fr, d)
         max_b = float(np.nanmax(b)) if np.any(np.isfinite(b)) else 0.0
         margin = float(np.min(arc_distance(fr[4])))
         return cls(t=t, mesh=mesh, max_b=max_b, max_h=max_h,
@@ -66,13 +68,15 @@ class FlowState:
 
 @dataclass
 class FlowHistory:
-    """Trajectory summary: times, max |B|, areas, and truncation status."""
+    """Trajectory summary: times, max |B|, areas, truncation status, and
+    the phase containment margins where the producer measures them."""
 
     t: np.ndarray
     max_b: np.ndarray
     area: np.ndarray
     truncated: bool = False
     states: list = field(default_factory=list)
+    margin: np.ndarray | None = None
 
     def __post_init__(self):
         if np.any(np.diff(self.t) <= 0):

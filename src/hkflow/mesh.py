@@ -16,6 +16,11 @@ and two-ring index arrays.  A flow never changes connectivity, so
 `SurfaceMesh.with_vertices` shares the topology of its source; only the
 checks that depend on vertex positions (shapes, index range, triangle
 areas) run again for each new vertex set.
+
+The triangle geometry (corner cotangents, areas and squared edge lengths)
+is measured once per vertex set, at construction, where the area check
+needs it; the vertices are a read-only copy, so it stays valid, and every
+metric operator reads it.
 """
 from __future__ import annotations
 
@@ -97,7 +102,9 @@ class SurfaceMesh:
     otherwise).  Without a `topology`, one is built from the triangles,
     which runs the orientation check (`NonOrientableMesh`); with one, as
     `with_vertices` passes, the triangles must be its own array and the
-    connectivity is not validated again.  `triangles` is read-only.
+    connectivity is not validated again.  `vertices` is a read-only copy of
+    the input and `triangles` is read-only, so the triangle geometry
+    measured at construction stays valid.
     """
 
     vertices: np.ndarray
@@ -106,7 +113,7 @@ class SurfaceMesh:
                                           compare=False)
 
     def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=float)
+        v = np.array(self.vertices, dtype=float)
         t = np.asarray(self.triangles, dtype=int)
         if v.ndim != 2 or v.shape[1] != 4:
             raise ValueError(f"vertices must be (n, 4), got {v.shape}")
@@ -121,13 +128,34 @@ class SurfaceMesh:
             if topo.n_vertices != len(v):
                 raise ValueError(f"topology has {topo.n_vertices} vertices, "
                                  f"got {len(v)}")
-        self.vertices = v
+        self.vertices = readonly(v)
         self.triangles = t
-        if np.any(self.triangle_areas() <= 1e-14):
+        self._measure_triangles()
+        if np.any(self._areas <= 1e-14):
             raise DegenerateTriangle("mesh contains a triangle of area <= 1e-14")
         if topo is None:
             self.topology = MeshTopology(t, len(v))
             self.triangles = self.topology.triangles
+
+    def _measure_triangles(self) -> None:
+        """Corner cotangents, areas and squared edge lengths of every
+        triangle, from one gather of the corners; stored read-only."""
+        p, q, r = self.corner_vectors()
+        cots = np.empty((len(p), 3))
+        l2 = np.empty((len(p), 3))
+        for k, (apex, u, w) in enumerate(((p, q, r), (q, r, p), (r, p, q))):
+            a, b = u - apex, w - apex
+            aa = np.sum(a * a, axis=1)
+            dot = np.sum(a * b, axis=1)
+            cross2 = aa * np.sum(b * b, axis=1) - dot * dot
+            cots[:, k] = dot / np.sqrt(np.maximum(cross2, 1e-300))
+            # a runs from corner k to corner k+1, opposite corner k+2
+            l2[:, (k + 2) % 3] = aa
+            if k == 0:
+                self._areas = readonly(
+                    0.5 * np.sqrt(np.maximum(cross2, 0.0)))
+        self._cots = readonly(cots)
+        self._l2 = readonly(l2)
 
     # -- topology -----------------------------------------------------------
 
@@ -141,56 +169,34 @@ class SurfaceMesh:
 
     def with_vertices(self, vertices) -> "SurfaceMesh":
         """Same connectivity (the shared topology), new vertex positions."""
-        return SurfaceMesh(np.asarray(vertices, dtype=float),
-                           self.triangles, self.topology)
+        return SurfaceMesh(vertices, self.triangles, self.topology)
 
-    # -- metric quantities ---------------------------------------------------
+    # -- metric quantities, read off the geometry measured at construction --
 
     def corner_vectors(self):
-        """Edge vectors (b - a, c - a, ...) per triangle corner."""
+        """Corner positions (p, q, r) of every triangle, each shape (m, 4)."""
         v, t = self.vertices, self.triangles
         p, q, r = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
         return p, q, r
 
     def triangle_areas(self) -> np.ndarray:
-        p, q, r = self.corner_vectors()
-        a, b = q - p, r - p
-        aa = np.sum(a * a, axis=1)
-        bb = np.sum(b * b, axis=1)
-        ab = np.sum(a * b, axis=1)
-        return 0.5 * np.sqrt(np.maximum(aa * bb - ab * ab, 0.0))
+        return self._areas
 
     def area(self) -> float:
-        return float(np.sum(self.triangle_areas()))
+        return float(np.sum(self._areas))
 
     def min_edge_length(self) -> float:
-        t = self.triangles
-        v = self.vertices
-        e = np.concatenate([v[t[:, 1]] - v[t[:, 0]],
-                            v[t[:, 2]] - v[t[:, 1]],
-                            v[t[:, 0]] - v[t[:, 2]]])
-        return float(np.sqrt(np.sum(e * e, axis=1).min()))
+        return float(np.sqrt(self._l2.min()))
 
     def cotangents(self) -> np.ndarray:
         """cot of the interior angle at each corner, shape (m, 3)."""
-        p, q, r = self.corner_vectors()
-        cots = np.empty((len(self.triangles), 3))
-        for k, (apex, u, w) in enumerate(((p, q, r), (q, r, p), (r, p, q))):
-            a, b = u - apex, w - apex
-            dot = np.sum(a * b, axis=1)
-            cross2 = np.sum(a * a, axis=1) * np.sum(b * b, axis=1) - dot * dot
-            cots[:, k] = dot / np.sqrt(np.maximum(cross2, 1e-300))
-        return cots
+        return self._cots
 
     def mixed_areas(self) -> np.ndarray:
         """Mixed Voronoi vertex areas, clamped for obtuse triangles."""
         t = self.triangles
-        cots = self.cotangents()
-        tri_area = self.triangle_areas()
-        p, q, r = self.corner_vectors()
-        l2 = np.stack([np.sum((q - r) ** 2, axis=1),   # opposite corner 0
-                       np.sum((r - p) ** 2, axis=1),
-                       np.sum((p - q) ** 2, axis=1)], axis=1)
+        cots = self._cots
+        l2 = self._l2                                  # opposite each corner
         obtuse = cots < 0.0
         any_obtuse = obtuse.any(axis=1)
         contrib = np.empty((len(t), 3))
@@ -200,18 +206,18 @@ class SurfaceMesh:
             contrib[:, k] = 0.125 * (l2[:, k1] * cots[:, k1]
                                      + l2[:, k2] * cots[:, k2])
         if np.any(any_obtuse):
-            half = 0.5 * tri_area[any_obtuse, None]
+            half = 0.5 * self._areas[any_obtuse, None]
             quarter = 0.5 * half
             c = np.where(obtuse[any_obtuse], half, quarter)
             contrib[any_obtuse] = c
-        areas = np.zeros(len(self.vertices))
-        np.add.at(areas, t, contrib)
-        return areas
+        # summed in the order np.add.at(areas, t, contrib) would use
+        return np.bincount(t.ravel(), weights=contrib.ravel(),
+                           minlength=len(self.vertices))
 
     def cotangent_matrix(self) -> sp.csr_matrix:
         """Symmetric weight matrix W with (W x)_i = sum_j w_ij (x_j - x_i)."""
         t = self.triangles
-        cots = self.cotangents()
+        cots = self._cots
         n = len(self.vertices)
         rows, cols, vals = [], [], []
         for k in range(3):
@@ -258,18 +264,28 @@ def mesh_mean_curvature(mesh: SurfaceMesh, w: sp.csr_matrix | None = None,
 # Per-vertex frames, phase field, curvature-norm estimate
 # ---------------------------------------------------------------------------
 
-def mesh_tangent_frames(mesh: SurfaceMesh, s: StructureTriple | None = None):
+def two_ring_offsets(mesh: SurfaceMesh) -> np.ndarray:
+    """Offsets x_j - x_i from each vertex i to its padded two-ring, shape
+    (n, k, 4); padding entries (mask False in topology.ring2) are x_0 - x_i."""
+    d = mesh.vertices[mesh.topology.ring2[0]]
+    d -= mesh.vertices[:, None, :]
+    return d
+
+
+def mesh_tangent_frames(mesh: SurfaceMesh, s: StructureTriple | None = None,
+                        offsets: np.ndarray | None = None):
     """Oriented tangent frames (t1, t2), normal legs (m1, m2), phase field.
 
     The tangent plane is the dominant plane of the two-ring edge covariance;
     (t1, t2) is flipped to match the triangle winding, so the phase
     direction lam_a = <J_a t1, t2> is the discrete counterpart of the
     analytic one; it does not depend on the in-plane gauge of (t1, t2).
+    offsets is two_ring_offsets(mesh) when the caller has it.
     """
     if s is None:
         s = standard_structure()
-    idx, mask = mesh.topology.ring2
-    d = mesh.vertices[idx] - mesh.vertices[:, None, :]
+    mask = mesh.topology.ring2[1]
+    d = two_ring_offsets(mesh) if offsets is None else offsets
     d = d * mask[..., None]
     cov = np.einsum("nki,nkj->nij", d, d)
     vals, vecs = np.linalg.eigh(cov)
@@ -281,19 +297,17 @@ def mesh_tangent_frames(mesh: SurfaceMesh, s: StructureTriple | None = None):
     tri = mesh.triangles
     p, q, r = mesh.corner_vectors()
     a, b = q - p, r - p
-    # orientation sign: projection of the winding bivector onto t1 ^ t2
-    sgn = np.zeros(len(mesh.vertices))
-    at1 = np.einsum("mi,mi->m", a, t1[tri[:, 0]])
-    bt2 = np.einsum("mi,mi->m", b, t2[tri[:, 0]])
-    at2 = np.einsum("mi,mi->m", a, t2[tri[:, 0]])
-    bt1 = np.einsum("mi,mi->m", b, t1[tri[:, 0]])
-    np.add.at(sgn, tri[:, 0], at1 * bt2 - at2 * bt1)
-    for corner in (1, 2):
+    # orientation sign: projection of the winding bivector onto t1 ^ t2,
+    # summed per vertex over corner 0, then 1, then 2
+    wedge = np.empty((3, len(tri)))
+    for corner in range(3):
         at1 = np.einsum("mi,mi->m", a, t1[tri[:, corner]])
         bt2 = np.einsum("mi,mi->m", b, t2[tri[:, corner]])
         at2 = np.einsum("mi,mi->m", a, t2[tri[:, corner]])
         bt1 = np.einsum("mi,mi->m", b, t1[tri[:, corner]])
-        np.add.at(sgn, tri[:, corner], at1 * bt2 - at2 * bt1)
+        wedge[corner] = at1 * bt2 - at2 * bt1
+    sgn = np.bincount(tri.T.ravel(), weights=wedge.ravel(),
+                      minlength=len(mesh.vertices))
     flip = sgn < 0
     t2[flip] = -t2[flip]
 
@@ -304,28 +318,32 @@ def mesh_tangent_frames(mesh: SurfaceMesh, s: StructureTriple | None = None):
     return t1, t2, m1, m2, lam
 
 
-def mesh_bnorm(mesh: SurfaceMesh, frames=None) -> np.ndarray:
+def mesh_bnorm(mesh: SurfaceMesh, frames=None,
+               offsets: np.ndarray | None = None) -> np.ndarray:
     """Per-vertex |B| estimate from a two-ring quadratic fit.
 
     Offsets to two-ring neighbors are split into tangent coordinates (u, v)
     and normal deflections; fitting  w ~ c1 u + c2 v + (a u^2 + 2b uv + c v^2)/2
     per normal direction recovers the second fundamental form.  Vertices
     with fewer than six neighbors (or on the boundary) return NaN.  frames
-    is the output of mesh_tangent_frames(mesh) when the caller has it.
+    is mesh_tangent_frames(mesh) and offsets is two_ring_offsets(mesh) when
+    the caller has them.
     """
+    d = two_ring_offsets(mesh) if offsets is None else offsets
     if frames is None:
-        frames = mesh_tangent_frames(mesh)
+        frames = mesh_tangent_frames(mesh, offsets=d)
     t1, t2, m1, m2, _lam = frames
-    idx, mask = mesh.topology.ring2
-    d = mesh.vertices[idx] - mesh.vertices[:, None, :]
+    mask = mesh.topology.ring2[1]
     u = np.einsum("nki,ni->nk", d, t1)
     v = np.einsum("nki,ni->nk", d, t2)
     rho = np.sqrt(np.maximum(
         np.sum((u * u + v * v) * mask, axis=1)
         / np.maximum(mask.sum(axis=1), 1), 1e-300))
     us, vs = u / rho[:, None], v / rho[:, None]
-    cols = np.stack([us, vs, 0.5 * us * us, us * vs, 0.5 * vs * vs], axis=-1)
-    cols = cols * mask[..., None]
+    # design columns, masked as they are written into one array
+    cols = np.empty(u.shape + (5,))
+    for k, col in enumerate((us, vs, 0.5 * us * us, us * vs, 0.5 * vs * vs)):
+        np.multiply(col, mask, out=cols[..., k])
     ata = np.einsum("nka,nkb->nab", cols, cols)
     ok = mask.sum(axis=1) >= 6
     ok &= ~mesh.boundary_vertex_mask

@@ -93,6 +93,14 @@ def test_bad_subcommand(tmp_path):
     assert exc.value.code == 1
 
 
+def test_threads_flag_removed(tmp_path):
+    # BLAS pools start when numpy is imported, before main could cap them;
+    # set OMP_NUM_THREADS / OPENBLAS_NUM_THREADS before starting instead
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "2", "--out", str(tmp_path / "out"), "verify"])
+    assert exc.value.code == 1
+
+
 # -- flow-curve -------------------------------------------------------------------
 
 def test_flow_curve_end_to_end(tmp_path):

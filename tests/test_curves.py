@@ -173,6 +173,28 @@ def test_perturbed_circle_runs_and_blows_up():
     assert np.all(np.diff(hist.area) < 0)
 
 
+def test_b_norm_history_one_transform_per_snapshot(monkeypatch):
+    """max|B|, area and margin of every snapshot equal the separate
+    per-quantity transforms bit for bit, from one forward FFT each."""
+    from hkflow.phase import containment_margin
+
+    res = run_csf(_limacon(64), t_end=2e-3, dt=5e-4)
+    calls = []
+    fft = np.fft.fft
+    monkeypatch.setattr(np.fft, "fft", lambda a: calls.append(1) or fft(a))
+    hist = b_norm_history(res)
+    monkeypatch.undo()
+    assert len(calls) == len(res.curves)
+    for k, c in enumerate(res.curves):
+        z = c.samples
+        w = z * spectral_derivative(z, 1)
+        w = w / np.abs(w)
+        lams = np.stack([np.zeros(len(z)), w.real, w.imag], axis=-1)
+        assert hist.max_b[k] == float(np.sqrt(np.max(torus_bnorm2(c))))
+        assert hist.area[k] == torus_area(c)
+        assert hist.margin[k] == containment_margin(lams).margin
+
+
 def test_b_norm_history_feeds_type1():
     res = run_csf(PlaneCurve.circle(1.0, n=128), t_end=0.08, dt=2e-5,
                   snapshot_every=400)
@@ -312,6 +334,26 @@ def test_gamma_jets_blocks_match_one_shot_product():
         for a, b in zip(got, one_shot(u)):
             assert a.shape == np.shape(u)
             assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("nu, nv", [(128, 128), (5, 3), (2, 7), (3, 2),
+                                    (1, 6)])
+def test_gamma_jets_once_per_distinct_parameter(nu, nv):
+    """A parameter grid is evaluated on its distinct u and gathered back,
+    with the bits of the one-shot product over every point."""
+    fam = TorusFromCurve(_limacon(64))
+    uu, _vv = np.meshgrid(np.linspace(0.1, 6.0, nu), np.arange(nv),
+                          indexing="ij")
+    sizes = []
+    block_jets = fam._block_jets
+    fam._block_jets = lambda u: sizes.append(u.size) or block_jets(u)
+    got = fam._gamma_jets(uu)
+    # a lone distinct value is evaluated on every point (see _gamma_jets)
+    assert sizes == [nu if nu > 1 else nu * nv]
+    e = np.exp(1j * uu[..., None] * fam._k)
+    for a, c in zip(got, fam._coefs):
+        assert a.shape == uu.shape
+        assert a.tobytes() == (e @ c).tobytes()
 
 
 def test_write_curve_csv(tmp_path):

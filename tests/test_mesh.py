@@ -7,7 +7,8 @@ from hkflow.errors import DegenerateTriangle, NonClosedSurface, \
 from hkflow.mesh import (SurfaceMesh, closed_or_raise, flat_square,
                          grid_torus_mesh, icosphere, mesh_bnorm,
                          mesh_mean_curvature, mesh_phase_field,
-                         mesh_tangent_frames, read_off4, write_off4)
+                         mesh_tangent_frames, read_off4, two_ring_offsets,
+                         write_off4)
 from hkflow.structure import standard_structure
 
 S = standard_structure()
@@ -240,3 +241,209 @@ def test_with_vertices_fresh_cache():
     m2 = m.with_vertices(m.vertices * 2.0)
     assert np.isclose(m2.area(), 4.0 * a0, rtol=1e-12)
     assert np.isclose(m.area(), a0, rtol=0)  # original untouched
+
+
+# -- triangle geometry measured once per vertex set -----------------------------
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+class _Reference:
+    """Each metric operator as written before the triangle geometry was
+    stored: every call gathers the corners and measures again."""
+
+    def __init__(self, mesh):
+        self.v, self.t = mesh.vertices, mesh.triangles
+
+    def corner_vectors(self):
+        v, t = self.v, self.t
+        p, q, r = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
+        return p, q, r
+
+    def triangle_areas(self):
+        p, q, r = self.corner_vectors()
+        a, b = q - p, r - p
+        aa = np.sum(a * a, axis=1)
+        bb = np.sum(b * b, axis=1)
+        ab = np.sum(a * b, axis=1)
+        return 0.5 * np.sqrt(np.maximum(aa * bb - ab * ab, 0.0))
+
+    def area(self):
+        return float(np.sum(self.triangle_areas()))
+
+    def min_edge_length(self):
+        t = self.t
+        v = self.v
+        e = np.concatenate([v[t[:, 1]] - v[t[:, 0]],
+                            v[t[:, 2]] - v[t[:, 1]],
+                            v[t[:, 0]] - v[t[:, 2]]])
+        return float(np.sqrt(np.sum(e * e, axis=1).min()))
+
+    def cotangents(self):
+        p, q, r = self.corner_vectors()
+        cots = np.empty((len(self.t), 3))
+        for k, (apex, u, w) in enumerate(((p, q, r), (q, r, p), (r, p, q))):
+            a, b = u - apex, w - apex
+            dot = np.sum(a * b, axis=1)
+            cross2 = np.sum(a * a, axis=1) * np.sum(b * b, axis=1) - dot * dot
+            cots[:, k] = dot / np.sqrt(np.maximum(cross2, 1e-300))
+        return cots
+
+    def mixed_areas(self):
+        t = self.t
+        cots = self.cotangents()
+        tri_area = self.triangle_areas()
+        p, q, r = self.corner_vectors()
+        l2 = np.stack([np.sum((q - r) ** 2, axis=1),   # opposite corner 0
+                       np.sum((r - p) ** 2, axis=1),
+                       np.sum((p - q) ** 2, axis=1)], axis=1)
+        obtuse = cots < 0.0
+        any_obtuse = obtuse.any(axis=1)
+        contrib = np.empty((len(t), 3))
+        for k in range(3):
+            k1, k2 = (k + 1) % 3, (k + 2) % 3
+            contrib[:, k] = 0.125 * (l2[:, k1] * cots[:, k1]
+                                     + l2[:, k2] * cots[:, k2])
+        if np.any(any_obtuse):
+            half = 0.5 * tri_area[any_obtuse, None]
+            quarter = 0.5 * half
+            c = np.where(obtuse[any_obtuse], half, quarter)
+            contrib[any_obtuse] = c
+        areas = np.zeros(len(self.v))
+        np.add.at(areas, t, contrib)
+        return areas
+
+    def cotangent_matrix(self):
+        import scipy.sparse as sp
+        t = self.t
+        cots = self.cotangents()
+        n = len(self.v)
+        rows, cols, vals = [], [], []
+        for k in range(3):
+            i, j = t[:, (k + 1) % 3], t[:, (k + 2) % 3]
+            w = 0.5 * cots[:, k]
+            rows.extend([i, j])
+            cols.extend([j, i])
+            vals.extend([w, w])
+        rows = np.concatenate(rows)
+        cols = np.concatenate(cols)
+        vals = np.concatenate(vals)
+        w = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+        w = w - sp.diags(np.asarray(w.sum(axis=1)).ravel())
+        return w.tocsr()
+
+    def tangent_frames(self, mesh, s):
+        idx, mask = mesh.topology.ring2
+        d = mesh.vertices[idx] - mesh.vertices[:, None, :]
+        d = d * mask[..., None]
+        cov = np.einsum("nki,nkj->nij", d, d)
+        vals, vecs = np.linalg.eigh(cov)
+        t1 = vecs[:, :, 3]
+        t2 = vecs[:, :, 2]
+        m1 = vecs[:, :, 1]
+        m2 = vecs[:, :, 0]
+        tri = mesh.triangles
+        p, q, r = self.corner_vectors()
+        a, b = q - p, r - p
+        sgn = np.zeros(len(mesh.vertices))
+        at1 = np.einsum("mi,mi->m", a, t1[tri[:, 0]])
+        bt2 = np.einsum("mi,mi->m", b, t2[tri[:, 0]])
+        at2 = np.einsum("mi,mi->m", a, t2[tri[:, 0]])
+        bt1 = np.einsum("mi,mi->m", b, t1[tri[:, 0]])
+        np.add.at(sgn, tri[:, 0], at1 * bt2 - at2 * bt1)
+        for corner in (1, 2):
+            at1 = np.einsum("mi,mi->m", a, t1[tri[:, corner]])
+            bt2 = np.einsum("mi,mi->m", b, t2[tri[:, corner]])
+            at2 = np.einsum("mi,mi->m", a, t2[tri[:, corner]])
+            bt1 = np.einsum("mi,mi->m", b, t1[tri[:, corner]])
+            np.add.at(sgn, tri[:, corner], at1 * bt2 - at2 * bt1)
+        flip = sgn < 0
+        t2[flip] = -t2[flip]
+        jt1 = np.einsum("aij,nj->nai", s.j, t1)
+        lam = np.einsum("nai,ni->na", jt1, t2)
+        norm = np.linalg.norm(lam, axis=1, keepdims=True)
+        lam = lam / np.maximum(norm, 1e-300)
+        return t1, t2, m1, m2, lam, sgn
+
+
+def _perturbed_icosphere():
+    m = icosphere(3)
+    rng = np.random.default_rng(11)
+    return m.with_vertices(m.vertices
+                           + 1e-2 * rng.standard_normal(m.vertices.shape))
+
+
+def _sheared_square():
+    # shearing the upper half of the grid makes its triangles obtuse; the
+    # lower half keeps its right angles
+    m = flat_square(8)
+    v = m.vertices.copy()
+    v[:, 0] += 1.5 * np.maximum(v[:, 1] - 0.5, 0.0)
+    v[:, 2] = 0.05 * np.sin(7.0 * v[:, 0])
+    return m.with_vertices(v)
+
+
+GEOMETRY_MESHES = [_perturbed_icosphere, lambda: flat_square(12),
+                   _sheared_square, lambda: _clifford_torus(24, 13)]
+GEOMETRY_IDS = ["perturbed_icosphere", "flat_square", "obtuse", "torus"]
+
+
+@pytest.mark.parametrize("make", GEOMETRY_MESHES, ids=GEOMETRY_IDS)
+def test_stored_geometry_matches_reference_bits(make):
+    mesh = make()
+    ref = _Reference(mesh)
+    _same_bits(mesh.triangle_areas(), ref.triangle_areas())
+    _same_bits(mesh.cotangents(), ref.cotangents())
+    _same_bits(mesh.mixed_areas(), ref.mixed_areas())
+    assert mesh.area() == ref.area()
+    assert mesh.min_edge_length() == ref.min_edge_length()
+    for got, want in zip(mesh.corner_vectors(), ref.corner_vectors()):
+        _same_bits(got, want)
+    w, w_ref = mesh.cotangent_matrix(), ref.cotangent_matrix()
+    for attr in ("data", "indices", "indptr"):
+        _same_bits(getattr(w, attr), getattr(w_ref, attr))
+    for arr in (mesh.vertices, mesh.triangle_areas(), mesh.cotangents()):
+        assert not arr.flags.writeable
+
+
+def test_obtuse_mesh_hits_the_mixed_area_clamp():
+    cots = _sheared_square().cotangents()
+    assert np.any(cots < 0.0) and np.any(np.all(cots >= 0.0, axis=1))
+
+
+@pytest.mark.parametrize("make", GEOMETRY_MESHES, ids=GEOMETRY_IDS)
+def test_frames_with_shared_offsets_match_reference_bits(make):
+    """Orientation summed by one bincount over the corners in order equals
+    the per-corner np.add.at sums, and shared two-ring offsets give the
+    same frames and |B| as offsets gathered by each estimator."""
+    mesh = make()
+    *want, sgn = _Reference(mesh).tangent_frames(mesh, S)
+    d = two_ring_offsets(mesh)
+    got = mesh_tangent_frames(mesh, S, offsets=d)
+    for a, b in zip(got, want):
+        _same_bits(a, b)
+    for a, b in zip(mesh_tangent_frames(mesh, S), want):
+        _same_bits(a, b)
+    # the winding sign decides every flip; check it is never near zero
+    assert np.all(sgn != 0.0)
+    _same_bits(mesh_bnorm(mesh, got, d), mesh_bnorm(mesh))
+
+
+def test_vertices_are_a_readonly_copy():
+    src = icosphere(1)
+    verts = src.vertices.copy()
+    m = SurfaceMesh(verts, src.triangles)
+    assert not m.vertices.flags.writeable
+    assert verts.flags.writeable
+    with pytest.raises(ValueError):
+        m.vertices[0, 0] = 5.0
+    area = m.area()
+    verts *= 2.0  # the caller's array is not the mesh's
+    assert np.array_equal(m.vertices, src.vertices)
+    assert m.area() == area
+    m2 = m.with_vertices(verts)
+    assert not m2.vertices.flags.writeable and verts.flags.writeable
+    assert m2.vertices is not verts
