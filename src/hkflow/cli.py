@@ -17,8 +17,24 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import json
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from .curves import (PlaneCurve, TorusFromCurve, b_norm_history, diagnostics,
+                     embed_torus, run_csf, write_curve_csv)
+from .errors import GeometryError, InsufficientHistory, NotBlowingUp
+from .flow import FlowHistory, run_mcf, translator_residual, type1_monitor
+from .mesh import flat_square, icosphere
+from .phase import (coupling_residual, degree, euler_numbers,
+                    gauss_normal_curvatures, phase, phase_differential,
+                    phase_sample_exact, write_phase_field_csv)
+from .structure import standard_structure
+from .surfaces import (Cylinder, GrimReaper, Plane, QuadraticGraph, Sphere,
+                       frames, mean_curvature, second_fundamental_form)
+from .util import json_dumps, random_rotation, write_jsonl
 
 # Config schema: section -> key -> (parser, default).  Values stay strings
 # until resolve() so that unknown keys in a file can be rejected by name.
@@ -68,6 +84,10 @@ _SCHEMA = {
     },
 }
 
+# counts a run divides by or samples with, so they must be at least 1
+_COUNT_KEYS = (("flow", "snapshot_every"), ("surface", "n"),
+               ("surface", "points"), ("mesh", "n"))
+
 _CURVE_FAMILIES = ("circle", "perturbed-circle", "figure-eight")
 _MESH_KINDS = ("icosphere", "torus", "square")
 
@@ -111,6 +131,8 @@ def load_config(path: str | None) -> dict:
                 raise ConfigError(
                     f"bad value {raw!r} for [{sec}] {key}: expected "
                     f"{typ.__name__}")
+            if (sec, key) in _COUNT_KEYS and cfg[sec][key] < 1:
+                raise ConfigError(f"[{sec}] {key} must be at least 1")
     return cfg
 
 
@@ -127,7 +149,6 @@ def _parse_dt(raw) -> float | None:
 
 
 def _parse_v0(raw: str):
-    import numpy as np
     parts = [p for p in raw.replace(";", ",").split(",") if p.strip()]
     if len(parts) != 4:
         raise ConfigError(f"bad v0 {raw!r}: expected 4 comma-separated floats")
@@ -138,32 +159,29 @@ def _parse_v0(raw: str):
 
 
 def _build_curve(cfg):
-    import numpy as np
-    from .curves import PlaneCurve
-
     c = cfg["curve"]
     fam, r, n = c["family"], c["radius"], c["n"]
-    if fam == "circle":
-        return PlaneCurve.circle(r, n=n)
-    if fam == "perturbed-circle":
-        eps, mode = c["eps"], c["mode"]
-        return PlaneCurve.from_function(
-            lambda x: r * np.exp(1j * x) * (1 + eps * np.cos(mode * x)), n=n)
-    if fam == "figure-eight":
+    if fam not in _CURVE_FAMILIES:
+        raise ConfigError(
+            f"unknown curve family {fam!r}; choose from {_CURVE_FAMILIES}")
+    eps, mode = c["eps"], c["mode"]
+    try:
+        if fam == "circle":
+            return PlaneCurve.circle(r, n=n)
+        if fam == "perturbed-circle":
+            return PlaneCurve.from_function(
+                lambda x: r * np.exp(1j * x) * (1 + eps * np.cos(mode * x)),
+                n=n)
         # embedded zero-Maslov witness: turning number 0, winding 0
         return PlaneCurve.from_function(
             lambda x: 3 + np.sin(x) + 0.5j * np.sin(2 * x), n=n)
-    raise ConfigError(
-        f"unknown curve family {fam!r}; choose from {_CURVE_FAMILIES}")
+    except ValueError as exc:
+        raise ConfigError(f"[curve] {fam}: {exc}")
 
 
-def _surface_registry(cfg, rng):
-    from .curves import PlaneCurve, TorusFromCurve
-    from .surfaces import (Cylinder, GrimReaper, Plane, QuadraticGraph,
-                           Sphere)
-
+def _make_surface(cfg, rng, name: str):
     r = cfg["surface"]["radius"]
-    return {
+    registry = {
         "plane": lambda: Plane(),
         "cylinder": lambda: Cylinder(r),
         "sphere": lambda: Sphere(r),
@@ -171,18 +189,16 @@ def _surface_registry(cfg, rng):
         "quadratic-graph": lambda: QuadraticGraph.random(rng),
         "torus": lambda: TorusFromCurve(PlaneCurve.circle(r, n=256)),
     }
-
-
-def _make_surface(cfg, rng, name: str):
-    registry = _surface_registry(cfg, rng)
     if name not in registry:
         raise ConfigError(f"unknown surface family {name!r}; choose from "
                           f"{tuple(sorted(registry))}")
-    return registry[name]()
+    try:
+        return registry[name]()
+    except ValueError as exc:
+        raise ConfigError(f"[surface] {name}: {exc}")
 
 
 def write_manifest(out: Path, command: str, cfg: dict) -> None:
-    from .util import json_dumps
     payload = {"command": command, "config": cfg}
     (out / "manifest.json").write_text(json_dumps(payload, indent=2) + "\n")
 
@@ -197,16 +213,6 @@ _IDENTITY_NAMES = ("quaternionic", "phase-block", "coupling", "energy",
 
 def _identity_suite(cfg, rng, surface_only: str | None):
     """(name, residual, tolerance) triples for the requested identities."""
-    import numpy as np
-
-    from .curves import PlaneCurve, TorusFromCurve
-    from .phase import (coupling_residual, degree, euler_numbers, phase,
-                        phase_differential)
-    from .structure import standard_structure
-    from .surfaces import (GrimReaper, QuadraticGraph, frames, mean_curvature,
-                           second_fundamental_form)
-    from .util import random_rotation
-
     s = standard_structure()
     npts = cfg["surface"]["points"]
 
@@ -261,7 +267,6 @@ def _identity_suite(cfg, rng, surface_only: str | None):
         return float(np.max(np.abs(smp.e_del - 0.25 * h2)))
 
     def det_residuals():
-        from .phase import gauss_normal_curvatures, phase_sample_exact
         worst_g = worst_n = 0.0
         for _ in range(20):
             fam = QuadraticGraph.random(rng)
@@ -303,9 +308,6 @@ def _identity_suite(cfg, rng, surface_only: str | None):
 
 
 def cmd_verify(cfg, args, out: Path) -> int:
-    import numpy as np
-    from .util import json_dumps
-
     rng = np.random.default_rng(cfg["scenario"]["seed"])
     suite = [t.strip() for t in args.suite.split(",")] \
         if args.suite != "all" else list(_IDENTITY_NAMES)
@@ -340,13 +342,19 @@ def cmd_verify(cfg, args, out: Path) -> int:
 # flow-curve
 # ---------------------------------------------------------------------------
 
-def cmd_flow_curve(cfg, args, out: Path) -> int:
-    import numpy as np
-    from .curves import b_norm_history, diagnostics, run_csf, write_curve_csv
-    from .errors import InsufficientHistory, NotBlowingUp
-    from .flow import type1_monitor
-    from .util import json_dumps
+def _type1_fields(cfg, hist: FlowHistory) -> dict:
+    """T_est, its CI half-width and sup sqrt(T_est - t) max|B| of a
+    trajectory; all None, with a note saying why, when the fit fails."""
+    try:
+        rep = type1_monitor(hist, tail_frac=cfg["analyze"]["tail_frac"])
+    except (InsufficientHistory, NotBlowingUp) as exc:
+        return {"t_est": None, "ci_halfwidth": None, "sup_rescaled": None,
+                "note": str(exc)}
+    return {"t_est": rep.t_est, "ci_halfwidth": rep.ci_halfwidth,
+            "sup_rescaled": rep.sup_rescaled}
 
+
+def cmd_flow_curve(cfg, args, out: Path) -> int:
     curve = _build_curve(cfg)
     fl = cfg["flow"]
     scheme = fl["scheme"] if fl["scheme"] != "auto" else "rk4"
@@ -361,22 +369,15 @@ def cmd_flow_curve(cfg, args, out: Path) -> int:
         write_curve_csv(snapdir / f"snap_{k:05d}.csv", c)
 
     hist = b_norm_history(result)
-    with open(out / "history.jsonl", "w") as fh:
-        for t, b, a, m in zip(hist.t, hist.max_b, hist.area, hist.margin):
-            rec = {"t": float(t), "max_B": float(b), "area": float(a),
-                   "margin": float(m)}
-            fh.write(json_dumps(rec) + "\n")
+    write_jsonl(out / "history.jsonl", (
+        {"t": float(t), "max_B": float(b), "area": float(a),
+         "margin": float(m)}
+        for t, b, a, m in zip(hist.t, hist.max_b, hist.area, hist.margin)))
 
     diag = diagnostics(result.curves[0]).as_dict()
     diag.update({"t_final": float(hist.t[-1]),
                  "truncated": bool(result.truncated)})
-    try:
-        rep = type1_monitor(hist, tail_frac=cfg["analyze"]["tail_frac"])
-        diag.update({"t_est": rep.t_est, "ci_halfwidth": rep.ci_halfwidth,
-                     "sup_rescaled": rep.sup_rescaled})
-    except (InsufficientHistory, NotBlowingUp) as exc:
-        diag.update({"t_est": None, "ci_halfwidth": None,
-                     "sup_rescaled": None, "note": str(exc)})
+    diag.update(_type1_fields(cfg, hist))
     (out / "diagnostics.json").write_text(json_dumps(diag, indent=2) + "\n")
     print(f"flow-curve: {len(result.curves)} snapshots to t="
           f"{hist.t[-1]:g}, diagnostics in {out / 'diagnostics.json'}")
@@ -388,26 +389,21 @@ def cmd_flow_curve(cfg, args, out: Path) -> int:
 # ---------------------------------------------------------------------------
 
 def _build_mesh(cfg):
-    from .curves import embed_torus
-    from .mesh import flat_square, icosphere
-
     m = cfg["mesh"]
-    if m["kind"] == "icosphere":
-        return icosphere(m["subdivisions"], m["radius"])
-    if m["kind"] == "torus":
-        mesh, _ = embed_torus(_build_curve(cfg), ny=m["ny"])
-        return mesh
-    if m["kind"] == "square":
+    if m["kind"] not in _MESH_KINDS:
+        raise ConfigError(
+            f"unknown mesh kind {m['kind']!r}; choose from {_MESH_KINDS}")
+    try:
+        if m["kind"] == "icosphere":
+            return icosphere(m["subdivisions"], m["radius"])
+        if m["kind"] == "torus":
+            return embed_torus(_build_curve(cfg), ny=m["ny"])[0]
         return flat_square(m["n"], m["extent"])
-    raise ConfigError(
-        f"unknown mesh kind {m['kind']!r}; choose from {_MESH_KINDS}")
+    except ValueError as exc:
+        raise ConfigError(f"[mesh] {m['kind']}: {exc}")
 
 
 def cmd_flow_mesh(cfg, args, out: Path) -> int:
-    import numpy as np
-    from .flow import run_mcf
-    from .util import json_dumps
-
     mesh = _build_mesh(cfg)
     fl = cfg["flow"]
     dt = _parse_dt(fl["dt"])
@@ -442,44 +438,36 @@ def cmd_flow_mesh(cfg, args, out: Path) -> int:
 # analyze
 # ---------------------------------------------------------------------------
 
-def _analyze_type1(cfg, path: Path, out: Path) -> dict:
-    import json
-
-    import numpy as np
-    from .errors import InsufficientHistory, NotBlowingUp
-    from .flow import FlowHistory, type1_monitor
-
+def _analyze_type1(cfg, path: Path) -> dict:
+    """Type-I fit of a trajectory log.  A line that is not a JSON record
+    with numeric t, max_B and area, or whose t does not increase, is a
+    ConfigError naming the file and the line."""
     records = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+                ok = all(type(rec[k]) in (int, float)
+                         for k in ("t", "max_B", "area"))
+            except (ValueError, TypeError, KeyError):
+                ok = False
+            if not ok or (records and not rec["t"] > records[-1]["t"]):
+                raise ConfigError(
+                    f"{path}, line {lineno}: expected a JSON record with "
+                    f"numeric t, max_B and area, t increasing")
+            records.append(rec)
     if not records:
         raise ConfigError(f"{path}: empty trajectory log")
-    hist = FlowHistory(
-        t=np.array([r["t"] for r in records]),
-        max_b=np.array([r["max_B"] for r in records]),
-        area=np.array([r["area"] for r in records]))
     report = {"kind": "type1", "records": len(records)}
-    try:
-        rep = type1_monitor(hist, tail_frac=cfg["analyze"]["tail_frac"])
-        report.update({"t_est": rep.t_est, "ci_halfwidth": rep.ci_halfwidth,
-                       "sup_rescaled": rep.sup_rescaled})
-    except (InsufficientHistory, NotBlowingUp) as exc:
-        report.update({"t_est": None, "ci_halfwidth": None,
-                       "sup_rescaled": None, "note": str(exc)})
+    report.update(_type1_fields(cfg, FlowHistory.from_records(records)))
     margins = [r["margin"] for r in records if "margin" in r]
     report["min_margin"] = min(margins) if margins else None
     return report
 
 
-def _analyze_soliton(cfg, path: Path, out: Path) -> dict:
-    import numpy as np
-    from .flow import translator_residual
-    from .structure import standard_structure
-    from .surfaces import frames, mean_curvature, second_fundamental_form
-
+def _analyze_soliton(cfg, path: Path) -> dict:
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except ValueError as exc:
@@ -499,8 +487,6 @@ def _analyze_soliton(cfg, path: Path, out: Path) -> dict:
 
 
 def cmd_analyze(cfg, args, out: Path) -> int:
-    from .util import json_dumps
-
     path = Path(args.path)
     if not path.exists():
         print(f"analyze: no such file: {path}", file=sys.stderr)
@@ -509,9 +495,9 @@ def cmd_analyze(cfg, args, out: Path) -> int:
     if mode == "auto":
         mode = "type1" if path.suffix == ".jsonl" else "soliton"
     if mode == "type1":
-        report = _analyze_type1(cfg, path, out)
+        report = _analyze_type1(cfg, path)
     elif mode == "soliton":
-        report = _analyze_soliton(cfg, path, out)
+        report = _analyze_soliton(cfg, path)
     else:
         raise ConfigError(f"unknown analyze mode {mode!r}")
     (out / "analyze_report.json").write_text(json_dumps(report, indent=2)
@@ -526,10 +512,6 @@ def cmd_analyze(cfg, args, out: Path) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_phase(cfg, args, out: Path) -> int:
-    import numpy as np
-    from .phase import write_phase_field_csv
-    from .util import json_dumps
-
     rng = np.random.default_rng(cfg["scenario"]["seed"])
     name = args.surface or cfg["surface"]["family"]
     fam = _make_surface(cfg, rng, name)
@@ -594,8 +576,6 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    from .errors import GeometryError
-
     try:
         cfg = load_config(args.config)
         if args.seed is not None:

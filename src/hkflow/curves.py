@@ -25,13 +25,13 @@ import numpy as np
 from .errors import (DegenerateDerivative, DegenerateSpacing, OriginCollision,
                      PointOnCurve, StabilityViolation)
 from .flow import FlowHistory
-from .mesh import SurfaceMesh, grid_torus_mesh
+from .mesh import grid_torus_mesh
 from .phase import containment_margin
 from .surfaces import ParametricSurface, SurfaceJet
 from .util import readonly, write_csv
 
 
-@dataclass
+@dataclass(eq=False)
 class PlaneCurve:
     """Closed curve sampled at x_j = 2 pi j / N, as complex positions.
 
@@ -217,7 +217,7 @@ def arclength_redistribute(curve: PlaneCurve) -> PlaneCurve:
     return PlaneCurve(re + 1j * im)
 
 
-@dataclass
+@dataclass(eq=False)
 class CurveFlowResult:
     times: np.ndarray
     curves: list
@@ -312,10 +312,9 @@ def diagnostics(curve: PlaneCurve) -> CurveDiagnostics:
     ind_gamma - total_turning equals the winding of gamma * gamma' about 0
     and vanishes exactly for zero-Maslov tori.
     """
-    g1 = spectral_derivative(curve.samples, 1)
+    g1, g2 = _first_two_derivatives(curve.samples)
     if np.min(np.abs(g1)) < 1e-8 * np.max(np.abs(g1)):
         raise DegenerateDerivative("gamma' vanishes at sample resolution")
-    g2 = spectral_derivative(curve.samples, 2)
     ind_gamma = _polyline_winding(curve.samples)
     ind_gp = _polyline_winding(g1)
     turning = -float(np.mean(np.imag(g2 / g1)))

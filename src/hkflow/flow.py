@@ -23,11 +23,11 @@ from .mesh import (SurfaceMesh, mesh_bnorm, mesh_mean_curvature,
 from .phase import arc_distance, tension
 from .structure import StructureTriple, standard_structure
 from .surfaces import (ParametricSurface, frames, mean_curvature,
-                       normal_projection)
-from .util import json_dumps
+                       midpoint_grid, normal_projection)
+from .util import write_jsonl
 
 
-@dataclass
+@dataclass(eq=False)
 class FlowState:
     """One time slice of a mesh flow with measured statistics.
 
@@ -42,8 +42,8 @@ class FlowState:
     max_h: float
     area: float
     margin: float
-    cot_matrix: sp.csr_matrix = field(repr=False, compare=False)
-    mixed_areas: np.ndarray = field(repr=False, compare=False)
+    cot_matrix: sp.csr_matrix = field(repr=False)
+    mixed_areas: np.ndarray = field(repr=False)
 
     @classmethod
     def measure(cls, mesh: SurfaceMesh, t: float) -> "FlowState":
@@ -66,7 +66,7 @@ class FlowState:
                 "area": self.area, "margin": self.margin}
 
 
-@dataclass
+@dataclass(eq=False)
 class FlowHistory:
     """Trajectory summary: times, max |B|, areas, truncation status, and
     the phase containment margins where the producer measures them."""
@@ -81,6 +81,13 @@ class FlowHistory:
     def __post_init__(self):
         if np.any(np.diff(self.t) <= 0):
             raise ValueError("history times must be strictly increasing")
+
+    @classmethod
+    def from_records(cls, records, **kwargs) -> "FlowHistory":
+        """History of trajectory-log records with keys t, max_B and area."""
+        return cls(t=np.array([r["t"] for r in records]),
+                   max_b=np.array([r["max_B"] for r in records]),
+                   area=np.array([r["area"] for r in records]), **kwargs)
 
 
 def _advance_vertices(state: FlowState, dt: float, scheme: str,
@@ -165,17 +172,10 @@ def run_mcf(mesh: SurfaceMesh, dt: float, t_end: float,
                 and (k + 1) % checkpoint_every == 0:
             write_off4(state.mesh, f"{checkpoint_dir}/checkpoint_{k + 1:06d}.off")
     if log_path is not None:
-        with open(log_path, "w") as fh:
-            for rec in records:
-                fh.write(json_dumps(rec) + "\n")
-    hist = FlowHistory(
-        t=np.array([r["t"] for r in records]),
-        max_b=np.array([r["max_B"] for r in records]),
-        area=np.array([r["area"] for r in records]),
-        truncated=truncated,
-        states=states if keep_states else [states[0], state],
-    )
-    return hist
+        write_jsonl(log_path, records)
+    return FlowHistory.from_records(
+        records, truncated=truncated,
+        states=states if keep_states else [states[0], state])
 
 
 # ---------------------------------------------------------------------------
@@ -204,15 +204,8 @@ def translator_residual(fr, h_vec, v0) -> float:
 
 def shrinker_residual_of_family(family: ParametricSurface, n: int = 24,
                                 s: StructureTriple | None = None) -> float:
-    """Shrinker residual sampled on an n x n parameter grid."""
-    if s is None:
-        s = standard_structure()
-    (u0, u1), (v0, v1) = family.domain
-    u0, u1 = max(u0, -4 * family.scale), min(u1, 4 * family.scale)
-    v0, v1 = max(v0, -4 * family.scale), min(v1, 4 * family.scale)
-    uu = u0 + (np.arange(n) + 0.5) * (u1 - u0) / n
-    vv = v0 + (np.arange(n) + 0.5) * (v1 - v0) / n
-    ug, vg = np.meshgrid(uu, vv, indexing="ij")
+    """Shrinker residual on the n x n midpoint grid of family.window()."""
+    ug, vg, _, _ = midpoint_grid(family.window(), n)
     jet = family.jet(ug, vg)
     fr = frames(jet, s)
     h = mean_curvature(jet, fr)
@@ -327,7 +320,7 @@ def parabolic_rescale(state: FlowState, eps: float, q, t_k: float) -> FlowState:
 # Phase evolution along a flow of parametric states
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class PhaseEvolutionReport:
     residual: float
     times: np.ndarray

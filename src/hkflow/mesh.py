@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import (DegenerateTriangle, NonClosedSurface, NonOrientableMesh)
+from .errors import DegenerateTriangle, NonOrientableMesh
 from .structure import StructureTriple, standard_structure
 from .util import format_rows, readonly
 
@@ -93,7 +93,7 @@ class MeshTopology:
         self.ring2 = _padded_rows(adj + adj @ adj)
 
 
-@dataclass
+@dataclass(eq=False)
 class SurfaceMesh:
     """Oriented triangle mesh with vertices in R^4.
 
@@ -109,8 +109,7 @@ class SurfaceMesh:
 
     vertices: np.ndarray
     triangles: np.ndarray
-    topology: MeshTopology | None = field(default=None, repr=False,
-                                          compare=False)
+    topology: MeshTopology | None = field(default=None, repr=False)
 
     def __post_init__(self):
         v = np.array(self.vertices, dtype=float)
@@ -495,8 +494,3 @@ def read_off4(path) -> SurfaceMesh:
             raise ValueError(f"face row {k} is not a triangle")
         tris[k] = [int(p) for p in parts[1:]]
     return SurfaceMesh(verts, tris)
-
-
-def closed_or_raise(mesh: SurfaceMesh, what: str) -> None:
-    if not mesh.is_closed:
-        raise NonClosedSurface(f"{what} requires a closed mesh")

@@ -23,11 +23,11 @@ from .errors import (IdentityViolation, NonClosedSurface, NonNormalInput,
                      OnForbiddenSet)
 from .structure import StructureTriple, standard_structure
 from .surfaces import (FrameData, ParametricSurface, frames, mean_curvature,
-                       normal_projection, second_fundamental_form)
+                       midpoint_grid, second_fundamental_form)
 from .util import format_float, write_csv
 
 
-@dataclass
+@dataclass(eq=False)
 class PhaseSample:
     """Phase direction and first-order data at one (or a grid of) point(s).
 
@@ -49,14 +49,11 @@ class PhaseSample:
         return np.sum(self.dj * self.dj, axis=(-2, -1))
 
 
-@dataclass
+@dataclass(eq=False)
 class CurvatureForm:
     """Rows <H, J_a e_i>, a = 1..3, for i = 1, 2; tangent to S^2 at lam."""
 
     hform: np.ndarray
-
-    def norm2(self):
-        return np.sum(self.hform * self.hform, axis=(-2, -1))
 
 
 class SphereChart(NamedTuple):
@@ -101,10 +98,10 @@ def _dj_shape_operator(s: StructureTriple, fr: FrameData,
 def _dj_finite_difference(family: ParametricSurface, u, v, s: StructureTriple,
                           fr: FrameData, h: float) -> np.ndarray:
     """dJ by centered differences of the phase over the parameters."""
-    lam_du = (phase(s, frames(family.jet(u + h, v), s))
-              - phase(s, frames(family.jet(u - h, v), s))) / (2 * h)
-    lam_dv = (phase(s, frames(family.jet(u, v + h), s))
-              - phase(s, frames(family.jet(u, v - h), s))) / (2 * h)
+    lam_du = (frames(family.jet(u + h, v), s).lam
+              - frames(family.jet(u - h, v), s).lam) / (2 * h)
+    lam_dv = (frames(family.jet(u, v + h), s).lam
+              - frames(family.jet(u, v - h), s).lam) / (2 * h)
     grad = np.stack([lam_du, lam_dv], axis=-2)            # (..., 2, 3)
     return np.einsum("...ia,...ab->...ib", fr.coeffs, grad)
 
@@ -298,30 +295,30 @@ def tension(family: ParametricSurface, u, v,
 # Degree
 # ---------------------------------------------------------------------------
 
-def degree(family: ParametricSurface, n: int = 64,
-           s: StructureTriple | None = None) -> float:
-    """(1/4pi) integral of det dJ, by the tensor midpoint rule on n x n.
+def _closed_grid(family: ParametricSurface, n: int,
+                 s: StructureTriple | None):
+    """Frames, sff, area element dmu and cell sides (du, dv) on the n x n
+    midpoint grid of a closed family.
 
     Midpoint quadrature is spectrally accurate for the periodic directions
     of closed parametrizations and keeps the grid off boundary poles.
     """
     if not family.closed:
         raise NonClosedSurface(f"{family.name} is not closed")
-    if s is None:
-        s = standard_structure()
-    (u0, u1), (v0, v1) = family.domain
-    du = (u1 - u0) / n
-    dv = (v1 - v0) / n
-    uu = u0 + (np.arange(n) + 0.5) * du
-    vv = v0 + (np.arange(n) + 0.5) * dv
-    ug, vg = np.meshgrid(uu, vv, indexing="ij")
+    ug, vg, du, dv = midpoint_grid(family.domain, n)
     jet = family.jet(ug, vg)
     fr = frames(jet, s)
     sff = second_fundamental_form(jet, fr)
-    dj = _dj_shape_operator(s, fr, sff)
-    cross = np.cross(dj[..., 0, :], dj[..., 1, :])
-    detdj = np.einsum("...a,...a->...", fr.lam, cross)
-    dmu = np.sqrt(np.linalg.det(fr.g))
+    return fr, sff, np.sqrt(np.linalg.det(fr.g)), du, dv
+
+
+def degree(family: ParametricSurface, n: int = 64,
+           s: StructureTriple | None = None) -> float:
+    """(1/4pi) integral of det dJ, by the tensor midpoint rule on n x n."""
+    if s is None:
+        s = standard_structure()
+    fr, sff, dmu, du, dv = _closed_grid(family, n, s)
+    detdj = _sample_from_dj(fr.lam, _dj_shape_operator(s, fr, sff), 0.0).detdj
     return float(np.sum(detdj * dmu) * du * dv / (4 * np.pi))
 
 
@@ -333,21 +330,8 @@ def euler_numbers(family: ParametricSurface, n: int = 64,
     independent of the degree quadrature, so the two sides of
     2 deg = chi_T + chi_N are genuinely distinct computations.
     """
-    if not family.closed:
-        raise NonClosedSurface(f"{family.name} is not closed")
-    if s is None:
-        s = standard_structure()
-    (u0, u1), (v0, v1) = family.domain
-    du = (u1 - u0) / n
-    dv = (v1 - v0) / n
-    uu = u0 + (np.arange(n) + 0.5) * du
-    vv = v0 + (np.arange(n) + 0.5) * dv
-    ug, vg = np.meshgrid(uu, vv, indexing="ij")
-    jet = family.jet(ug, vg)
-    fr = frames(jet, s)
-    sff = second_fundamental_form(jet, fr)
+    _, sff, dmu, du, dv = _closed_grid(family, n, s)
     kappa, kperp = gauss_normal_curvatures(sff)
-    dmu = np.sqrt(np.linalg.det(fr.g))
     chi_t = float(np.sum(kappa * dmu) * du * dv / (2 * np.pi))
     chi_n = float(np.sum(kperp * dmu) * du * dv / (2 * np.pi))
     return chi_t, chi_n
@@ -408,21 +392,13 @@ def containment_margin(lams) -> ContainmentReport:
 
 def write_phase_field_csv(path, family: ParametricSurface, n: int = 32,
                           s: StructureTriple | None = None) -> np.ndarray:
-    """Midpoint-grid phase field as CSV; returns the margins, shape (n, n).
+    """Phase field on the midpoint grid of family.window() as CSV; returns
+    the margins, shape (n, n).
 
     Columns: u, v, lam1, lam2, lam3, e_del, e_delbar, detdJ, margin, where
     margin is the pointwise distance to the half circle.
     """
-    if s is None:
-        s = standard_structure()
-    (u0, u1), (v0, v1) = family.domain
-    u0, u1 = max(u0, -family.scale * 4), min(u1, family.scale * 4)
-    v0, v1 = max(v0, -family.scale * 4), min(v1, family.scale * 4)
-    du = (u1 - u0) / n
-    dv = (v1 - v0) / n
-    uu = u0 + (np.arange(n) + 0.5) * du
-    vv = v0 + (np.arange(n) + 0.5) * dv
-    ug, vg = np.meshgrid(uu, vv, indexing="ij")
+    ug, vg, _, _ = midpoint_grid(family.window(), n)
     sample = phase_sample_exact(family, ug, vg, s)
     margin = arc_distance(sample.lam)
     cols = [ug, vg, sample.lam[..., 0], sample.lam[..., 1], sample.lam[..., 2],

@@ -46,7 +46,7 @@ _J3 = np.array([
 ])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StructureTriple:
     """Three anti-commuting complex structures stored as a (3, 4, 4) stack."""
 

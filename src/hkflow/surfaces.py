@@ -26,7 +26,7 @@ from .errors import DegenerateJet, StencilOutOfDomain
 from .structure import StructureTriple, standard_structure
 
 
-@dataclass
+@dataclass(eq=False)
 class SurfaceJet:
     """Pointwise 2-jet of an immersion, batched over leading axes."""
 
@@ -45,7 +45,7 @@ class SurfaceJet:
             setattr(self, name, arr)
 
 
-@dataclass
+@dataclass(eq=False)
 class FrameData:
     """Adapted orthonormal frame, induced metric, and frame coefficients.
 
@@ -152,6 +152,17 @@ def normal_projection(fr: FrameData, w) -> np.ndarray:
     return np.asarray(w, dtype=float) - tangential_projection(fr, w)
 
 
+def midpoint_grid(domain, n: int):
+    """Cell centres (u, v), each (n, n) with "ij" indexing, of the n x n
+    tensor grid on domain ((u0, u1), (v0, v1)), and the cell sides du, dv."""
+    (u0, u1), (v0, v1) = domain
+    du = (u1 - u0) / n
+    dv = (v1 - v0) / n
+    ug, vg = np.meshgrid(u0 + (np.arange(n) + 0.5) * du,
+                         v0 + (np.arange(n) + 0.5) * dv, indexing="ij")
+    return ug, vg, du, dv
+
+
 # ---------------------------------------------------------------------------
 # Built-in families
 # ---------------------------------------------------------------------------
@@ -178,6 +189,11 @@ class ParametricSurface:
 
     def position(self, u, v) -> np.ndarray:
         return self.jet(u, v).x
+
+    def window(self):
+        """The domain clipped to [-4 scale, 4 scale] in each parameter."""
+        c = 4 * self.scale
+        return tuple((max(lo, -c), min(hi, c)) for lo, hi in self.domain)
 
     def check_stencil(self, u, v, h: float) -> None:
         """Raise unless centered stencils of step h stay inside the domain."""

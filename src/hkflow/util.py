@@ -1,5 +1,5 @@
-"""Small shared helpers: deterministic serialization, read-only arrays and
-rotations.
+"""Small shared helpers: deterministic serialization, the trajectory-log
+writer, read-only arrays and rotations.
 
 JSON and CSV written by this package must be byte-stable across runs with
 the same inputs, so floats are always rendered with 17 significant digits
@@ -60,6 +60,13 @@ def json_dumps(obj, indent: int = 0) -> str:
     out: list[str] = []
     _write(obj, out, indent, 0)
     return "".join(out)
+
+
+def write_jsonl(path, records) -> None:
+    """Write a trajectory log: one json_dumps line per record."""
+    with open(path, "w") as fh:
+        for rec in records:
+            fh.write(json_dumps(rec) + "\n")
 
 
 def _write(obj, out: list, indent: int, level: int) -> None:

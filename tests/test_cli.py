@@ -1,6 +1,7 @@
 """End-to-end command line checks, in-process plus one subprocess run."""
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -85,6 +86,40 @@ def test_bad_config_value(tmp_path):
     cfg = config(tmp_path, "[flow]\nt_end = soon\n")
     assert main(["--config", cfg, "--out", str(tmp_path / "out"),
                  "verify"]) == 1
+
+
+# Outside input that a constructor or the log reader rejects: (config,
+# argv, trajectory log written to log.jsonl).
+_ONE_RECORD = '{"t": 0, "max_B": 1, "area": 1}\n'
+CONFIG_ERRORS = {
+    "snapshot-every-0": ("[flow]\nsnapshot_every = 0\n", "flow-curve", ""),
+    "surface-n-0": ("[surface]\nn = 0\n", "phase", ""),
+    "surface-points-0": ("[surface]\npoints = 0\n", "verify", ""),
+    "square-n-0": ("[mesh]\nkind = square\nn = 0\n", "flow-mesh", ""),
+    "curve-n-8": ("[curve]\nn = 8\n", "flow-curve", ""),
+    "curve-radius-0": ("[curve]\nradius = 0\n", "flow-curve", ""),
+    "torus-ny-4": ("[mesh]\nkind = torus\nny = 4\n", "flow-mesh", ""),
+    "sphere-radius-negative": ("[surface]\nradius = -1\n",
+                               "phase --surface sphere", ""),
+    "log-not-json": ("", "analyze log.jsonl", _ONE_RECORD + "not json\n"),
+    "log-without-area": ("", "analyze log.jsonl", '{"t": 0, "max_B": 1}\n'),
+    "log-repeated-t": ("", "analyze log.jsonl", _ONE_RECORD * 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_ERRORS))
+def test_bad_input_is_a_config_error(tmp_path, monkeypatch, capsys, case):
+    text, command, log = CONFIG_ERRORS[case]
+    monkeypatch.chdir(tmp_path)
+    Path("run.ini").write_text(text)
+    Path("log.jsonl").write_text(log)
+    code = main(["--config", "run.ini", "--out", "out", *command.split()])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("hkflow: config error")
+    assert "Traceback" not in err
+    if command.startswith("analyze"):
+        assert "log.jsonl, line " in err
 
 
 def test_bad_subcommand(tmp_path):
@@ -243,11 +278,16 @@ def test_phase_reaper_stays_clear(tmp_path):
 
 # -- golden outputs ---------------------------------------------------------------
 
-# sha256 over (relative name, bytes) of history.jsonl, diagnostics.json and
-# every snapshot CSV, or of phase_field.csv, in that order.  Recorded at
-# the parent commit of the spectral factor cache, the 17-digit row writer
-# and the blocked torus jets (numpy 2.4.6, OpenBLAS, x86-64), which had to
-# leave these bytes unchanged; another FFT or BLAS build may round
+# sha256 over (relative name, bytes) of those of history.jsonl,
+# diagnostics.json, phase_field.csv, verify_report.json, summary.json and
+# analyze_report.json that a run writes, then of every snapshot CSV, in that
+# order.  Each case is (command line, config, digest); "analyze" reads
+# TYPE1_LOG from log.jsonl.  The first four were recorded at the parent
+# commit of the spectral factor cache, the 17-digit row writer and the
+# blocked torus jets, the last four at the parent commit of the shared
+# trajectory-log reader and writer, the shared Type-I report and the shared
+# midpoint grid (numpy 2.4.6, OpenBLAS, x86-64); each of those changes had
+# to leave these bytes unchanged.  Another FFT or BLAS build may round
 # differently.
 GOLDEN = {
     "rk4": ("flow-curve", "[curve]\nfamily = perturbed-circle\nn = 64\n"
@@ -258,17 +298,33 @@ GOLDEN = {
         "[flow]\ndt = 2e-3\nt_end = 0.05\nscheme = semi-implicit\n"
         "snapshot_every = 5\n",
         "0c34ab98151230c15155b04239dd3e58b285d09cbaeecd04459f404eb4477ba1"),
-    "torus-16": ("phase", "[surface]\nn = 16\n",
+    "torus-16": ("phase --surface torus", "[surface]\nn = 16\n",
                  "69c1818e2684a992711a2c81ab786d0ca7fd6412e40189bf63fd1f77445039c2"),
     # 48 x 48 points: the torus jets are evaluated in blocks
-    "torus-48": ("phase", "[surface]\nn = 48\n",
+    "torus-48": ("phase --surface torus", "[surface]\nn = 48\n",
                  "58b24c453d2e3308e0abb0859b741d2994719ae0f785f5f2cfa243c3ca14d8c4"),
+    "verify-20": ("verify", "[surface]\npoints = 20\n",
+                  "cdb6131f66872d77df1d2d5e8d7603194650dde9b2a5a457e3bba33eef480089"),
+    "icosphere-2": ("flow-mesh", "[mesh]\nkind = icosphere\nsubdivisions = 2\n"
+                    "[flow]\ndt = 1e-3\nt_end = 0.01\n",
+                    "37e9e63b324f8c788837199e6919470df8914beb586e2431242770f810adf823"),
+    "type1-log": ("analyze log.jsonl", "",
+                  "53b5d7d3f9145d90bb94cd2df74c44b5277a9c814fb6c16f30840b0dd22c4f09"),
+    "sphere-32": ("phase --surface sphere", "",
+                  "81a0bdd7fefb54ae500f25e14e1a4c47373a90385873957b32dfde22f54aedfe"),
 }
+
+# a Type-I blow-up at T = 0.25 with sup sqrt(T - t)|B| = 1/sqrt(2)
+TYPE1_LOG = "".join(
+    json.dumps({"t": k / 100, "max_B": 1 / math.sqrt(2 * (0.25 - k / 100)),
+                "area": 1 - 4 * k / 100, "margin": 0.5 - k / 100}) + "\n"
+    for k in range(21))
 
 
 def _fingerprint(out: Path) -> str:
     files = [out / name for name in
-             ("history.jsonl", "diagnostics.json", "phase_field.csv")]
+             ("history.jsonl", "diagnostics.json", "phase_field.csv",
+              "verify_report.json", "summary.json", "analyze_report.json")]
     files = [f for f in files if f.exists()]
     files += sorted(out.glob("snapshots/*.csv"))
     h = hashlib.sha256()
@@ -279,13 +335,12 @@ def _fingerprint(out: Path) -> str:
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
-def test_outputs_match_recorded_fingerprint(tmp_path, case):
+def test_outputs_match_recorded_fingerprint(tmp_path, monkeypatch, case):
     command, text, digest = GOLDEN[case]
-    argv = ["--config", config(tmp_path, text), "--out", str(tmp_path / "out"),
-            command]
-    if command == "phase":
-        argv += ["--surface", "torus"]
-    assert main(argv) == 0
+    monkeypatch.chdir(tmp_path)
+    Path("run.ini").write_text(text)
+    Path("log.jsonl").write_text(TYPE1_LOG)
+    assert main(["--config", "run.ini", "--out", "out", *command.split()]) == 0
     assert _fingerprint(tmp_path / "out") == digest
 
 

@@ -2,9 +2,8 @@
 import numpy as np
 import pytest
 
-from hkflow.errors import DegenerateTriangle, NonClosedSurface, \
-    NonOrientableMesh
-from hkflow.mesh import (SurfaceMesh, closed_or_raise, flat_square,
+from hkflow.errors import DegenerateTriangle, NonOrientableMesh
+from hkflow.mesh import (SurfaceMesh, flat_square,
                          grid_torus_mesh, icosphere, mesh_bnorm,
                          mesh_mean_curvature, mesh_phase_field,
                          mesh_tangent_frames, read_off4, two_ring_offsets,
@@ -46,8 +45,6 @@ def test_boundary_detection():
     ico = icosphere(1)
     assert ico.is_closed
     assert not ico.boundary_vertex_mask.any()
-    with pytest.raises(NonClosedSurface):
-        closed_or_raise(sq, "this test")
 
 
 def test_icosphere_vertices_on_sphere():
