@@ -75,7 +75,8 @@ torus = TorusFromCurve(PlaneCurve.circle(1.0, center=0.0, n=64))
 print(f"torus:  deg = {degree(torus, n=48):.1e} (zero for any lift)")
 
 # --- full phase field to CSV ------------------------------------------------
-out = Path(tempfile.mkdtemp()) / "reaper_phase.csv"
-write_phase_field_csv(out, GrimReaper(), n=16)
-rows = out.read_text().strip().splitlines()
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp) / "reaper_phase.csv"
+    write_phase_field_csv(out, GrimReaper(), n=16)
+    rows = out.read_text().strip().splitlines()
 print(f"\nwrote {out.name}: {len(rows) - 1} rows, header: {rows[0]}")

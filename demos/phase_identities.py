@@ -56,7 +56,7 @@ print(f"\ncoupling identity residual (FD dJ): {float(cres):.2e}")
 # The curvature form pairs H with the structures; its rows are orthogonal
 # to lam and rotate into each other under the tangent rotation.
 cf = curvature_form(s, fr, h)
-row1, row2 = cf.hform[..., 0, :], cf.hform[..., 1, :]
+row1, row2 = cf[..., 0, :], cf[..., 1, :]
 print("curvature form rows:")
 print(f"  <row1, lam>          = {float(np.dot(row1, sample.lam)):+.2e}")
 print(f"  row2 - lam x row1    = "

@@ -10,12 +10,11 @@ from .surfaces import (Cylinder, FrameData, GrimReaper, NumericalJetSurface,
                        ParametricSurface, Plane, QuadraticGraph, Sphere,
                        SurfaceJet, frames, mean_curvature, normal_projection,
                        second_fundamental_form, tangential_projection)
-from .phase import (ContainmentReport, CurvatureForm, PhaseSample,
-                    SphereChart, arc_distance, chart, containment_margin,
-                    coupling_residual, curvature_form, degree, energy_split,
-                    euler_numbers, gauss_normal_curvatures, phase,
-                    phase_differential, phase_sample_exact, tension,
-                    write_phase_field_csv)
+from .phase import (ContainmentReport, PhaseSample, SphereChart,
+                    arc_distance, chart, containment_margin, coupling_residual,
+                    curvature_form, degree, energy_split, euler_numbers,
+                    gauss_normal_curvatures, phase, phase_differential,
+                    phase_sample_exact, tension, write_phase_field_csv)
 from .mesh import (SurfaceMesh, flat_square, grid_torus_mesh, icosphere,
                    mesh_bnorm, mesh_mean_curvature, mesh_phase_field,
                    mesh_tangent_frames, read_off4, write_off4)
@@ -25,9 +24,9 @@ from .flow import (FlowHistory, FlowState, PhaseEvolutionReport, Type1Report,
                    shrinker_residual, shrinker_residual_of_family,
                    translator_residual, type1_monitor)
 from .curves import (CurveDiagnostics, CurveFlowResult, PlaneCurve,
-                     TorusFromCurve, arclength_redistribute, b_norm_history,
-                     csf_step, curvature_vector, diagnostics, embed_torus,
-                     run_csf, spectral_derivative, torus_area, torus_bnorm2,
+                     TorusFromCurve, b_norm_history, csf_step,
+                     curvature_vector, diagnostics, embed_torus, run_csf,
+                     spectral_derivative, torus_area, torus_bnorm2,
                      winding_number, write_curve_csv)
 from . import errors
 
@@ -39,7 +38,7 @@ __all__ = [
     "mean_curvature", "tangential_projection", "normal_projection",
     "ParametricSurface", "Plane", "Cylinder", "Sphere", "GrimReaper",
     "QuadraticGraph", "NumericalJetSurface",
-    "PhaseSample", "CurvatureForm", "SphereChart", "ContainmentReport",
+    "PhaseSample", "SphereChart", "ContainmentReport",
     "phase", "phase_differential", "phase_sample_exact", "curvature_form",
     "energy_split", "gauss_normal_curvatures", "coupling_residual",
     "tension", "degree", "euler_numbers", "chart", "arc_distance",
@@ -54,7 +53,7 @@ __all__ = [
     "parabolic_rescale", "phase_evolution_check",
     "PlaneCurve", "CurveFlowResult", "CurveDiagnostics", "TorusFromCurve",
     "spectral_derivative", "curvature_vector", "csf_step", "run_csf",
-    "arclength_redistribute", "winding_number", "diagnostics",
+    "winding_number", "diagnostics",
     "embed_torus", "torus_bnorm2", "torus_area", "b_norm_history",
     "write_curve_csv",
     "errors",

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -55,9 +56,7 @@ _SCHEMA = {
         "t_end": (float, 0.24),
         "scheme": (str, "auto"),
         "snapshot_every": (int, 25),
-        "redistribute_every": (int, 0),
         "checkpoint_every": (int, 0),
-        "stability_c": (float, 0.2),
     },
     "mesh": {
         "kind": (str, "icosphere"),
@@ -318,6 +317,10 @@ def cmd_verify(cfg, args, out: Path) -> int:
     rows = [(name, res, tol)
             for name, res, tol in _identity_suite(cfg, rng, args.surface)
             if name in suite]
+    idle = [t for t in suite if t not in [name for name, _, _ in rows]]
+    if args.suite != "all" and idle:
+        raise ConfigError(f"identities {idle} do not run with --surface; "
+                          f"they sample families of their own")
     identities = {}
     all_pass = True
     for name, res, tol in rows:
@@ -359,9 +362,7 @@ def cmd_flow_curve(cfg, args, out: Path) -> int:
     fl = cfg["flow"]
     scheme = fl["scheme"] if fl["scheme"] != "auto" else "rk4"
     result = run_csf(curve, t_end=fl["t_end"], dt=_parse_dt(fl["dt"]),
-                     scheme=scheme, snapshot_every=fl["snapshot_every"],
-                     redistribute_every=fl["redistribute_every"],
-                     stability_c=fl["stability_c"])
+                     scheme=scheme, snapshot_every=fl["snapshot_every"])
 
     snapdir = out / "snapshots"
     snapdir.mkdir(exist_ok=True)
@@ -408,7 +409,7 @@ def cmd_flow_mesh(cfg, args, out: Path) -> int:
     fl = cfg["flow"]
     dt = _parse_dt(fl["dt"])
     if dt is None:
-        dt = fl["stability_c"] * mesh.min_edge_length() ** 2
+        dt = 0.2 * mesh.min_edge_length() ** 2
     scheme = fl["scheme"] if fl["scheme"] != "auto" else "semi-implicit"
     ckdir = None
     if fl["checkpoint_every"]:
@@ -468,19 +469,44 @@ def _analyze_type1(cfg, path: Path) -> dict:
 
 
 def _analyze_soliton(cfg, path: Path) -> dict:
-    try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: cannot parse sample file: {exc}")
-    if data.shape[1] != 2:
-        raise ConfigError(f"{path}: expected two columns u,v")
+    """Translator residual of the [analyze] family at the u,v samples below
+    the header line of path.  A line that is not two finite floats strictly
+    inside the family's domain, in each direction that is not periodic, is
+    a ConfigError naming the file and the line."""
     rng = np.random.default_rng(cfg["scenario"]["seed"])
     fam = _make_surface(cfg, rng, cfg["analyze"]["family"])
-    v0 = _parse_v0(cfg["analyze"]["v0"])
+
+    def inside(uv):
+        return len(uv) == 2 and all(
+            math.isfinite(x) and (per or lo < x < hi)
+            for x, (lo, hi), per in zip(uv, fam.domain, fam.periodic))
+
+    samples = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            if lineno == 1 or not line.strip():
+                continue
+            try:
+                uv = tuple(map(float, line.split(",")))
+            except ValueError:
+                uv = ()
+            if not inside(uv):
+                raise ConfigError(
+                    f"{path}, line {lineno}: expected finite u,v strictly "
+                    f"inside the {fam.name} domain {fam.domain}")
+            samples.append(uv)
+    if not samples:
+        raise ConfigError(f"{path}: no u,v samples below the header line")
+    data = np.array(samples)
+    raw_v0 = cfg["analyze"]["v0"]
+    v0 = _parse_v0(raw_v0)
     jet = fam.jet(data[:, 0], data[:, 1])
     fr = frames(jet, standard_structure())
     h = mean_curvature(jet, fr, second_fundamental_form(jet, fr))
-    res = translator_residual(fr, h, v0)
+    try:
+        res = translator_residual(fr, h, v0)
+    except ValueError as exc:
+        raise ConfigError(f"[analyze] v0 {raw_v0!r}: {exc}")
     return {"kind": "soliton", "family": fam.name,
             "n_samples": int(len(data)), "v0": [float(c) for c in v0],
             "translator_residual": res}
@@ -489,8 +515,7 @@ def _analyze_soliton(cfg, path: Path) -> dict:
 def cmd_analyze(cfg, args, out: Path) -> int:
     path = Path(args.path)
     if not path.exists():
-        print(f"analyze: no such file: {path}", file=sys.stderr)
-        return 1
+        raise ConfigError(f"no such file: {path}")
     mode = args.mode or cfg["analyze"]["mode"]
     if mode == "auto":
         mode = "type1" if path.suffix == ".jsonl" else "soliton"

@@ -166,23 +166,25 @@ def _spectral_filter(values: np.ndarray) -> np.ndarray:
     return np.fft.ifft(np.fft.fft(values) * _filter_profile(len(values)))
 
 
-def csf_step(curve: PlaneCurve, dt: float, scheme: str = "rk4",
-             stability_c: float = 0.2) -> PlaneCurve:
+STEP_BOUND = 0.2   # c in the parabolic step bound dt <= c * spacing^2
+
+
+def csf_step(curve: PlaneCurve, dt: float, scheme: str = "rk4") -> PlaneCurve:
     """One step of the reduced torus flow.
 
     rk4 is the default explicit integrator under the parabolic step bound
-    dt <= c * (min spacing)^2; the semi-implicit scheme treats the dominant
-    diffusion coefficient implicitly in Fourier space (first order, but
-    unconditionally stable) for stiff late-stage runs.
+    dt <= STEP_BOUND * (min spacing)^2; the semi-implicit scheme treats the
+    dominant diffusion coefficient implicitly in Fourier space (first order,
+    but unconditionally stable) for stiff late-stage runs.
     """
     z = curve.samples
     guard = 1e-3 * curve.diameter()
     if scheme == "rk4":
         h = curve.min_spacing()
-        if dt > stability_c * h * h:
+        if dt > STEP_BOUND * h * h:
             raise StabilityViolation(
-                f"dt={dt:g} exceeds {stability_c:g}*spacing^2="
-                f"{stability_c * h * h:g}")
+                f"dt={dt:g} exceeds {STEP_BOUND:g}*spacing^2="
+                f"{STEP_BOUND * h * h:g}")
         k1 = _flow_rhs(z)
         k2 = _flow_rhs(z + 0.5 * dt * k1)
         k3 = _flow_rhs(z + 0.5 * dt * k2)
@@ -204,19 +206,6 @@ def csf_step(curve: PlaneCurve, dt: float, scheme: str = "rk4",
     return PlaneCurve(z_new)
 
 
-def arclength_redistribute(curve: PlaneCurve) -> PlaneCurve:
-    """Resample to uniform chord length (first-order; optional pass)."""
-    z = curve.samples
-    gaps = np.abs(np.roll(z, -1) - z)
-    cum = np.concatenate([[0.0], np.cumsum(gaps)])
-    total = cum[-1]
-    targets = total * np.arange(curve.n) / curve.n
-    zc = np.concatenate([z, z[:1]])
-    re = np.interp(targets, cum, zc.real)
-    im = np.interp(targets, cum, zc.imag)
-    return PlaneCurve(re + 1j * im)
-
-
 @dataclass(eq=False)
 class CurveFlowResult:
     times: np.ndarray
@@ -228,9 +217,7 @@ class CurveFlowResult:
 
 
 def run_csf(curve: PlaneCurve, t_end: float, dt: float | None = None,
-            scheme: str = "rk4", snapshot_every: int = 1,
-            redistribute_every: int = 0,
-            stability_c: float = 0.2) -> CurveFlowResult:
+            scheme: str = "rk4", snapshot_every: int = 1) -> CurveFlowResult:
     """Integrate the flow to t_end.
 
     With dt=None the step adapts to the parabolic bound as the curve
@@ -245,11 +232,11 @@ def run_csf(curve: PlaneCurve, t_end: float, dt: float | None = None,
     while t < t_end - 1e-15:
         if dt is None:
             h = curve.min_spacing()
-            dt_k = min(stability_c * h * h, t_end - t)
+            dt_k = min(STEP_BOUND * h * h, t_end - t)
         else:
             dt_k = min(dt, t_end - t)
         try:
-            curve = csf_step(curve, dt_k, scheme, stability_c)
+            curve = csf_step(curve, dt_k, scheme)
         except OriginCollision:
             truncated = True
             break
@@ -257,8 +244,6 @@ def run_csf(curve: PlaneCurve, t_end: float, dt: float | None = None,
         # counted time avoids accumulation drift, so fixed-dt snapshot
         # grids stay uniform to one rounding of step*dt
         t = t + dt_k if dt is None else min(step * dt, t_end)
-        if redistribute_every and step % redistribute_every == 0:
-            curve = arclength_redistribute(curve)
         if step % snapshot_every == 0 or t >= t_end - 1e-15:
             times.append(t)
             curves.append(curve)

@@ -90,17 +90,16 @@ class FlowHistory:
                    area=np.array([r["area"] for r in records]), **kwargs)
 
 
-def _advance_vertices(state: FlowState, dt: float, scheme: str,
-                      stability_c: float = 0.25) -> np.ndarray:
+def _advance_vertices(state: FlowState, dt: float, scheme: str) -> np.ndarray:
     """New vertex positions after one step from state, using the cotangent
     matrix and mixed areas that its measurement assembled."""
     mesh = state.mesh
     if scheme == "explicit":
         h_min = mesh.min_edge_length()
-        if dt > stability_c * h_min * h_min:
+        bound = 0.25 * h_min * h_min
+        if dt > bound:
             raise StabilityViolation(
-                f"explicit dt={dt:g} exceeds {stability_c:g}*h_min^2="
-                f"{stability_c * h_min * h_min:g}")
+                f"explicit dt={dt:g} exceeds 0.25*h_min^2={bound:g}")
         h, valid = mesh_mean_curvature(mesh, state.cot_matrix,
                                        state.mixed_areas)
         disp = np.where(valid[:, None], h, 0.0)
@@ -212,9 +211,9 @@ def shrinker_residual_of_family(family: ParametricSurface, n: int = 24,
     return shrinker_residual(jet.x, fr, h)
 
 
-def shrinker_radius_by_bisection(make_family, lo: float = 1.0, hi: float = 2.0,
-                                 tol: float = 1e-12) -> float:
-    """Root of the signed shrinker defect over a radius family.
+def shrinker_radius_by_bisection(make_family, lo: float = 1.0,
+                                 hi: float = 2.0) -> float:
+    """Root of the signed shrinker defect over [lo, hi], to within 1e-12.
 
     make_family(r) must return a ParametricSurface whose outward normal is
     well defined at the probe point; the signed defect <H + X^perp/2, nu>
@@ -240,7 +239,7 @@ def shrinker_radius_by_bisection(make_family, lo: float = 1.0, hi: float = 2.0,
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         f_mid = signed(mid)
-        if f_mid == 0.0 or hi - lo < tol:
+        if f_mid == 0.0 or hi - lo < 1e-12:
             return mid
         if f_lo * f_mid < 0:
             hi, f_hi = mid, f_mid

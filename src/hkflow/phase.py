@@ -26,6 +26,8 @@ from .surfaces import (FrameData, ParametricSurface, frames, mean_curvature,
                        midpoint_grid, second_fundamental_form)
 from .util import format_float, write_csv
 
+FD_STEP = 1e-4   # step of the dJ and tension stencils, times family.scale
+
 
 @dataclass(eq=False)
 class PhaseSample:
@@ -47,13 +49,6 @@ class PhaseSample:
 
     def dj_norm2(self):
         return np.sum(self.dj * self.dj, axis=(-2, -1))
-
-
-@dataclass(eq=False)
-class CurvatureForm:
-    """Rows <H, J_a e_i>, a = 1..3, for i = 1, 2; tangent to S^2 at lam."""
-
-    hform: np.ndarray
 
 
 class SphereChart(NamedTuple):
@@ -107,19 +102,18 @@ def _dj_finite_difference(family: ParametricSurface, u, v, s: StructureTriple,
 
 
 def phase_differential(family: ParametricSurface, u, v,
-                       s: StructureTriple | None = None,
-                       h: float | None = None) -> PhaseSample:
+                       s: StructureTriple | None = None) -> PhaseSample:
     """Phase sample with dJ computed two ways and cross-checked.
 
-    The returned dJ is the finite-difference one, so downstream identity
-    tests do not merely re-derive the shape-operator algebra from itself.
-    Raises StencilOutOfDomain if the stencil leaves the parameter domain and
-    IdentityViolation if the routes disagree beyond max(1e-6, 10 h^2).
+    The returned dJ is the finite-difference one (step h = FD_STEP * scale),
+    so downstream identity tests do not merely re-derive the shape-operator
+    algebra from itself.  Raises StencilOutOfDomain if the stencil leaves
+    the parameter domain and IdentityViolation if the routes disagree
+    beyond max(1e-6, 10 h^2).
     """
     if s is None:
         s = standard_structure()
-    if h is None:
-        h = 1e-4 * family.scale
+    h = FD_STEP * family.scale
     family.check_stencil(u, v, h)
     jet = family.jet(u, v)
     fr = frames(jet, s)
@@ -164,36 +158,37 @@ def phase_sample_exact(family: ParametricSurface, u, v,
 # Curvature form and energy identities
 # ---------------------------------------------------------------------------
 
-def curvature_form(s: StructureTriple, fr: FrameData, h_vec,
-                   normal_tol: float = 1e-8) -> CurvatureForm:
-    """Rows <H, J_a e_i>; requires h_vec normal to the tangent plane."""
+def curvature_form(s: StructureTriple, fr: FrameData, h_vec) -> np.ndarray:
+    """Rows <H, J_a e_i>, a = 1..3, for i = 1, 2, shape (..., 2, 3); tangent
+    to S^2 at lam.  Requires h_vec normal to the tangent plane (tangential
+    components up to 1e-8)."""
     h_vec = np.asarray(h_vec, dtype=float)
     t1 = np.abs(np.sum(h_vec * fr.e1, axis=-1))
     t2 = np.abs(np.sum(h_vec * fr.e2, axis=-1))
     worst = float(np.max(np.maximum(t1, t2)))
-    if worst > normal_tol:
+    if worst > 1e-8:
         raise NonNormalInput(
             f"input vector has tangential component {format_float(worst)}")
     je = np.stack([
         np.einsum("aij,...j->...ai", s.j, fr.e1),
         np.einsum("aij,...j->...ai", s.j, fr.e2),
     ], axis=-3)                                           # (..., 2, 3, 4)
-    return CurvatureForm(np.einsum("...k,...iak->...ia", h_vec, je))
+    return np.einsum("...k,...iak->...ia", h_vec, je)
 
 
-def energy_split(sample: PhaseSample, h_vec, tol: float = 1e-6):
+def energy_split(sample: PhaseSample, h_vec):
     """Check |dJ|^2-splitting against the mean curvature: e_del = |H|^2/4.
 
-    Returns the pointwise residual; raises IdentityViolation above tol
+    Returns the pointwise residual; raises IdentityViolation above 1e-6
     (which would indicate a convention bug, not a numerical failure).
     """
     h2 = np.sum(np.asarray(h_vec, dtype=float) ** 2, axis=-1)
     residual = np.abs(sample.e_del - 0.25 * h2)
     worst = float(np.max(residual))
-    if worst > tol:
+    if worst > 1e-6:
         raise IdentityViolation(
             f"energy identity residual {format_float(worst)} exceeds "
-            f"{format_float(tol)}")
+            f"{format_float(1e-6)}")
     return residual
 
 
@@ -248,20 +243,20 @@ def _h_field(family: ParametricSurface, u, v, s: StructureTriple):
 
 
 def tension(family: ParametricSurface, u, v,
-            s: StructureTriple | None = None, h: float | None = None,
+            s: StructureTriple | None = None,
             cross_check: bool = False) -> np.ndarray:
     """Tension field of the phase map, tau = lam x m,
     m_a = sum_j <J_a grad^perp_{e_j} H, e_j>.
 
     The normal connection applied to the mean curvature field is evaluated
-    by centered differences of H over the parameters.  With cross_check the
-    equivalent contraction tau_a = <grad^perp_{e_2}H, J_a e_1>
-    - <grad^perp_{e_1}H, J_a e_2> is also formed and compared.
+    by centered differences of H over the parameters, of step
+    h = FD_STEP * scale.  With cross_check the equivalent contraction
+    tau_a = <grad^perp_{e_2}H, J_a e_1> - <grad^perp_{e_1}H, J_a e_2> is
+    also formed and compared.
     """
     if s is None:
         s = standard_structure()
-    if h is None:
-        h = 1e-4 * family.scale
+    h = FD_STEP * family.scale
     family.check_stencil(u, v, h)
     jet = family.jet(u, v)
     fr = frames(jet, s)

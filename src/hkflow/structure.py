@@ -105,12 +105,12 @@ class StructureTriple:
             res = max(res, np.abs(a + a.T).max())  # compatibility with <,>
         return float(res)
 
-    def verify(self, tol: float = 1e-14) -> float:
-        """Raise IdentityViolation unless the triple satisfies the algebra."""
+    def verify(self) -> float:
+        """Raise IdentityViolation unless the algebra holds to 1e-14."""
         res = self.quaternionic_residual()
-        if res > tol:
+        if res > 1e-14:
             raise IdentityViolation(
-                f"quaternionic relations violated: residual {res:.3e} > {tol:.3e}"
+                f"quaternionic relations violated: residual {res:.3e} > 1.000e-14"
             )
         return res
 

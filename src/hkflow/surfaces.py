@@ -63,8 +63,7 @@ class FrameData:
     coeffs: np.ndarray
 
 
-def frames(jet: SurfaceJet, s: StructureTriple | None = None,
-           degeneracy_tol: float = 1e-12) -> FrameData:
+def frames(jet: SurfaceJet, s: StructureTriple | None = None) -> FrameData:
     """Adapted frame (e1, e2, nu1, nu2) and phase direction for a jet."""
     if s is None:
         s = standard_structure()
@@ -73,7 +72,7 @@ def frames(jet: SurfaceJet, s: StructureTriple | None = None,
     g12 = np.sum(xu * xv, axis=-1)
     g22 = np.sum(xv * xv, axis=-1)
     det = g11 * g22 - g12 * g12
-    if np.any(det <= degeneracy_tol * g11 * g22):
+    if np.any(det <= 1e-12 * g11 * g22):
         raise DegenerateJet("tangent vectors are (numerically) dependent")
 
     inv_n1 = 1.0 / np.sqrt(g11)
@@ -187,9 +186,6 @@ class ParametricSurface:
     def jet(self, u, v) -> SurfaceJet:
         raise NotImplementedError
 
-    def position(self, u, v) -> np.ndarray:
-        return self.jet(u, v).x
-
     def window(self):
         """The domain clipped to [-4 scale, 4 scale] in each parameter."""
         c = 4 * self.scale
@@ -206,14 +202,14 @@ class ParametricSurface:
                     f"{self.name}: stencil of step {h} leaves {lo, hi}"
                 )
 
-    def sample_domain(self, rng: np.random.Generator, n: int,
-                      margin: float = 0.05):
-        """Uniform interior parameter samples, shrunk away from open edges."""
+    def sample_domain(self, rng: np.random.Generator, n: int):
+        """Uniform interior parameter samples, shrunk away from open edges
+        by 5% of the extent."""
         out = []
         for (lo, hi), per in zip(self.domain, self.periodic):
             lo = max(lo, -2.0) if not np.isfinite(lo) else lo
             hi = min(hi, 2.0) if not np.isfinite(hi) else hi
-            pad = 0.0 if per else margin * (hi - lo)
+            pad = 0.0 if per else 0.05 * (hi - lo)
             out.append(rng.uniform(lo + pad, hi - pad, size=n))
         return out[0], out[1]
 
@@ -336,11 +332,11 @@ class QuadraticGraph(ParametricSurface):
         self.coeffs = coeffs
 
     @classmethod
-    def random(cls, rng: np.random.Generator, scale: float = 1.0,
-               tilt: float = 0.2) -> "QuadraticGraph":
+    def random(cls, rng: np.random.Generator) -> "QuadraticGraph":
+        """A, B, C uniform in [-1, 1]; tilts D, E uniform in [-0.2, 0.2]."""
         c = np.empty((2, 5))
-        c[:, :3] = rng.uniform(-scale, scale, size=(2, 3))
-        c[:, 3:] = rng.uniform(-tilt, tilt, size=(2, 2))
+        c[:, :3] = rng.uniform(-1.0, 1.0, size=(2, 3))
+        c[:, 3:] = rng.uniform(-0.2, 0.2, size=(2, 2))
         return cls(c)
 
     def jet(self, u, v) -> SurfaceJet:

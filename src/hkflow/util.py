@@ -111,14 +111,14 @@ def _write(obj, out: list, indent: int, level: int) -> None:
         raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def check_rotation(a, tol: float = 1e-10) -> np.ndarray:
-    """Validate a 3x3 rotation matrix (orthogonal, det = +1)."""
+def check_rotation(a) -> np.ndarray:
+    """Validate a 3x3 rotation matrix (orthogonal and det = +1, to 1e-10)."""
     a = np.asarray(a, dtype=float)
     if a.shape != (3, 3):
         raise NonRotation(f"expected a 3x3 matrix, got shape {a.shape}")
-    if not np.allclose(a @ a.T, np.eye(3), atol=tol):
+    if not np.allclose(a @ a.T, np.eye(3), atol=1e-10):
         raise NonRotation("matrix is not orthogonal")
-    if abs(np.linalg.det(a) - 1.0) > tol:
+    if abs(np.linalg.det(a) - 1.0) > 1e-10:
         raise NonRotation("matrix has determinant != +1")
     return a
 

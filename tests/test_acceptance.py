@@ -91,7 +91,7 @@ def test_criterion_04_energy_identity_all_families(rng):
         u, v = fam.sample_domain(rng, 100)
         jet = fam.jet(u, v)
         h = mean_curvature(jet, frames(jet, S))
-        res = energy_split(phase_differential(fam, u, v), h, tol=1e-6)
+        res = energy_split(phase_differential(fam, u, v), h)
         worst = max(worst, float(np.max(res)))
     _line("4", worst <= 1e-6, f"worst energy residual {worst:.3e}")
     assert worst <= 1e-6

@@ -88,10 +88,21 @@ def test_bad_config_value(tmp_path):
                  "verify"]) == 1
 
 
-# Outside input that a constructor or the log reader rejects: (config,
-# argv, trajectory log written to log.jsonl).
+# Outside input that the config reader, a constructor, the log or sample
+# reader or the verify suite rejects: (config, argv, text written to
+# log.jsonl).
 _ONE_RECORD = '{"t": 0, "max_B": 1, "area": 1}\n'
 CONFIG_ERRORS = {
+    # [flow] has no such keys: a config naming them is rejected, not ignored
+    "removed-redistribute-every": ("[flow]\nredistribute_every = 5\n",
+                                   "flow-curve", ""),
+    "removed-stability-c": ("[flow]\nstability_c = 0.1\n", "flow-curve", ""),
+    # det-gauss samples its own families, so --surface would skip it
+    "verify-identity-not-run": ("", "verify --suite det-gauss --surface "
+                                "cylinder", ""),
+    # u = 1.9 lies beyond the grim reaper's |u| < pi/2
+    "soliton-outside-domain": ("", "analyze log.jsonl --mode soliton",
+                               "u,v\n0.1,0.2\n1.9,0.0\n"),
     "snapshot-every-0": ("[flow]\nsnapshot_every = 0\n", "flow-curve", ""),
     "surface-n-0": ("[surface]\nn = 0\n", "phase", ""),
     "surface-points-0": ("[surface]\npoints = 0\n", "verify", ""),
@@ -120,6 +131,18 @@ def test_bad_input_is_a_config_error(tmp_path, monkeypatch, capsys, case):
     assert "Traceback" not in err
     if command.startswith("analyze"):
         assert "log.jsonl, line " in err
+
+
+def test_analyze_non_unit_v0_is_a_config_error(tmp_path, capsys):
+    cfg = config(tmp_path, "[analyze]\nv0 = 0,0,2,0\n")
+    samples = tmp_path / "samples.csv"
+    samples.write_text("u,v\n0.1,0.2\n")
+    code = main(["--config", cfg, "--out", str(tmp_path / "out"), "analyze",
+                 str(samples)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("hkflow: config error: [analyze] v0 '0,0,2,0'")
+    assert "Traceback" not in err
 
 
 def test_bad_subcommand(tmp_path):
@@ -214,10 +237,11 @@ def test_flow_mesh_explicit_dt_too_large_exits_2(tmp_path):
 
 # -- analyze ----------------------------------------------------------------------
 
-def test_analyze_missing_file(tmp_path):
+def test_analyze_missing_file(tmp_path, capsys):
     code = main(["--out", str(tmp_path / "out"), "analyze",
                  str(tmp_path / "absent.jsonl")])
     assert code == 1
+    assert capsys.readouterr().err.startswith("hkflow: config error")
 
 
 def test_analyze_soliton_residual(tmp_path):

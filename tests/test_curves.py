@@ -3,10 +3,10 @@ import numpy as np
 import pytest
 
 from hkflow.curves import (CurveFlowResult, PlaneCurve, TorusFromCurve,
-                           arclength_redistribute, b_norm_history, csf_step,
-                           curvature_vector, diagnostics, embed_torus,
-                           run_csf, spectral_derivative, torus_area,
-                           torus_bnorm2, winding_number, write_curve_csv)
+                           b_norm_history, csf_step, curvature_vector,
+                           diagnostics, embed_torus, run_csf,
+                           spectral_derivative, torus_area, torus_bnorm2,
+                           winding_number, write_curve_csv)
 from hkflow.errors import (DegenerateDerivative, DegenerateSpacing,
                            OriginCollision, PointOnCurve, StabilityViolation)
 from hkflow.flow import type1_monitor
@@ -148,17 +148,6 @@ def test_csf_snapshots_uniform():
     steps = np.diff(res.times)
     assert np.allclose(steps, steps[0], atol=1e-12)
     assert res.times[-1] == 0.02
-
-
-def test_arclength_redistribute():
-    n = 128
-    x = 2 * np.pi * np.arange(n) / n
-    # heavily non-uniform parametrization of the unit circle
-    warped = PlaneCurve(np.exp(1j * (x + 0.5 * np.sin(x))))
-    out = arclength_redistribute(warped)
-    gaps = np.abs(np.roll(out.samples, -1) - out.samples)
-    assert np.max(gaps) / np.min(gaps) < 1.01
-    assert np.allclose(np.abs(out.samples), 1.0, atol=1e-3)
 
 
 def test_perturbed_circle_runs_and_blows_up():

@@ -5,7 +5,7 @@ import pytest
 from hkflow.curves import CurveFlowResult, PlaneCurve
 from hkflow.flow import FlowHistory, FlowState, PhaseEvolutionReport
 from hkflow.mesh import icosphere
-from hkflow.phase import CurvatureForm, phase_sample_exact
+from hkflow.phase import phase_sample_exact
 from hkflow.structure import StructureTriple, standard_structure
 from hkflow.surfaces import Plane, Sphere, frames
 
@@ -25,7 +25,6 @@ FACTORIES = {
     "SurfaceJet": lambda: Plane().jet(_U, _U),
     "FrameData": lambda: frames(Plane().jet(_U, _U)),
     "PhaseSample": lambda: phase_sample_exact(Sphere(), _U + 1.0, _U),
-    "CurvatureForm": lambda: CurvatureForm(np.zeros((2, 2, 3))),
     "StructureTriple": lambda: StructureTriple(standard_structure().j),
 }
 

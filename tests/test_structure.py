@@ -42,7 +42,7 @@ def test_defining_relations_exact():
     s = standard_structure()
     # integer matrices: products are exact in floating point
     assert s.quaternionic_residual() == 0.0
-    assert s.verify(tol=1e-14) == 0.0
+    assert s.verify() == 0.0
 
 
 def test_verify_rejects_broken_triple():
@@ -50,7 +50,7 @@ def test_verify_rejects_broken_triple():
     j = s.j.copy()
     j[0, 0, 0] = 0.5
     with pytest.raises(Exception):
-        StructureTriple(j).verify(tol=1e-14)
+        StructureTriple(j).verify()
 
 
 @settings(max_examples=50, deadline=None)
