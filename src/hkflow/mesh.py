@@ -265,9 +265,12 @@ def mesh_mean_curvature(mesh: SurfaceMesh, w: sp.csr_matrix | None = None,
 
 def two_ring_offsets(mesh: SurfaceMesh) -> np.ndarray:
     """Offsets x_j - x_i from each vertex i to its padded two-ring, shape
-    (n, k, 4); padding entries (mask False in topology.ring2) are x_0 - x_i."""
-    d = mesh.vertices[mesh.topology.ring2[0]]
+    (n, k, 4); padding entries (mask False in topology.ring2) are 0, so
+    sums over the ring need no mask."""
+    idx, mask = mesh.topology.ring2
+    d = mesh.vertices[idx]
     d -= mesh.vertices[:, None, :]
+    d *= mask[..., None]
     return d
 
 
@@ -283,9 +286,7 @@ def mesh_tangent_frames(mesh: SurfaceMesh, s: StructureTriple | None = None,
     """
     if s is None:
         s = standard_structure()
-    mask = mesh.topology.ring2[1]
     d = two_ring_offsets(mesh) if offsets is None else offsets
-    d = d * mask[..., None]
     cov = np.einsum("nki,nkj->nij", d, d)
     vals, vecs = np.linalg.eigh(cov)
     t1 = vecs[:, :, 3]
@@ -300,10 +301,11 @@ def mesh_tangent_frames(mesh: SurfaceMesh, s: StructureTriple | None = None,
     # summed per vertex over corner 0, then 1, then 2
     wedge = np.empty((3, len(tri)))
     for corner in range(3):
-        at1 = np.einsum("mi,mi->m", a, t1[tri[:, corner]])
-        bt2 = np.einsum("mi,mi->m", b, t2[tri[:, corner]])
-        at2 = np.einsum("mi,mi->m", a, t2[tri[:, corner]])
-        bt1 = np.einsum("mi,mi->m", b, t1[tri[:, corner]])
+        t1c, t2c = t1[tri[:, corner]], t2[tri[:, corner]]
+        at1 = np.einsum("mi,mi->m", a, t1c)
+        bt2 = np.einsum("mi,mi->m", b, t2c)
+        at2 = np.einsum("mi,mi->m", a, t2c)
+        bt1 = np.einsum("mi,mi->m", b, t1c)
         wedge[corner] = at1 * bt2 - at2 * bt1
     sgn = np.bincount(tri.T.ravel(), weights=wedge.ravel(),
                       minlength=len(mesh.vertices))
@@ -321,48 +323,42 @@ def mesh_bnorm(mesh: SurfaceMesh, frames=None,
                offsets: np.ndarray | None = None) -> np.ndarray:
     """Per-vertex |B| estimate from a two-ring quadratic fit.
 
-    Offsets to two-ring neighbors are split into tangent coordinates (u, v)
-    and normal deflections; fitting  w ~ c1 u + c2 v + (a u^2 + 2b uv + c v^2)/2
-    per normal direction recovers the second fundamental form.  Vertices
-    with fewer than six neighbors (or on the boundary) return NaN.  frames
-    is mesh_tangent_frames(mesh) and offsets is two_ring_offsets(mesh) when
-    the caller has them.
+    One projection of the offsets onto (t1, t2, m1, m2) gives the tangent
+    coordinates (u, v) and both normal deflections; fitting
+    w ~ c1 u + c2 v + (a u^2 + 2b uv + c v^2)/2 per normal direction
+    recovers the second fundamental form, both normals in one two-column
+    solve of the 5x5 normal equations.  Vertices with fewer than six
+    neighbors (or on the boundary) return NaN.  frames is
+    mesh_tangent_frames(mesh) and offsets is two_ring_offsets(mesh) when the
+    caller has them.
     """
     d = two_ring_offsets(mesh) if offsets is None else offsets
     if frames is None:
         frames = mesh_tangent_frames(mesh, offsets=d)
     t1, t2, m1, m2, _lam = frames
-    mask = mesh.topology.ring2[1]
-    u = np.einsum("nki,ni->nk", d, t1)
-    v = np.einsum("nki,ni->nk", d, t2)
+    count = mesh.topology.ring2[1].sum(axis=1)
+    # padding offsets are 0, so their coordinates and design rows are too
+    proj = d @ np.stack([t1, t2, m1, m2], axis=-1)
+    u, v = proj[..., 0], proj[..., 1]
     rho = np.sqrt(np.maximum(
-        np.sum((u * u + v * v) * mask, axis=1)
-        / np.maximum(mask.sum(axis=1), 1), 1e-300))
+        np.sum(u * u + v * v, axis=1) / np.maximum(count, 1), 1e-300))
     us, vs = u / rho[:, None], v / rho[:, None]
-    # design columns, masked as they are written into one array
-    cols = np.empty(u.shape + (5,))
-    for k, col in enumerate((us, vs, 0.5 * us * us, us * vs, 0.5 * vs * vs)):
-        np.multiply(col, mask, out=cols[..., k])
-    ata = np.einsum("nka,nkb->nab", cols, cols)
-    ok = mask.sum(axis=1) >= 6
+    # transposed design matrix: one row per basis function, (n, 5, k)
+    at = np.stack((us, vs, 0.5 * us * us, us * vs, 0.5 * vs * vs), axis=1)
+    ata = at @ at.transpose(0, 2, 1)
+    ok = count >= 6
     ok &= ~mesh.boundary_vertex_mask
     # guard the solve on under-determined rows
     ata[~ok] = np.eye(5)
-
-    bnorm2 = np.zeros(len(mesh.vertices))
-    for m in (m1, m2):
-        w = np.einsum("nki,ni->nk", d, m) * mask
-        atw = np.einsum("nka,nk->na", cols, w)
-        try:
-            coef = np.linalg.solve(ata, atw[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            reg = ata + 1e-12 * np.eye(5)
-            coef = np.linalg.solve(reg, atw[..., None])[..., 0]
-        a = coef[:, 2] / rho ** 2
-        b = coef[:, 3] / rho ** 2
-        c = coef[:, 4] / rho ** 2
-        bnorm2 += a * a + 2 * b * b + c * c
-    out = np.sqrt(bnorm2)
+    atw = at @ proj[..., 2:]
+    try:
+        coef = np.linalg.solve(ata, atw)
+    except np.linalg.LinAlgError:
+        coef = np.linalg.solve(ata + 1e-12 * np.eye(5), atw)
+    # (a, b, c) of each normal, one column per normal
+    abc = coef[:, 2:, :] / (rho ** 2)[:, None, None]
+    a, b, c = abc[:, 0], abc[:, 1], abc[:, 2]
+    out = np.sqrt(np.sum(a * a + 2 * b * b + c * c, axis=1))
     out[~ok] = np.nan
     return out
 

@@ -331,7 +331,7 @@ GOLDEN = {
                   "cdb6131f66872d77df1d2d5e8d7603194650dde9b2a5a457e3bba33eef480089"),
     "icosphere-2": ("flow-mesh", "[mesh]\nkind = icosphere\nsubdivisions = 2\n"
                     "[flow]\ndt = 1e-3\nt_end = 0.01\n",
-                    "37e9e63b324f8c788837199e6919470df8914beb586e2431242770f810adf823"),
+                    "5a56b0679f9231555b3be9025b8cab99c8139b71eab26483973997b35eee8b99"),
     "type1-log": ("analyze log.jsonl", "",
                   "53b5d7d3f9145d90bb94cd2df74c44b5277a9c814fb6c16f30840b0dd22c4f09"),
     "sphere-32": ("phase --surface sphere", "",

@@ -365,6 +365,38 @@ class _Reference:
         lam = lam / np.maximum(norm, 1e-300)
         return t1, t2, m1, m2, lam, sgn
 
+    def bnorm(self, mesh, frames):
+        """The two-ring fit as per-axis einsums and one solve per normal,
+        on offsets padded with x_0 - x_i and masked where they are used."""
+        idx, mask = mesh.topology.ring2
+        d = mesh.vertices[idx] - mesh.vertices[:, None, :]
+        t1, t2, m1, m2, _lam = frames
+        u = np.einsum("nki,ni->nk", d, t1)
+        v = np.einsum("nki,ni->nk", d, t2)
+        rho = np.sqrt(np.maximum(
+            np.sum((u * u + v * v) * mask, axis=1)
+            / np.maximum(mask.sum(axis=1), 1), 1e-300))
+        us, vs = u / rho[:, None], v / rho[:, None]
+        cols = np.empty(u.shape + (5,))
+        for k, col in enumerate((us, vs, 0.5 * us * us, us * vs,
+                                 0.5 * vs * vs)):
+            np.multiply(col, mask, out=cols[..., k])
+        ata = np.einsum("nka,nkb->nab", cols, cols)
+        ok = (mask.sum(axis=1) >= 6) & ~mesh.boundary_vertex_mask
+        ata[~ok] = np.eye(5)
+        bnorm2 = np.zeros(len(mesh.vertices))
+        for m in (m1, m2):
+            w = np.einsum("nki,ni->nk", d, m) * mask
+            atw = np.einsum("nka,nk->na", cols, w)
+            coef = np.linalg.solve(ata, atw[..., None])[..., 0]
+            a = coef[:, 2] / rho ** 2
+            b = coef[:, 3] / rho ** 2
+            c = coef[:, 4] / rho ** 2
+            bnorm2 += a * a + 2 * b * b + c * c
+        out = np.sqrt(bnorm2)
+        out[~ok] = np.nan
+        return out
+
 
 def _perturbed_icosphere():
     m = icosphere(3)
@@ -427,6 +459,78 @@ def test_frames_with_shared_offsets_match_reference_bits(make):
     # the winding sign decides every flip; check it is never near zero
     assert np.all(sgn != 0.0)
     _same_bits(mesh_bnorm(mesh, got, d), mesh_bnorm(mesh))
+
+
+@pytest.mark.parametrize("make", GEOMETRY_MESHES, ids=GEOMETRY_IDS)
+def test_bnorm_matches_reference_fit_to_rounding(make):
+    """The batched-matmul fit against the per-normal einsum fit: the same
+    NaN rows, and values equal up to rounding."""
+    mesh = make()
+    ref = _Reference(mesh)
+    *frames, _sgn = ref.tangent_frames(mesh, S)
+    want = ref.bnorm(mesh, frames)
+    got = mesh_bnorm(mesh)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    fin = ~np.isnan(want)
+    pos = fin & (want > 0.0)
+    assert np.all(np.abs(got[pos] - want[pos]) <= 1e-13 * want[pos])
+    assert np.all(np.abs(got[fin & ~pos] - want[fin & ~pos]) <= 1e-13)
+
+
+@pytest.mark.parametrize("make", GEOMETRY_MESHES, ids=GEOMETRY_IDS)
+def test_two_ring_offsets_padding_is_zero(make):
+    mesh = make()
+    idx, mask = mesh.topology.ring2
+    d = two_ring_offsets(mesh)
+    assert np.all(d[~mask] == 0.0)
+    _same_bits(d[mask], (mesh.vertices[idx] - mesh.vertices[:, None, :])[mask])
+
+
+_SOLVE = np.linalg.solve
+
+
+def _counting_solve(monkeypatch, fail_first):
+    """Record the arguments of each np.linalg.solve call; optionally make
+    the first one raise LinAlgError."""
+    calls = []
+
+    def fake(a, b):
+        calls.append((a.copy(), b.copy()))
+        if fail_first and len(calls) == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return _SOLVE(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", fake)
+    return calls
+
+
+def test_bnorm_makes_one_solve_per_state(monkeypatch):
+    mesh = _sheared_square()
+    want = mesh_bnorm(mesh)
+    calls = _counting_solve(monkeypatch, fail_first=False)
+    _same_bits(mesh_bnorm(mesh), want)
+    assert len(calls) == 1
+    ata, atw = calls[0]
+    assert ata.shape == (len(mesh.vertices), 5, 5)
+    assert atw.shape == (len(mesh.vertices), 5, 2)
+
+
+def test_bnorm_solve_fallback_adds_ridge(monkeypatch):
+    """A singular batch is solved again with ata + 1e-12 I."""
+    mesh = _sheared_square()
+    plain = mesh_bnorm(mesh)
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda a, b: _SOLVE(a + 1e-12 * np.eye(5), b))
+    ridged = mesh_bnorm(mesh)
+    calls = _counting_solve(monkeypatch, fail_first=True)
+    got = mesh_bnorm(mesh)
+    assert len(calls) == 2
+    (ata, atw), (reg, atw2) = calls
+    _same_bits(reg, ata + 1e-12 * np.eye(5))
+    _same_bits(atw2, atw)
+    _same_bits(got, ridged)
+    assert np.array_equal(np.isnan(got), np.isnan(plain))
+    assert np.isnan(got).any() and not np.isnan(got).all()
 
 
 def test_vertices_are_a_readonly_copy():
