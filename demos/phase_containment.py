@@ -16,10 +16,7 @@ import numpy as np
 
 from hkflow import (Cylinder, GrimReaper, PlaneCurve, Sphere, TorusFromCurve,
                     arc_distance, chart, containment_margin, degree, errors,
-                    euler_numbers, phase_sample_exact, standard_structure,
-                    write_phase_field_csv)
-
-s = standard_structure()
+                    euler_numbers, phase_sample_exact, write_phase_field_csv)
 
 # --- chart coordinates and distance to the half circle ----------------------
 pts = {
@@ -45,12 +42,12 @@ uu = np.linspace(-1.5, 1.5, 20)
 vv = np.linspace(-np.pi, np.pi, 40, endpoint=False)
 ug, vg = np.meshgrid(uu, vv, indexing="ij")
 
-lam_cyl = phase_sample_exact(Cylinder(1.0, half_length=2.0), ug, vg, s).lam
+lam_cyl = phase_sample_exact(Cylinder(1.0, half_length=2.0), ug, vg).lam
 rep = containment_margin(lam_cyl.reshape(-1, 3))
 print(f"\ncylinder:    margin = {rep.margin:.4f}, violation = {rep.violation}")
 
 ur = np.linspace(-1.4, 1.4, 30)
-lam_gr = phase_sample_exact(GrimReaper(), ur, np.zeros_like(ur), s).lam
+lam_gr = phase_sample_exact(GrimReaper(), ur, np.zeros_like(ur)).lam
 rep = containment_margin(lam_gr)
 print(f"grim reaper: margin = {rep.margin:.4f}, violation = {rep.violation}")
 
@@ -61,7 +58,7 @@ lift = TorusFromCurve(PlaneCurve.from_function(
     lambda x: np.exp(1j * x) * (1 + 0.3 * np.cos(2 * x)), n=128))
 g = np.linspace(0, 2 * np.pi, 64, endpoint=False)
 gg, hh = np.meshgrid(g, g, indexing="ij")
-rep = containment_margin(phase_sample_exact(lift, gg, hh, s).lam.reshape(-1, 3))
+rep = containment_margin(phase_sample_exact(lift, gg, hh).lam.reshape(-1, 3))
 print(f"curve lift:  margin = {rep.margin:.4f}, violation = {rep.violation}")
 
 # --- degree and Euler numbers ----------------------------------------------

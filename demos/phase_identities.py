@@ -14,21 +14,20 @@ import numpy as np
 from hkflow import (QuadraticGraph, coupling_residual, curvature_form,
                     energy_split, frames, gauss_normal_curvatures,
                     mean_curvature, phase_differential, second_fundamental_form,
-                    standard_structure, tension, Cylinder)
+                    tension, Cylinder)
 
 rng = np.random.default_rng(42)
-s = standard_structure()
 g = QuadraticGraph.random(rng)
 u, v = 0.3, -0.2
 
 print(f"surface: {g.name}, sampled at (u, v) = ({u}, {v})\n")
 
 jet = g.jet(u, v)
-fr = frames(jet, s)
+fr = frames(jet)
 sff = second_fundamental_form(jet, fr)
 h = mean_curvature(jet, fr, sff)
 
-sample = phase_differential(g, u, v, s)
+sample = phase_differential(g, u, v)
 print(f"phase lam            = {np.array2string(sample.lam, precision=6)}")
 print(f"|lam|                = {np.linalg.norm(sample.lam):.15f}")
 print(f"dJ route gap (FD vs shape operator): {sample.route_gap:.2e}")
@@ -50,12 +49,12 @@ print(f"  det dJ - (kappa + kappa_perp) = {sample.detdj - kappa - kperp:+.2e}")
 
 # Coupling of the shape operator to dJ: B(X, Jt Y) - Jt_perp B(X, Y)
 # contracts exactly against the phase differential.
-cres = coupling_residual(s, fr, sff, sample.dj)
+cres = coupling_residual(fr, sff, sample.dj)
 print(f"\ncoupling identity residual (FD dJ): {float(cres):.2e}")
 
 # The curvature form pairs H with the structures; its rows are orthogonal
 # to lam and rotate into each other under the tangent rotation.
-cf = curvature_form(s, fr, h)
+cf = curvature_form(fr, h)
 row1, row2 = cf[..., 0, :], cf[..., 1, :]
 print("curvature form rows:")
 print(f"  <row1, lam>          = {float(np.dot(row1, sample.lam)):+.2e}")
@@ -64,6 +63,6 @@ print(f"  row2 - lam x row1    = "
 
 # Tension of the phase map, checked against its alternative contraction.
 cyl = Cylinder(0.8, half_length=2.0)
-tau = tension(cyl, 0.4, 1.1, s, cross_check=True)
+tau = tension(cyl, 0.4, 1.1)
 print(f"\ntension on a round cylinder (harmonic phase): |tau| = "
       f"{float(np.linalg.norm(tau)):.2e}")

@@ -13,7 +13,7 @@ from .surfaces import (Cylinder, FrameData, GrimReaper, NumericalJetSurface,
 from .phase import (ContainmentReport, PhaseSample, SphereChart,
                     arc_distance, chart, containment_margin, coupling_residual,
                     curvature_form, degree, energy_split, euler_numbers,
-                    gauss_normal_curvatures, phase, phase_differential,
+                    gauss_normal_curvatures, phase_differential,
                     phase_sample_exact, tension, write_phase_field_csv)
 from .mesh import (SurfaceMesh, flat_square, grid_torus_mesh, icosphere,
                    mesh_bnorm, mesh_mean_curvature, mesh_phase_field,
@@ -39,7 +39,7 @@ __all__ = [
     "ParametricSurface", "Plane", "Cylinder", "Sphere", "GrimReaper",
     "QuadraticGraph", "NumericalJetSurface",
     "PhaseSample", "SphereChart", "ContainmentReport",
-    "phase", "phase_differential", "phase_sample_exact", "curvature_form",
+    "phase_differential", "phase_sample_exact", "curvature_form",
     "energy_split", "gauss_normal_curvatures", "coupling_residual",
     "tension", "degree", "euler_numbers", "chart", "arc_distance",
     "containment_margin", "write_phase_field_csv",

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import math
 import sys
@@ -30,7 +31,7 @@ from .errors import GeometryError, InsufficientHistory, NotBlowingUp
 from .flow import FlowHistory, run_mcf, translator_residual, type1_monitor
 from .mesh import flat_square, icosphere
 from .phase import (coupling_residual, degree, euler_numbers,
-                    gauss_normal_curvatures, phase, phase_differential,
+                    gauss_normal_curvatures, phase_differential,
                     phase_sample_exact, write_phase_field_csv)
 from .structure import standard_structure
 from .surfaces import (Cylinder, GrimReaper, Plane, QuadraticGraph, Sphere,
@@ -208,10 +209,16 @@ def write_manifest(out: Path, command: str, cfg: dict) -> None:
 
 _IDENTITY_NAMES = ("quaternionic", "phase-block", "coupling", "energy",
                    "det-gauss", "det-norms", "degree-torus", "degree-sphere")
+# the identities that sample families of their own, not the --surface one
+_OWN_FAMILIES = ("det-gauss", "det-norms", "degree-torus", "degree-sphere")
 
 
-def _identity_suite(cfg, rng, surface_only: str | None):
-    """(name, residual, tolerance) triples for the requested identities."""
+def _identity_suite(cfg, rng, surface_only: str | None, suite):
+    """(name, residual, tolerance) triples, in _IDENTITY_NAMES order, of
+    the identities in suite; no other identity is evaluated.
+
+    The families are built first, then each identity draws from rng in
+    turn, so a subset draws differently from the full suite."""
     s = standard_structure()
     npts = cfg["surface"]["points"]
 
@@ -221,8 +228,6 @@ def _identity_suite(cfg, rng, surface_only: str | None):
                      "quadratic-graph")]
     else:
         families = [_make_surface(cfg, rng, surface_only)]
-
-    rows = []
 
     def quaternionic():
         base = s.quaternionic_residual()
@@ -237,8 +242,7 @@ def _identity_suite(cfg, rng, surface_only: str | None):
         return worst
 
     def phase_block(fam, u, v):
-        fr = frames(fam.jet(u, v), s)
-        lam = phase(s, fr)
+        fr = frames(fam.jet(u, v))
         worst = 0.0
         for alpha in (1, 2, 3):
             w11 = s.kahler_form(alpha, fr.e1, fr.e1)
@@ -247,33 +251,34 @@ def _identity_suite(cfg, rng, surface_only: str | None):
             worst = max(worst,
                         float(np.max(np.abs(w11))),
                         float(np.max(np.abs(w22))),
-                        float(np.max(np.abs(w12 - lam[..., alpha - 1]))))
+                        float(np.max(np.abs(w12 - fr.lam[..., alpha - 1]))))
         return worst
 
     def coupling(fam, u, v):
         jet = fam.jet(u, v)
-        fr = frames(jet, s)
+        fr = frames(jet)
         sff = second_fundamental_form(jet, fr)
-        smp = phase_differential(fam, u, v, s=s)
-        return float(np.max(coupling_residual(s, fr, sff, smp.dj)))
+        smp = phase_differential(fam, u, v)
+        return float(np.max(coupling_residual(fr, sff, smp.dj)))
 
     def energy(fam, u, v):
         jet = fam.jet(u, v)
-        fr = frames(jet, s)
+        fr = frames(jet)
         h = mean_curvature(jet, fr, second_fundamental_form(jet, fr))
-        smp = phase_differential(fam, u, v, s=s)
+        smp = phase_differential(fam, u, v)
         h2 = np.sum(h * h, axis=-1)
         return float(np.max(np.abs(smp.e_del - 0.25 * h2)))
 
+    @functools.cache
     def det_residuals():
         worst_g = worst_n = 0.0
         for _ in range(20):
             fam = QuadraticGraph.random(rng)
             u, v = fam.sample_domain(rng, npts)
             jet = fam.jet(u, v)
-            fr = frames(jet, s)
+            fr = frames(jet)
             sff = second_fundamental_form(jet, fr)
-            smp = phase_sample_exact(fam, u, v, s=s)
+            smp = phase_sample_exact(fam, u, v)
             kap, kperp = gauss_normal_curvatures(sff)
             h = mean_curvature(jet, fr, sff)
             h2 = np.sum(h * h, axis=-1)
@@ -285,25 +290,25 @@ def _identity_suite(cfg, rng, surface_only: str | None):
 
     def degree_torus():
         fam = TorusFromCurve(PlaneCurve.circle(1.0, n=256))
-        return abs(degree(fam, n=64, s=s))
+        return abs(degree(fam, n=64))
 
     def degree_sphere():
         fam = _make_surface(cfg, rng, "sphere")
-        deg = degree(fam, n=128, s=s)
-        chi_t, chi_n = euler_numbers(fam, n=128, s=s)
+        deg = degree(fam, n=128)
+        chi_t, chi_n = euler_numbers(fam, n=128)
         return abs(2.0 * deg - (chi_t + chi_n))
 
-    rows.append(("quaternionic", quaternionic(), 1e-14))
-    rows.append(("phase-block", per_family(phase_block), 1e-10))
-    rows.append(("coupling", per_family(coupling), 1e-5))
-    rows.append(("energy", per_family(energy), 1e-6))
-    if surface_only is None:
-        worst_g, worst_n = det_residuals()
-        rows.append(("det-gauss", worst_g, 1e-6))
-        rows.append(("det-norms", worst_n, 1e-6))
-        rows.append(("degree-torus", degree_torus(), 1e-3))
-        rows.append(("degree-sphere", degree_sphere(), 1e-2))
-    return rows
+    checks = (
+        ("quaternionic", quaternionic, 1e-14),
+        ("phase-block", lambda: per_family(phase_block), 1e-10),
+        ("coupling", lambda: per_family(coupling), 1e-5),
+        ("energy", lambda: per_family(energy), 1e-6),
+        ("det-gauss", lambda: det_residuals()[0], 1e-6),
+        ("det-norms", lambda: det_residuals()[1], 1e-6),
+        ("degree-torus", degree_torus, 1e-3),
+        ("degree-sphere", degree_sphere, 1e-2),
+    )
+    return [(name, fn(), tol) for name, fn, tol in checks if name in suite]
 
 
 def cmd_verify(cfg, args, out: Path) -> int:
@@ -314,16 +319,15 @@ def cmd_verify(cfg, args, out: Path) -> int:
     if unknown:
         raise ConfigError(f"unknown identities {unknown}; choose from "
                           f"{_IDENTITY_NAMES}")
-    rows = [(name, res, tol)
-            for name, res, tol in _identity_suite(cfg, rng, args.surface)
-            if name in suite]
-    idle = [t for t in suite if t not in [name for name, _, _ in rows]]
-    if args.suite != "all" and idle:
-        raise ConfigError(f"identities {idle} do not run with --surface; "
-                          f"they sample families of their own")
+    if args.surface is not None:
+        idle = [t for t in suite if t in _OWN_FAMILIES]
+        if args.suite != "all" and idle:
+            raise ConfigError(f"identities {idle} do not run with --surface; "
+                              f"they sample families of their own")
+        suite = [t for t in suite if t not in _OWN_FAMILIES]
     identities = {}
     all_pass = True
-    for name, res, tol in rows:
+    for name, res, tol in _identity_suite(cfg, rng, args.surface, suite):
         ok = res <= tol
         all_pass = all_pass and ok
         identities[name] = {"residual": res, "tolerance": tol, "pass": ok}
@@ -501,7 +505,7 @@ def _analyze_soliton(cfg, path: Path) -> dict:
     raw_v0 = cfg["analyze"]["v0"]
     v0 = _parse_v0(raw_v0)
     jet = fam.jet(data[:, 0], data[:, 1])
-    fr = frames(jet, standard_structure())
+    fr = frames(jet)
     h = mean_curvature(jet, fr, second_fundamental_form(jet, fr))
     try:
         res = translator_residual(fr, h, v0)

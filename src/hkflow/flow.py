@@ -21,7 +21,6 @@ from .errors import (InsufficientHistory, NotBlowingUp, SolveFailure,
 from .mesh import (SurfaceMesh, mesh_bnorm, mesh_mean_curvature,
                    mesh_tangent_frames, two_ring_offsets, write_off4)
 from .phase import arc_distance, tension
-from .structure import StructureTriple, standard_structure
 from .surfaces import (ParametricSurface, frames, mean_curvature,
                        midpoint_grid, normal_projection)
 from .util import write_jsonl
@@ -68,8 +67,9 @@ class FlowState:
 
 @dataclass(eq=False)
 class FlowHistory:
-    """Trajectory summary: times, max |B|, areas, truncation status, and
-    the phase containment margins where the producer measures them."""
+    """Trajectory summary: times, max |B|, areas, truncation status, the
+    first and last FlowState of a run_mcf run, and the phase containment
+    margins where the producer measures them."""
 
     t: np.ndarray
     max_b: np.ndarray
@@ -147,16 +147,14 @@ def mcf_step(state: FlowState, dt: float,
 
 def run_mcf(mesh: SurfaceMesh, dt: float, t_end: float,
             scheme: str = "semi-implicit", log_path=None,
-            checkpoint_every: int = 0, checkpoint_dir=None,
-            keep_states: bool = False) -> FlowHistory:
+            checkpoint_every: int = 0, checkpoint_dir=None) -> FlowHistory:
     """Run the flow to t_end, logging one JSON record per emitted state.
 
     Stops early (and marks the history truncated) once max|B| * h_min
     exceeds 0.5: beyond that the discrete curvature is under-resolved.
     """
-    state = FlowState.measure(mesh, 0.0)
+    first = state = FlowState.measure(mesh, 0.0)
     records = [state.record()]
-    states = [state]
     n_steps = int(round(t_end / dt))
     truncated = False
     for k in range(n_steps):
@@ -165,16 +163,13 @@ def run_mcf(mesh: SurfaceMesh, dt: float, t_end: float,
             break
         state = mcf_step(state, dt, scheme)
         records.append(state.record())
-        if keep_states:
-            states.append(state)
         if checkpoint_every and checkpoint_dir is not None \
                 and (k + 1) % checkpoint_every == 0:
             write_off4(state.mesh, f"{checkpoint_dir}/checkpoint_{k + 1:06d}.off")
     if log_path is not None:
         write_jsonl(log_path, records)
-    return FlowHistory.from_records(
-        records, truncated=truncated,
-        states=states if keep_states else [states[0], state])
+    return FlowHistory.from_records(records, truncated=truncated,
+                                    states=[first, state])
 
 
 # ---------------------------------------------------------------------------
@@ -201,12 +196,12 @@ def translator_residual(fr, h_vec, v0) -> float:
     return float(np.max(np.linalg.norm(h_vec - vperp, axis=-1)))
 
 
-def shrinker_residual_of_family(family: ParametricSurface, n: int = 24,
-                                s: StructureTriple | None = None) -> float:
+def shrinker_residual_of_family(family: ParametricSurface,
+                                n: int = 24) -> float:
     """Shrinker residual on the n x n midpoint grid of family.window()."""
     ug, vg, _, _ = midpoint_grid(family.window(), n)
     jet = family.jet(ug, vg)
-    fr = frames(jet, s)
+    fr = frames(jet)
     h = mean_curvature(jet, fr)
     return shrinker_residual(jet.x, fr, h)
 
@@ -326,8 +321,7 @@ class PhaseEvolutionReport:
     per_snapshot: np.ndarray
 
 
-def phase_evolution_check(states, u, v,
-                          s: StructureTriple | None = None) -> PhaseEvolutionReport:
+def phase_evolution_check(states, u, v) -> PhaseEvolutionReport:
     """Residual of d(lambda)/dt = tau along a trajectory of surfaces.
 
     states is a sequence of (t, family) with uniform time spacing; the time
@@ -338,8 +332,6 @@ def phase_evolution_check(states, u, v,
     """
     if len(states) < 3:
         raise InsufficientHistory("need at least 3 time levels")
-    if s is None:
-        s = standard_structure()
     times = np.array([t for t, _ in states], dtype=float)
     steps = np.diff(times)
     delta = steps[0]
@@ -348,7 +340,7 @@ def phase_evolution_check(states, u, v,
 
     def lam_of(k):
         fam = states[k][1]
-        return frames(fam.jet(u, v), s).lam
+        return frames(fam.jet(u, v)).lam
 
     wide = len(states) >= 5
     lo, hi = (2, len(states) - 2) if wide else (1, len(states) - 1)
@@ -360,7 +352,7 @@ def phase_evolution_check(states, u, v,
                     - 8 * lam_of(k - 1) + lam_of(k - 2)) / (12 * delta)
         else:
             ldot = (lam_of(k + 1) - lam_of(k - 1)) / (2 * delta)
-        tau = tension(states[k][1], u, v, s)
+        tau = tension(states[k][1], u, v)
         per.append(float(np.max(np.abs(ldot - tau))))
         mids.append(times[k])
     return PhaseEvolutionReport(residual=float(np.max(per)),

@@ -30,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DegenerateTriangle, NonOrientableMesh
-from .structure import StructureTriple, standard_structure
+from .structure import apply_j
 from .util import format_rows, readonly
 
 
@@ -274,8 +274,7 @@ def two_ring_offsets(mesh: SurfaceMesh) -> np.ndarray:
     return d
 
 
-def mesh_tangent_frames(mesh: SurfaceMesh, s: StructureTriple | None = None,
-                        offsets: np.ndarray | None = None):
+def mesh_tangent_frames(mesh: SurfaceMesh, offsets: np.ndarray | None = None):
     """Oriented tangent frames (t1, t2), normal legs (m1, m2), phase field.
 
     The tangent plane is the dominant plane of the two-ring edge covariance;
@@ -284,8 +283,6 @@ def mesh_tangent_frames(mesh: SurfaceMesh, s: StructureTriple | None = None,
     analytic one; it does not depend on the in-plane gauge of (t1, t2).
     offsets is two_ring_offsets(mesh) when the caller has it.
     """
-    if s is None:
-        s = standard_structure()
     d = two_ring_offsets(mesh) if offsets is None else offsets
     cov = np.einsum("nki,nkj->nij", d, d)
     vals, vecs = np.linalg.eigh(cov)
@@ -312,8 +309,7 @@ def mesh_tangent_frames(mesh: SurfaceMesh, s: StructureTriple | None = None,
     flip = sgn < 0
     t2[flip] = -t2[flip]
 
-    jt1 = np.einsum("aij,nj->nai", s.j, t1)
-    lam = np.einsum("nai,ni->na", jt1, t2)
+    lam = np.einsum("nai,ni->na", apply_j(t1), t2)
     norm = np.linalg.norm(lam, axis=1, keepdims=True)
     lam = lam / np.maximum(norm, 1e-300)
     return t1, t2, m1, m2, lam
@@ -363,10 +359,9 @@ def mesh_bnorm(mesh: SurfaceMesh, frames=None,
     return out
 
 
-def mesh_phase_field(mesh: SurfaceMesh,
-                     s: StructureTriple | None = None) -> np.ndarray:
+def mesh_phase_field(mesh: SurfaceMesh) -> np.ndarray:
     """Unit phase directions per vertex, (n, 3)."""
-    return mesh_tangent_frames(mesh, s)[4]
+    return mesh_tangent_frames(mesh)[4]
 
 
 # ---------------------------------------------------------------------------

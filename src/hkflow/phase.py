@@ -1,11 +1,13 @@
 """The phase direction of a surface, its differential, and identity checks.
 
 Every oriented tangent plane of a surface in R^4 pairs with the three Kahler
-forms to give a unit vector lam in S^2; this module computes that map, its
-differential dJ (two independent routes, cross-checked), the curvature form,
-the energy splitting driven by det dJ, the tension field, the mapping
-degree, and the chart/containment bookkeeping for the closed half great
-circle {lam_1 = 0, lam_2 >= 0} that the singularity analysis excludes.
+forms of the standard triple to give a unit vector lam in S^2 (rotating the
+triple by A in SO(3) would only rotate the sphere, lam -> A lam, so one
+triple is enough).  This module computes the differential dJ of that map
+(two independent routes, cross-checked), the curvature form, the energy
+splitting driven by det dJ, the tension field, the mapping degree, and the
+chart/containment bookkeeping for the closed half great circle
+{lam_1 = 0, lam_2 >= 0} that the singularity analysis excludes.
 
 Conventions are pinned numerically rather than by external references: the
 normal-curvature sign is the one that makes det dJ = kappa + kappa_perp hold
@@ -21,7 +23,7 @@ import numpy as np
 
 from .errors import (IdentityViolation, NonClosedSurface, NonNormalInput,
                      OnForbiddenSet)
-from .structure import StructureTriple, standard_structure
+from .structure import apply_j
 from .surfaces import (FrameData, ParametricSurface, frames, mean_curvature,
                        midpoint_grid, second_fundamental_form)
 from .util import format_float, write_csv
@@ -61,18 +63,11 @@ class ContainmentReport(NamedTuple):
     violation: bool
 
 
-def phase(s: StructureTriple, fr: FrameData) -> np.ndarray:
-    """lam_a = <J_a e1, e2>, the unit phase direction of the tangent plane."""
-    je1 = np.einsum("aij,...j->...ai", s.j, fr.e1)
-    return np.einsum("...ai,...i->...a", je1, fr.e2)
-
-
 # ---------------------------------------------------------------------------
 # Differential of the phase map
 # ---------------------------------------------------------------------------
 
-def _dj_shape_operator(s: StructureTriple, fr: FrameData,
-                       sff: np.ndarray) -> np.ndarray:
+def _dj_shape_operator(fr: FrameData, sff: np.ndarray) -> np.ndarray:
     """dJ from the second fundamental form.
 
     Differentiating lam_a = <J_a e1, e2> with the ambient-parallel triple
@@ -81,7 +76,7 @@ def _dj_shape_operator(s: StructureTriple, fr: FrameData,
         dJ(e_i) = (h^1_{2i} + h^2_{1i}) a2 + (h^2_{2i} - h^1_{1i}) a3
     with a2, a3 the S^2-frame rows of nu1, nu2.
     """
-    je1 = np.einsum("aij,...j->...ai", s.j, fr.e1)
+    je1 = apply_j(fr.e1)
     a2 = np.einsum("...ai,...i->...a", je1, fr.nu1)
     a3 = np.einsum("...ai,...i->...a", je1, fr.nu2)
     p = sff[..., 0, 1, :] + sff[..., 1, 0, :]
@@ -90,19 +85,18 @@ def _dj_shape_operator(s: StructureTriple, fr: FrameData,
             + q[..., :, None] * a3[..., None, :])
 
 
-def _dj_finite_difference(family: ParametricSurface, u, v, s: StructureTriple,
-                          fr: FrameData, h: float) -> np.ndarray:
+def _dj_finite_difference(family: ParametricSurface, u, v, fr: FrameData,
+                          h: float) -> np.ndarray:
     """dJ by centered differences of the phase over the parameters."""
-    lam_du = (frames(family.jet(u + h, v), s).lam
-              - frames(family.jet(u - h, v), s).lam) / (2 * h)
-    lam_dv = (frames(family.jet(u, v + h), s).lam
-              - frames(family.jet(u, v - h), s).lam) / (2 * h)
+    lam_du = (frames(family.jet(u + h, v)).lam
+              - frames(family.jet(u - h, v)).lam) / (2 * h)
+    lam_dv = (frames(family.jet(u, v + h)).lam
+              - frames(family.jet(u, v - h)).lam) / (2 * h)
     grad = np.stack([lam_du, lam_dv], axis=-2)            # (..., 2, 3)
     return np.einsum("...ia,...ab->...ib", fr.coeffs, grad)
 
 
-def phase_differential(family: ParametricSurface, u, v,
-                       s: StructureTriple | None = None) -> PhaseSample:
+def phase_differential(family: ParametricSurface, u, v) -> PhaseSample:
     """Phase sample with dJ computed two ways and cross-checked.
 
     The returned dJ is the finite-difference one (step h = FD_STEP * scale),
@@ -111,15 +105,13 @@ def phase_differential(family: ParametricSurface, u, v,
     the parameter domain and IdentityViolation if the routes disagree
     beyond max(1e-6, 10 h^2).
     """
-    if s is None:
-        s = standard_structure()
     h = FD_STEP * family.scale
     family.check_stencil(u, v, h)
     jet = family.jet(u, v)
-    fr = frames(jet, s)
+    fr = frames(jet)
     sff = second_fundamental_form(jet, fr)
-    dj_b = _dj_shape_operator(s, fr, sff)
-    dj_a = _dj_finite_difference(family, u, v, s, fr, h)
+    dj_b = _dj_shape_operator(fr, sff)
+    dj_a = _dj_finite_difference(family, u, v, fr, h)
     gap = float(np.max(np.abs(dj_a - dj_b)))
     tol = max(1e-6, 10 * h * h)
     if gap > tol:
@@ -139,26 +131,23 @@ def _sample_from_dj(lam, dj, gap: float) -> PhaseSample:
                        detdj=detdj, route_gap=gap)
 
 
-def phase_sample_exact(family: ParametricSurface, u, v,
-                       s: StructureTriple | None = None) -> PhaseSample:
+def phase_sample_exact(family: ParametricSurface, u, v) -> PhaseSample:
     """PhaseSample from the shape-operator route alone (no FD stencil).
 
     Used where stencils are unavailable or quadrature wants exact values;
     route_gap is reported as 0 since only one route runs.
     """
-    if s is None:
-        s = standard_structure()
     jet = family.jet(u, v)
-    fr = frames(jet, s)
+    fr = frames(jet)
     sff = second_fundamental_form(jet, fr)
-    return _sample_from_dj(fr.lam, _dj_shape_operator(s, fr, sff), 0.0)
+    return _sample_from_dj(fr.lam, _dj_shape_operator(fr, sff), 0.0)
 
 
 # ---------------------------------------------------------------------------
 # Curvature form and energy identities
 # ---------------------------------------------------------------------------
 
-def curvature_form(s: StructureTriple, fr: FrameData, h_vec) -> np.ndarray:
+def curvature_form(fr: FrameData, h_vec) -> np.ndarray:
     """Rows <H, J_a e_i>, a = 1..3, for i = 1, 2, shape (..., 2, 3); tangent
     to S^2 at lam.  Requires h_vec normal to the tangent plane (tangential
     components up to 1e-8)."""
@@ -169,10 +158,7 @@ def curvature_form(s: StructureTriple, fr: FrameData, h_vec) -> np.ndarray:
     if worst > 1e-8:
         raise NonNormalInput(
             f"input vector has tangential component {format_float(worst)}")
-    je = np.stack([
-        np.einsum("aij,...j->...ai", s.j, fr.e1),
-        np.einsum("aij,...j->...ai", s.j, fr.e2),
-    ], axis=-3)                                           # (..., 2, 3, 4)
+    je = apply_j(np.stack([fr.e1, fr.e2], axis=-2))       # (..., 2, 3, 4)
     return np.einsum("...k,...iak->...ia", h_vec, je)
 
 
@@ -206,7 +192,7 @@ def gauss_normal_curvatures(sff: np.ndarray):
     return kappa, kperp
 
 
-def coupling_residual(s: StructureTriple, fr: FrameData, sff: np.ndarray,
+def coupling_residual(fr: FrameData, sff: np.ndarray,
                       dj: np.ndarray) -> np.ndarray:
     """First-order coupling of the shape operator to the phase differential.
 
@@ -225,9 +211,8 @@ def coupling_residual(s: StructureTriple, fr: FrameData, sff: np.ndarray,
     bjt = np.stack([bvec[..., :, 1, :], -bvec[..., :, 0, :]], axis=-2)
     jperp = (sff[..., 0, :, :, None] * fr.nu2[..., None, None, :]
              - sff[..., 1, :, :, None] * fr.nu1[..., None, None, :])
-    e = np.stack([fr.e1, fr.e2], axis=-2)
-    jae = np.einsum("akl,...jl->...ajk", s.j, e)
-    third = np.einsum("...ia,...ajk->...ijk", dj, jae)
+    jae = apply_j(np.stack([fr.e1, fr.e2], axis=-2))      # (..., 2, 3, 4)
+    third = np.einsum("...ia,...jak->...ijk", dj, jae)
     res = bjt - jperp - third
     return np.max(np.abs(res), axis=(-3, -2, -1))
 
@@ -236,53 +221,43 @@ def coupling_residual(s: StructureTriple, fr: FrameData, sff: np.ndarray,
 # Tension field
 # ---------------------------------------------------------------------------
 
-def _h_field(family: ParametricSurface, u, v, s: StructureTriple):
+def _h_field(family: ParametricSurface, u, v):
     jet = family.jet(u, v)
-    fr = frames(jet, s)
-    return mean_curvature(jet, fr)
+    return mean_curvature(jet, frames(jet))
 
 
-def tension(family: ParametricSurface, u, v,
-            s: StructureTriple | None = None,
-            cross_check: bool = False) -> np.ndarray:
+def tension(family: ParametricSurface, u, v) -> np.ndarray:
     """Tension field of the phase map, tau = lam x m,
     m_a = sum_j <J_a grad^perp_{e_j} H, e_j>.
 
     The normal connection applied to the mean curvature field is evaluated
     by centered differences of H over the parameters, of step
-    h = FD_STEP * scale.  With cross_check the equivalent contraction
+    h = FD_STEP * scale.  The equivalent contraction
     tau_a = <grad^perp_{e_2}H, J_a e_1> - <grad^perp_{e_1}H, J_a e_2> is
-    also formed and compared.
+    also formed, and IdentityViolation is raised if the two disagree beyond
+    max(1e-6, 10 h^2).
     """
-    if s is None:
-        s = standard_structure()
     h = FD_STEP * family.scale
     family.check_stencil(u, v, h)
-    jet = family.jet(u, v)
-    fr = frames(jet, s)
-    dh_du = (_h_field(family, u + h, v, s) - _h_field(family, u - h, v, s)) / (2 * h)
-    dh_dv = (_h_field(family, u, v + h, s) - _h_field(family, u, v - h, s)) / (2 * h)
+    fr = frames(family.jet(u, v))
+    dh_du = (_h_field(family, u + h, v) - _h_field(family, u - h, v)) / (2 * h)
+    dh_dv = (_h_field(family, u, v + h) - _h_field(family, u, v - h)) / (2 * h)
     grad = np.stack([dh_du, dh_dv], axis=-2)              # (..., 2, 4)
     de = np.einsum("...ia,...ak->...ik", fr.coeffs, grad)
     e = np.stack([fr.e1, fr.e2], axis=-2)
     # normal part of each derivative row
     tang = np.einsum("...ik,...jk->...ij", de, e)
     nab = de - np.einsum("...ij,...jk->...ik", tang, e)
-    jnab = np.einsum("aij,...kj->...kai", s.j, nab)
-    m = np.einsum("...kai,...ki->...a", jnab, e)
+    m = np.einsum("...kai,...ki->...a", apply_j(nab), e)
     tau = np.cross(fr.lam, m)
-    if cross_check:
-        je = np.stack([
-            np.einsum("aij,...j->...ai", s.j, fr.e1),
-            np.einsum("aij,...j->...ai", s.j, fr.e2),
-        ], axis=-3)
-        alt = (np.einsum("...k,...ak->...a", nab[..., 1, :], je[..., 0, :, :])
-               - np.einsum("...k,...ak->...a", nab[..., 0, :], je[..., 1, :, :]))
-        gap = float(np.max(np.abs(alt - tau)))
-        tol = max(1e-6, 10 * h * h)
-        if gap > tol:
-            raise IdentityViolation(
-                f"tension contractions disagree by {format_float(gap)}")
+    je = apply_j(e)                                       # (..., 2, 3, 4)
+    alt = (np.einsum("...k,...ak->...a", nab[..., 1, :], je[..., 0, :, :])
+           - np.einsum("...k,...ak->...a", nab[..., 0, :], je[..., 1, :, :]))
+    gap = float(np.max(np.abs(alt - tau)))
+    tol = max(1e-6, 10 * h * h)
+    if gap > tol:
+        raise IdentityViolation(
+            f"tension contractions disagree by {format_float(gap)}")
     return tau
 
 
@@ -290,8 +265,7 @@ def tension(family: ParametricSurface, u, v,
 # Degree
 # ---------------------------------------------------------------------------
 
-def _closed_grid(family: ParametricSurface, n: int,
-                 s: StructureTriple | None):
+def _closed_grid(family: ParametricSurface, n: int):
     """Frames, sff, area element dmu and cell sides (du, dv) on the n x n
     midpoint grid of a closed family.
 
@@ -302,30 +276,26 @@ def _closed_grid(family: ParametricSurface, n: int,
         raise NonClosedSurface(f"{family.name} is not closed")
     ug, vg, du, dv = midpoint_grid(family.domain, n)
     jet = family.jet(ug, vg)
-    fr = frames(jet, s)
+    fr = frames(jet)
     sff = second_fundamental_form(jet, fr)
     return fr, sff, np.sqrt(np.linalg.det(fr.g)), du, dv
 
 
-def degree(family: ParametricSurface, n: int = 64,
-           s: StructureTriple | None = None) -> float:
+def degree(family: ParametricSurface, n: int = 64) -> float:
     """(1/4pi) integral of det dJ, by the tensor midpoint rule on n x n."""
-    if s is None:
-        s = standard_structure()
-    fr, sff, dmu, du, dv = _closed_grid(family, n, s)
-    detdj = _sample_from_dj(fr.lam, _dj_shape_operator(s, fr, sff), 0.0).detdj
+    fr, sff, dmu, du, dv = _closed_grid(family, n)
+    detdj = _sample_from_dj(fr.lam, _dj_shape_operator(fr, sff), 0.0).detdj
     return float(np.sum(detdj * dmu) * du * dv / (4 * np.pi))
 
 
-def euler_numbers(family: ParametricSurface, n: int = 64,
-                  s: StructureTriple | None = None):
+def euler_numbers(family: ParametricSurface, n: int = 64):
     """(chi_T, chi_N): Euler numbers of tangent and normal bundle.
 
     Both by curvature integrals, (1/2pi) integral of kappa resp. kappa_perp;
     independent of the degree quadrature, so the two sides of
     2 deg = chi_T + chi_N are genuinely distinct computations.
     """
-    _, sff, dmu, du, dv = _closed_grid(family, n, s)
+    _, sff, dmu, du, dv = _closed_grid(family, n)
     kappa, kperp = gauss_normal_curvatures(sff)
     chi_t = float(np.sum(kappa * dmu) * du * dv / (2 * np.pi))
     chi_n = float(np.sum(kperp * dmu) * du * dv / (2 * np.pi))
@@ -385,8 +355,8 @@ def containment_margin(lams) -> ContainmentReport:
 # Phase-field dump
 # ---------------------------------------------------------------------------
 
-def write_phase_field_csv(path, family: ParametricSurface, n: int = 32,
-                          s: StructureTriple | None = None) -> np.ndarray:
+def write_phase_field_csv(path, family: ParametricSurface,
+                          n: int = 32) -> np.ndarray:
     """Phase field on the midpoint grid of family.window() as CSV; returns
     the margins, shape (n, n).
 
@@ -394,7 +364,7 @@ def write_phase_field_csv(path, family: ParametricSurface, n: int = 32,
     margin is the pointwise distance to the half circle.
     """
     ug, vg, _, _ = midpoint_grid(family.window(), n)
-    sample = phase_sample_exact(family, ug, vg, s)
+    sample = phase_sample_exact(family, ug, vg)
     margin = arc_distance(sample.lam)
     cols = [ug, vg, sample.lam[..., 0], sample.lam[..., 1], sample.lam[..., 2],
             sample.e_del, sample.e_delbar, sample.detdj, margin]

@@ -44,6 +44,17 @@ _J3 = np.array([
     [0.0, 1.0, 0.0, 0.0],
     [1.0, 0.0, 0.0, 0.0],
 ])
+_J = np.stack([_J1, _J2, _J3])
+_J.flags.writeable = False
+
+
+def apply_j(v) -> np.ndarray:
+    """J_a v for a = 1, 2, 3 under the standard triple, shape (..., 3, 4).
+
+    Every J_a is a signed permutation matrix, so each entry is exactly one
+    of +-v_k.  The geometry modules apply the triple only through here.
+    """
+    return np.einsum("aij,...j->...ai", _J, v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,4 +128,4 @@ class StructureTriple:
 
 def standard_structure() -> StructureTriple:
     """The reference triple on R^4 (integer matrices, exact arithmetic)."""
-    return StructureTriple(np.stack([_J1, _J2, _J3]))
+    return StructureTriple(_J)

@@ -10,9 +10,9 @@ The adapted frame at a point is (e1, e2, nu1, nu2):
     e1 = Xu / |Xu|,   e2 = Gram-Schmidt of Xv against e1,
 
 so (e1, e2) is positively oriented with respect to (Xu, Xv).  The phase
-direction lam_a = <J_a e1, e2> is a unit vector in R^3 for *any* orthonormal
-tangent pair, and J~ = sum_a lam_a J_a maps e1 to e2 and preserves the
-normal plane.  The normal legs are taken as nu1 = J~_2 e1, nu2 = J~_3 e1
+direction lam_a = <J_a e1, e2>, with (J_1, J_2, J_3) the standard triple of
+structure.py, is a unit vector in R^3 for *any* orthonormal tangent pair,
+and J~ = sum_a lam_a J_a maps e1 to e2 and preserves the normal plane.  The normal legs are taken as nu1 = J~_2 e1, nu2 = J~_3 e1
 where the rotated triple aligns J~_1 with the tangent rotation; the
 completion of lam to a rotation is gauge, fixed deterministically below.
 """
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateJet, StencilOutOfDomain
-from .structure import StructureTriple, standard_structure
+from .structure import apply_j
 
 
 @dataclass(eq=False)
@@ -63,10 +63,8 @@ class FrameData:
     coeffs: np.ndarray
 
 
-def frames(jet: SurfaceJet, s: StructureTriple | None = None) -> FrameData:
+def frames(jet: SurfaceJet) -> FrameData:
     """Adapted frame (e1, e2, nu1, nu2) and phase direction for a jet."""
-    if s is None:
-        s = standard_structure()
     xu, xv = jet.xu, jet.xv
     g11 = np.sum(xu * xu, axis=-1)
     g12 = np.sum(xu * xv, axis=-1)
@@ -86,7 +84,7 @@ def frames(jet: SurfaceJet, s: StructureTriple | None = None) -> FrameData:
     coeffs[..., 1, 0] = -(g12 / g11) / wn
     coeffs[..., 1, 1] = 1.0 / wn
 
-    je1 = np.einsum("aij,...j->...ai", s.j, e1)          # (..., 3, 4)
+    je1 = apply_j(e1)                                     # (..., 3, 4)
     lam = np.einsum("...ai,...i->...a", je1, e2)         # (..., 3)
 
     # Deterministic completion of lam to a rotation: cross against the
@@ -298,7 +296,7 @@ class GrimReaper(ParametricSurface):
     """
 
     name = "grim-reaper"
-    domain = ((-np.pi / 2, np.pi / 2), (-2.0, 2.0))
+    domain = ((-np.pi / 2, np.pi / 2), (-np.inf, np.inf))
 
     def jet(self, u, v) -> SurfaceJet:
         u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))

@@ -5,12 +5,6 @@ import pytest
 from hkflow.curves import PlaneCurve, run_csf
 from hkflow.flow import run_mcf
 from hkflow.mesh import icosphere
-from hkflow.structure import standard_structure
-
-
-@pytest.fixture(scope="session")
-def struct():
-    return standard_structure()
 
 
 @pytest.fixture(scope="session")
@@ -22,9 +16,9 @@ def circle_flow():
 
 @pytest.fixture(scope="session")
 def icosphere_flow():
-    """Coarse shrinking icosphere with states kept for rescaling tests."""
+    """Coarse shrinking icosphere; the rescaling tests read its last state."""
     return run_mcf(icosphere(3, 1.0), dt=1e-3, t_end=0.15,
-                   scheme="semi-implicit", keep_states=True)
+                   scheme="semi-implicit")
 
 
 @pytest.fixture()

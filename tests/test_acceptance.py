@@ -26,7 +26,7 @@ from hkflow.flow import (FlowHistory, parabolic_rescale,
                          type1_monitor)
 from hkflow.mesh import icosphere, mesh_bnorm, mesh_phase_field
 from hkflow.phase import (containment_margin, degree, energy_split,
-                          euler_numbers, gauss_normal_curvatures, phase,
+                          euler_numbers, gauss_normal_curvatures,
                           phase_differential, phase_sample_exact)
 from hkflow.structure import standard_structure
 from hkflow.surfaces import (Cylinder, GrimReaper, Plane, QuadraticGraph,
@@ -52,7 +52,7 @@ def test_criterion_02_cylinder_phase_and_containment():
     v = np.linspace(0.0, 2 * np.pi, 20, endpoint=False)
     ug, vg = np.meshgrid(u, v, indexing="ij")
     jet = cyl.jet(ug, vg)
-    lam = phase(S, frames(jet, S))
+    lam = frames(jet).lam
     expect = np.stack([np.zeros_like(jet.x[..., 0]), jet.x[..., 1],
                        -jet.x[..., 0]], axis=-1)
     gap = float(np.max(np.abs(lam - expect)))
@@ -68,7 +68,7 @@ def test_criterion_03_grim_reaper_profile():
     u = np.linspace(-np.pi / 2 + 0.02, np.pi / 2 - 0.02, 200)
     v = np.zeros_like(u)
     jet = gr.jet(u, v)
-    fr = frames(jet, S)
+    fr = frames(jet)
     sff = second_fundamental_form(jet, fr)
     h = mean_curvature(jet, fr, sff)
     sample = phase_sample_exact(gr, u, v)
@@ -90,7 +90,7 @@ def test_criterion_04_energy_identity_all_families(rng):
                 GrimReaper(), QuadraticGraph.random(rng)):
         u, v = fam.sample_domain(rng, 100)
         jet = fam.jet(u, v)
-        h = mean_curvature(jet, frames(jet, S))
+        h = mean_curvature(jet, frames(jet))
         res = energy_split(phase_differential(fam, u, v), h)
         worst = max(worst, float(np.max(res)))
     _line("4", worst <= 1e-6, f"worst energy residual {worst:.3e}")
@@ -103,7 +103,7 @@ def test_criterion_05_det_dj_identities(rng):
         fam = QuadraticGraph.random(rng)
         u, v = fam.sample_domain(rng, 20)
         jet = fam.jet(u, v)
-        fr = frames(jet, S)
+        fr = frames(jet)
         sff = second_fundamental_form(jet, fr)
         kappa, kperp = gauss_normal_curvatures(sff)
         h = mean_curvature(jet, fr, sff)
@@ -199,7 +199,7 @@ def _generic_b_norm_history(result) -> FlowHistory:
     max_b = []
     for curve in result.curves:
         jet = TorusFromCurve(curve).jet(u, v)
-        sff = second_fundamental_form(jet, frames(jet, S))
+        sff = second_fundamental_form(jet, frames(jet))
         max_b.append(float(np.sqrt(np.max(np.sum(sff * sff,
                                                  axis=(-3, -2, -1))))))
     area = np.array([torus_area(c) for c in result.curves])

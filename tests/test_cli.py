@@ -57,6 +57,20 @@ def test_verify_subset(tmp_path):
     assert sorted(report["identities"]) == ["phase-block", "quaternionic"]
 
 
+def test_verify_evaluates_only_the_requested_identities(tmp_path,
+                                                        monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("an identity outside --suite was evaluated")
+
+    # every identity but quaternionic goes through one of these two
+    monkeypatch.setattr("hkflow.cli.frames", fail)
+    monkeypatch.setattr("hkflow.cli.degree", fail)
+    code, out = run(tmp_path, "verify", "--suite", "quaternionic")
+    assert code == 0
+    report = json.loads((out / "verify_report.json").read_text())
+    assert list(report["identities"]) == ["quaternionic"]
+
+
 def test_verify_unknown_identity(tmp_path):
     code, _ = run(tmp_path, "verify", "--suite", "bogus")
     assert code == 1
@@ -249,8 +263,9 @@ def test_analyze_soliton_residual(tmp_path):
     u = rng.uniform(-1.2, 1.2, size=40)
     v = rng.uniform(-1.5, 1.5, size=40)
     samples = tmp_path / "samples.csv"
+    # the grim reaper is a product with a line, so any v is in its domain
     samples.write_text("u,v\n" + "\n".join(
-        f"{a:.17g},{b:.17g}" for a, b in zip(u, v)) + "\n")
+        f"{a:.17g},{b:.17g}" for a, b in zip(u, v)) + "\n0.1,2.5\n")
     code = main(["--out", str(tmp_path / "out"), "analyze", str(samples)])
     assert code == 0
     report = json.loads(

@@ -182,7 +182,7 @@ def test_mesh_bnorm_sphere():
 
 def test_mesh_frames_orthonormal():
     m = icosphere(2)
-    t1, t2, m1, m2, lam = mesh_tangent_frames(m, S)
+    t1, t2, m1, m2, lam = mesh_tangent_frames(m)
     vecs = np.stack([t1, t2, m1, m2], axis=-2)
     gram = np.einsum("...ik,...jk->...ij", vecs, vecs)
     assert np.allclose(gram, np.eye(4), atol=1e-10)
@@ -194,7 +194,7 @@ def test_mesh_phase_field_matches_continuum():
     from hkflow.curves import PlaneCurve, embed_torus
 
     mesh, fam = embed_torus(PlaneCurve.circle(1.0, n=64), ny=32)
-    lam = mesh_phase_field(mesh, S)
+    lam = mesh_phase_field(mesh)
     # analytic: lam = (0, Re w, Im w), w = gamma gamma' / |gamma gamma'|
     z = np.exp(1j * 2 * np.pi * np.arange(64) / 64)
     w = z * (1j * z)
@@ -451,10 +451,10 @@ def test_frames_with_shared_offsets_match_reference_bits(make):
     mesh = make()
     *want, sgn = _Reference(mesh).tangent_frames(mesh, S)
     d = two_ring_offsets(mesh)
-    got = mesh_tangent_frames(mesh, S, offsets=d)
+    got = mesh_tangent_frames(mesh, offsets=d)
     for a, b in zip(got, want):
         _same_bits(a, b)
-    for a, b in zip(mesh_tangent_frames(mesh, S), want):
+    for a, b in zip(mesh_tangent_frames(mesh), want):
         _same_bits(a, b)
     # the winding sign decides every flip; check it is never near zero
     assert np.all(sgn != 0.0)

@@ -7,7 +7,7 @@ from hkflow.errors import (IdentityViolation, NonClosedSurface,
 from hkflow.phase import (arc_distance, chart, containment_margin,
                           coupling_residual, curvature_form, degree,
                           energy_split, euler_numbers,
-                          gauss_normal_curvatures, phase, phase_differential,
+                          gauss_normal_curvatures, phase_differential,
                           phase_sample_exact, tension, write_phase_field_csv)
 from hkflow.structure import standard_structure
 from hkflow.surfaces import (Cylinder, GrimReaper, Plane, QuadraticGraph,
@@ -28,7 +28,7 @@ def _families(rng):
 def test_phase_is_unit(rng):
     for fam in _families(rng):
         u, v = fam.sample_domain(rng, 50)
-        lam = phase(S, frames(fam.jet(u, v), S))
+        lam = frames(fam.jet(u, v)).lam
         assert np.allclose(np.linalg.norm(lam, axis=-1), 1.0, atol=1e-12)
 
 
@@ -36,7 +36,7 @@ def test_phase_block_identity(rng):
     """omega_a(e_i, e_j) = lam_a eps_ij on the tangent frame."""
     for fam in _families(rng):
         u, v = fam.sample_domain(rng, 30)
-        fr = frames(fam.jet(u, v), S)
+        fr = frames(fam.jet(u, v))
         lam = fr.lam
         for alpha in (1, 2, 3):
             w11 = S.kahler_form(alpha, fr.e1, fr.e1)
@@ -53,9 +53,9 @@ def test_orientation_flip_negates_phase(rng):
     qg = QuadraticGraph.random(rng)
     u, v = qg.sample_domain(rng, 20)
     jet = qg.jet(u, v)
-    lam = phase(S, frames(jet, S))
+    lam = frames(jet).lam
     flipped = type(jet)(jet.x, jet.xv, jet.xu, jet.xvv, jet.xuv, jet.xuu)
-    lam_f = phase(S, frames(flipped, S))
+    lam_f = frames(flipped).lam
     assert np.allclose(lam_f, -lam, atol=1e-12)
 
 
@@ -83,7 +83,7 @@ def test_energy_split_against_mean_curvature(rng):
     for fam in _families(rng):
         u, v = fam.sample_domain(rng, 100)
         jet = fam.jet(u, v)
-        h = mean_curvature(jet, frames(jet, S))
+        h = mean_curvature(jet, frames(jet))
         residual = energy_split(phase_differential(fam, u, v), h)
         assert np.max(residual) < 1e-6
 
@@ -92,7 +92,7 @@ def test_energy_split_rejects_wrong_mean_curvature(rng):
     qg = QuadraticGraph.random(rng)
     u, v = qg.sample_domain(rng, 20)
     jet = qg.jet(u, v)
-    h = mean_curvature(jet, frames(jet, S))
+    h = mean_curvature(jet, frames(jet))
     with pytest.raises(IdentityViolation):
         energy_split(phase_differential(qg, u, v), 1.5 * h)
 
@@ -102,7 +102,7 @@ def test_det_dj_is_total_curvature(rng):
     qg = QuadraticGraph.random(rng)
     u, v = qg.sample_domain(rng, 60)
     jet = qg.jet(u, v)
-    sff = second_fundamental_form(jet, frames(jet, S))
+    sff = second_fundamental_form(jet, frames(jet))
     kappa, kperp = gauss_normal_curvatures(sff)
     exact = phase_sample_exact(qg, u, v)
     assert np.max(np.abs(exact.detdj - kappa - kperp)) < 1e-13
@@ -115,12 +115,12 @@ def test_coupling_identity(rng):
     for fam in _families(rng):
         u, v = fam.sample_domain(rng, 40)
         jet = fam.jet(u, v)
-        fr = frames(jet, S)
+        fr = frames(jet)
         sff = second_fundamental_form(jet, fr)
         exact = phase_sample_exact(fam, u, v)
-        assert np.max(coupling_residual(S, fr, sff, exact.dj)) < 1e-12
+        assert np.max(coupling_residual(fr, sff, exact.dj)) < 1e-12
         fd = phase_differential(fam, u, v)
-        assert np.max(coupling_residual(S, fr, sff, fd.dj)) < 1e-7
+        assert np.max(coupling_residual(fr, sff, fd.dj)) < 1e-7
 
 
 # -- curvature form -----------------------------------------------------------
@@ -132,9 +132,9 @@ def test_curvature_form_identities(rng):
     qg = QuadraticGraph.random(rng)
     u, v = qg.sample_domain(rng, 40)
     jet = qg.jet(u, v)
-    fr = frames(jet, S)
+    fr = frames(jet)
     h = mean_curvature(jet, fr)
-    hf = curvature_form(S, fr, h)
+    hf = curvature_form(fr, h)
     lam = fr.lam
     assert np.max(np.abs(np.einsum("...ia,...a->...i", hf, lam))) < 1e-12
     assert np.allclose(hf[..., 1, :], np.cross(lam, hf[..., 0, :]),
@@ -148,9 +148,9 @@ def test_curvature_form_identities(rng):
 def test_curvature_form_rejects_tangential_input(rng):
     qg = QuadraticGraph.random(rng)
     u, v = qg.sample_domain(rng, 5)
-    fr = frames(qg.jet(u, v), S)
+    fr = frames(qg.jet(u, v))
     with pytest.raises(NonNormalInput):
-        curvature_form(S, fr, fr.e1)
+        curvature_form(fr, fr.e1)
 
 
 # -- worked profile: the translating product surface --------------------------
@@ -161,7 +161,7 @@ def test_reaper_energy_profile():
     gr = GrimReaper()
     sample = phase_sample_exact(gr, u, v)
     jet = gr.jet(u, v)
-    h = mean_curvature(jet, frames(jet, S))
+    h = mean_curvature(jet, frames(jet))
     c2 = np.cos(u) ** 2
     assert np.max(np.abs(sample.dj_norm2() - c2)) < 1e-12
     assert np.max(np.abs(np.sum(h * h, axis=-1) - c2)) < 1e-12
@@ -175,7 +175,7 @@ def test_reaper_tension_closed_form():
     gr = GrimReaper()
     u = np.array([0.3, -0.7, 1.1])
     v = np.zeros_like(u)
-    tau = tension(gr, u, v, cross_check=True)
+    tau = tension(gr, u, v)
     expect = (np.sin(u) * np.cos(u))[:, None] * np.stack(
         [np.sin(u), np.zeros_like(u), np.cos(u)], axis=-1)
     assert np.max(np.abs(tau - expect)) < 1e-6
@@ -186,7 +186,7 @@ def test_reaper_tension_is_translation_transport():
     gr = GrimReaper()
     u = np.array([0.2, -0.5, 0.9, -1.1])
     v = np.zeros_like(u)
-    fr = frames(gr.jet(u, v), S)
+    fr = frames(gr.jet(u, v))
     dj = phase_differential(gr, u, v).dj
     v0 = np.array([0.0, 0.0, 1.0, 0.0])
     c1 = np.sum(v0 * fr.e1, axis=-1)
@@ -201,7 +201,7 @@ def test_tension_vanishes_on_minimal_and_flat(rng):
     assert np.max(np.abs(tension(pl, u, v))) < 1e-12
     cy = Cylinder(1.0, half_length=2.0)
     u, v = cy.sample_domain(rng, 10)
-    assert np.max(np.abs(tension(cy, u, v, cross_check=True))) < 1e-10
+    assert np.max(np.abs(tension(cy, u, v))) < 1e-10
 
 
 # -- degree and Euler numbers -------------------------------------------------

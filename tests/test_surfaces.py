@@ -31,7 +31,7 @@ def _raw_circle_first_cylinder(u):
 
 def test_circle_first_cylinder_raw_frames():
     u = np.linspace(0.0, 2 * np.pi, 9)
-    fr = frames(_raw_circle_first_cylinder(u), S)
+    fr = frames(_raw_circle_first_cylinder(u))
     e1_expect = np.stack([-np.sin(u), np.cos(u), 0 * u, 0 * u], axis=-1)
     e2_expect = np.stack([0 * u, 0 * u, 0 * u + 1, 0 * u], axis=-1)
     assert np.allclose(fr.e1, e1_expect, atol=1e-14)
@@ -43,7 +43,7 @@ def test_builtin_cylinder_phase_reference():
     fam = Cylinder(1.0)
     v = np.linspace(0.0, 2 * np.pi, 33)
     u = np.zeros_like(v)
-    fr = frames(fam.jet(u, v), S)
+    fr = frames(fam.jet(u, v))
     x = fam.jet(u, v).x
     expect = np.stack([0 * v, x[:, 1], -x[:, 0]], axis=-1)
     assert np.allclose(fr.lam, expect, atol=1e-12)
@@ -52,7 +52,7 @@ def test_builtin_cylinder_phase_reference():
 @pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.name)
 def test_frames_orthonormal_adapted(fam, rng):
     u, v = fam.sample_domain(rng, 40)
-    fr = frames(fam.jet(u, v), S)
+    fr = frames(fam.jet(u, v))
     vecs = np.stack([fr.e1, fr.e2, fr.nu1, fr.nu2], axis=-2)
     gram = np.einsum("...ik,...jk->...ij", vecs, vecs)
     assert np.allclose(gram, np.eye(4), atol=1e-12)
@@ -63,7 +63,7 @@ def test_frames_orthonormal_adapted(fam, rng):
 def test_frame_rotation_pins_normal_frame(fam, rng):
     """nu1 = J~_2 e1 and nu2 = J~_3 e1 for the lam-aligned rotated triple."""
     u, v = fam.sample_domain(rng, 25)
-    fr = frames(fam.jet(u, v), S)
+    fr = frames(fam.jet(u, v))
     je1 = np.einsum("aij,...j->...ai", S.j, fr.e1)
     a2 = np.einsum("...ai,...i->...a", je1, fr.nu1)
     a3 = np.einsum("...ai,...i->...a", je1, fr.nu2)
@@ -81,7 +81,7 @@ def test_frame_rotation_pins_normal_frame(fam, rng):
 def test_sff_symmetric_and_normal_valued(fam, rng):
     u, v = fam.sample_domain(rng, 30)
     jet = fam.jet(u, v)
-    fr = frames(jet, S)
+    fr = frames(jet)
     sff = second_fundamental_form(jet, fr)
     assert np.allclose(sff[..., 0, 1], sff[..., 1, 0], atol=1e-10)
 
@@ -90,14 +90,14 @@ def test_sphere_cylinder_curvature_values(rng):
     for r in (1.0, 0.5, 2.0):
         u, v = Sphere(r).sample_domain(rng, 20)
         jet = Sphere(r).jet(u, v)
-        fr = frames(jet, S)
+        fr = frames(jet)
         h = mean_curvature(jet, fr, second_fundamental_form(jet, fr))
         assert np.allclose(np.linalg.norm(h, axis=-1), 2.0 / r, atol=1e-9)
         # H points to the center: H = -2 X / r^2
         assert np.allclose(h, -2.0 * jet.x / r**2, atol=1e-9)
     u, v = Cylinder(1.5).sample_domain(rng, 20)
     jet = Cylinder(1.5).jet(u, v)
-    fr = frames(jet, S)
+    fr = frames(jet)
     h = mean_curvature(jet, fr, second_fundamental_form(jet, fr))
     assert np.allclose(np.linalg.norm(h, axis=-1), 1.0 / 1.5, atol=1e-9)
 
@@ -106,7 +106,7 @@ def test_mean_curvature_routes_agree(rng):
     for fam in FAMILIES:
         u, v = fam.sample_domain(rng, 20)
         jet = fam.jet(u, v)
-        fr = frames(jet, S)
+        fr = frames(jet)
         via_sff = mean_curvature(jet, fr, second_fundamental_form(jet, fr))
         direct = mean_curvature(jet, fr)
         assert np.allclose(via_sff, direct, atol=1e-9), fam.name
@@ -115,7 +115,7 @@ def test_mean_curvature_routes_agree(rng):
 def test_projections_decompose(rng):
     fam = GrimReaper()
     u, v = fam.sample_domain(rng, 15)
-    fr = frames(fam.jet(u, v), S)
+    fr = frames(fam.jet(u, v))
     w = rng.normal(size=(15, 4))
     tang = tangential_projection(fr, w)
     norm = normal_projection(fr, w)
@@ -181,7 +181,7 @@ def test_gauss_curvature_is_intrinsic(rng):
         fam = QuadraticGraph.random(np.random.default_rng(seed))
         u, v = fam.sample_domain(rng, 9)
         jet = fam.jet(u, v)
-        fr = frames(jet, S)
+        fr = frames(jet)
         kappa, _ = gauss_normal_curvatures(second_fundamental_form(jet, fr))
         assert np.allclose(kappa, _brioschi(fam, u, v), atol=1e-4)
 
@@ -200,7 +200,7 @@ def test_sff_invariant_under_reparametrization(scale, seed):
 
     jet_a = base.jet(scale * u, v)
     jet_b = repar.jet(u, v)
-    fr_a, fr_b = frames(jet_a, S), frames(jet_b, S)
+    fr_a, fr_b = frames(jet_a), frames(jet_b)
     assert np.allclose(fr_a.lam, fr_b.lam, atol=1e-8)
     sff_a = second_fundamental_form(jet_a, fr_a)
     sff_b = second_fundamental_form(jet_b, fr_b)
@@ -244,4 +244,4 @@ def test_degenerate_jet_rejected():
     jet = SurfaceJet(np.zeros(4), one, 2 * one, np.zeros(4), np.zeros(4),
                      np.zeros(4))
     with pytest.raises(DegenerateJet):
-        frames(jet, S)
+        frames(jet)
