@@ -20,11 +20,15 @@ import configparser
 import functools
 import json
 import math
+import os
+import platform
 import sys
 from pathlib import Path
 
 import numpy as np
+import scipy
 
+from . import __version__
 from .curves import (PlaneCurve, TorusFromCurve, b_norm_history, diagnostics,
                      embed_torus, run_csf, write_curve_csv)
 from .errors import GeometryError, InsufficientHistory, NotBlowingUp
@@ -198,8 +202,18 @@ def _make_surface(cfg, rng, name: str):
         raise ConfigError(f"[surface] {name}: {exc}")
 
 
-def write_manifest(out: Path, command: str, cfg: dict) -> None:
-    payload = {"command": command, "config": cfg}
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def write_manifest(out: Path, command: str, argv: list, cfg: dict) -> None:
+    """manifest.json: the subcommand, the exact argv, the package, python,
+    numpy and scipy versions, the BLAS thread variables (null when unset)
+    and the resolved configuration, seed included."""
+    payload = {"command": command, "argv": argv, "version": __version__,
+               "python": platform.python_version(), "numpy": np.__version__,
+               "scipy": scipy.__version__,
+               "threads": {k: os.environ.get(k) for k in _THREAD_VARS},
+               "config": cfg}
     (out / "manifest.json").write_text(json_dumps(payload, indent=2) + "\n")
 
 
@@ -604,6 +618,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
@@ -613,7 +628,7 @@ def main(argv=None) -> int:
             cfg["output"]["dir"] = args.out
         out = Path(cfg["output"]["dir"])
         out.mkdir(parents=True, exist_ok=True)
-        write_manifest(out, args.command, cfg)
+        write_manifest(out, args.command, argv, cfg)
         return _COMMANDS[args.command](cfg, args, out)
     except ConfigError as exc:
         print(f"hkflow: config error: {exc}", file=sys.stderr)

@@ -34,6 +34,11 @@ class NonOrientableMesh(GeometryError):
     """Triangle windings cannot be made globally consistent."""
 
 
+class FoldedVertex(GeometryError):
+    """A vertex's one-ring folds over itself: the summed winding bivector
+    has a vanishing self-dual or anti-self-dual part, so no tangent plane."""
+
+
 class NonClosedSurface(GeometryError):
     """An operation requiring a closed surface received one with boundary."""
 

@@ -19,7 +19,7 @@ import scipy.sparse.linalg as spla
 from .errors import (InsufficientHistory, NotBlowingUp, SolveFailure,
                      StabilityViolation)
 from .mesh import (SurfaceMesh, mesh_bnorm, mesh_mean_curvature,
-                   mesh_tangent_frames, two_ring_offsets, write_off4)
+                   mesh_tangent_frames, write_off4)
 from .phase import arc_distance, tension
 from .surfaces import (ParametricSurface, frames, mean_curvature,
                        midpoint_grid, normal_projection)
@@ -50,10 +50,8 @@ class FlowState:
         areas = mesh.mixed_areas()
         h, valid = mesh_mean_curvature(mesh, w, areas)
         max_h = float(np.nanmax(np.linalg.norm(h[valid], axis=1))) if valid.any() else 0.0
-        # one two-ring gather for both estimators, dropped after measuring
-        d = two_ring_offsets(mesh)
-        fr = mesh_tangent_frames(mesh, offsets=d)
-        b = mesh_bnorm(mesh, fr, d)
+        fr = mesh_tangent_frames(mesh)
+        b = mesh_bnorm(mesh, fr)
         max_b = float(np.nanmax(b)) if np.any(np.isfinite(b)) else 0.0
         margin = float(np.min(arc_distance(fr[4])))
         return cls(t=t, mesh=mesh, max_b=max_b, max_h=max_h,
@@ -152,23 +150,33 @@ def run_mcf(mesh: SurfaceMesh, dt: float, t_end: float,
 
     Stops early (and marks the history truncated) once max|B| * h_min
     exceeds 0.5: beyond that the discrete curvature is under-resolved.
+    The log is written one flushed record per state, so a run that a guard
+    stops with an exception leaves the records of every state it reached.
     """
+    n_steps = int(round(t_end / dt))
     first = state = FlowState.measure(mesh, 0.0)
     records = [state.record()]
-    n_steps = int(round(t_end / dt))
-    truncated = False
-    for k in range(n_steps):
-        if state.max_b * state.mesh.min_edge_length() > 0.5:
-            truncated = True
-            break
-        state = mcf_step(state, dt, scheme)
-        records.append(state.record())
-        if checkpoint_every and checkpoint_dir is not None \
-                and (k + 1) % checkpoint_every == 0:
-            write_off4(state.mesh, f"{checkpoint_dir}/checkpoint_{k + 1:06d}.off")
-    if log_path is not None:
-        write_jsonl(log_path, records)
-    return FlowHistory.from_records(records, truncated=truncated,
+
+    def trajectory():
+        nonlocal state
+        yield records[0]
+        for k in range(n_steps):
+            if state.max_b * state.mesh.min_edge_length() > 0.5:
+                return
+            state = mcf_step(state, dt, scheme)
+            records.append(state.record())
+            yield records[-1]
+            if checkpoint_every and checkpoint_dir is not None \
+                    and (k + 1) % checkpoint_every == 0:
+                write_off4(state.mesh,
+                           f"{checkpoint_dir}/checkpoint_{k + 1:06d}.off")
+
+    if log_path is None:
+        for _ in trajectory():
+            pass
+    else:
+        write_jsonl(log_path, trajectory())
+    return FlowHistory.from_records(records, truncated=len(records) <= n_steps,
                                     states=[first, state])
 
 

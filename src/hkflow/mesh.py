@@ -6,16 +6,23 @@ formulas below use only inner products of edge vectors, so they work in any
 ambient dimension; the mixed Voronoi vertex areas are clamped for obtuse
 triangles.
 
-Per-vertex tangent planes, phase directions and a second-fundamental-form
-norm are estimated from two-ring neighborhoods; these feed the flow
-diagnostics, where only max norms are consumed, not pointwise accuracy.
+Per-vertex tangent frames and phase directions come from the one-ring,
+with no eigen-solver.  The oriented 2-planes of R^4 are S^2 x S^2: the
+self-dual and anti-self-dual parts of the unit tangent bivector (Hoffman &
+Osserman, Proc. London Math. Soc. 50, 1985), and the phase is the first
+factor.  So the winding bivectors of the triangles at a vertex are summed,
+the sum is split into its J-span (self-dual) part and the remainder, and
+each part is normalised; the two unit parts add up to a unit simple
+bivector, whose plane is the tangent plane and whose J-coefficients give
+the phase.  A second-fundamental-form norm is fitted on the two-ring of
+each vertex.  These feed the flow diagnostics.
 
 Connectivity lives in a `MeshTopology`, built and validated once per
-triangle array: the orientation check, the boundary, and the padded one-
-and two-ring index arrays.  A flow never changes connectivity, so
-`SurfaceMesh.with_vertices` shares the topology of its source; only the
-checks that depend on vertex positions (shapes, index range, triangle
-areas) run again for each new vertex set.
+triangle array: the orientation check, the boundary, the padded one- and
+two-ring index arrays and the vertex-triangle incidence.  A flow never
+changes connectivity, so `SurfaceMesh.with_vertices` shares the topology of
+its source; only the checks that depend on vertex positions (shapes, index
+range, triangle areas) run again for each new vertex set.
 
 The triangle geometry (corner cotangents, areas and squared edge lengths)
 is measured once per vertex set, at construction, where the area check
@@ -29,8 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DegenerateTriangle, NonOrientableMesh
-from .structure import apply_j
+from .errors import DegenerateTriangle, FoldedVertex, NonOrientableMesh
+from .structure import J_UPPER, UPPER
 from .util import format_rows, readonly
 
 
@@ -66,6 +73,9 @@ class MeshTopology:
     lists the one-ring (two-ring) neighbors of vertex i in increasing index
     order, vertex i excluded, padded with index 0 where mask is False.  The
     two-ring is the nonzero pattern of A + A^2 for the vertex adjacency A.
+    incidence is the (n_vertices, n_triangles) 0/1 matrix of which vertex
+    is a corner of which triangle; a product with it sums per-triangle
+    values per vertex.
     """
 
     def __init__(self, triangles: np.ndarray, n_vertices: int):
@@ -91,6 +101,12 @@ class MeshTopology:
             shape=(n_vertices, n_vertices))
         self.ring1 = _padded_rows(adj)
         self.ring2 = _padded_rows(adj + adj @ adj)
+        inc = sp.csr_matrix(
+            (np.ones(t.size), (t.ravel(), np.repeat(np.arange(len(t)), 3))),
+            shape=(n_vertices, len(t)))
+        for arr in (inc.data, inc.indices, inc.indptr):
+            readonly(arr)
+        self.incidence = inc
 
 
 @dataclass(eq=False)
@@ -274,49 +290,69 @@ def two_ring_offsets(mesh: SurfaceMesh) -> np.ndarray:
     return d
 
 
-def mesh_tangent_frames(mesh: SurfaceMesh, offsets: np.ndarray | None = None):
+def _antisymmetric(upper: np.ndarray) -> np.ndarray:
+    """(n, 4, 4) antisymmetric matrices from their upper entries (n, 6)."""
+    out = np.zeros((len(upper), 4, 4))
+    out[:, UPPER[0], UPPER[1]] = upper
+    out[:, UPPER[1], UPPER[0]] = -upper
+    return out
+
+
+def _largest_column(proj: np.ndarray) -> np.ndarray:
+    """The column of each projector with the largest diagonal entry (the
+    longest column, at least 1/sqrt(2) for rank 2), normalised."""
+    k = np.argmax(np.diagonal(proj, axis1=1, axis2=2), axis=1)
+    col = proj[np.arange(len(proj)), :, k]
+    return col / np.linalg.norm(col, axis=1, keepdims=True)
+
+
+def mesh_tangent_frames(mesh: SurfaceMesh):
     """Oriented tangent frames (t1, t2), normal legs (m1, m2), phase field.
 
-    The tangent plane is the dominant plane of the two-ring edge covariance;
-    (t1, t2) is flipped to match the triangle winding, so the phase
-    direction lam_a = <J_a t1, t2> is the discrete counterpart of the
-    analytic one; it does not depend on the in-plane gauge of (t1, t2).
-    offsets is two_ring_offsets(mesh) when the caller has it.
-    """
-    d = two_ring_offsets(mesh) if offsets is None else offsets
-    cov = np.einsum("nki,nkj->nij", d, d)
-    vals, vecs = np.linalg.eigh(cov)
-    t1 = vecs[:, :, 3]
-    t2 = vecs[:, :, 2]
-    m1 = vecs[:, :, 1]
-    m2 = vecs[:, :, 0]
+    The winding bivectors a b^T - b a^T (a = q - p, b = r - p) of the
+    triangles at each vertex are summed into M.  Its J-span part S, with
+    coefficients s_a = <J_a, M>_F / 4, and the remainder T are each
+    normalised to unit Frobenius norm; A = S + T is then a unit simple
+    bivector carrying the winding orientation.  Pi = -A^2 projects onto the
+    tangent plane: t1 is its longest column, normalised, and t2 = A^T t1.
+    The normal legs are m1 from I - Pi and m2 = (S - T)^T m1, so
+    (t1, t2, m1, m2) is a positively oriented orthonormal frame.  The phase
+    lam_a = <J_a t1, t2> equals -s / |s|.
 
-    tri = mesh.triangles
+    Raises FoldedVertex where S or T vanishes (to 1e-12 of the area of the
+    vertex's triangles): the one-ring folds over itself and has no plane.
+    """
     p, q, r = mesh.corner_vectors()
     a, b = q - p, r - p
-    # orientation sign: projection of the winding bivector onto t1 ^ t2,
-    # summed per vertex over corner 0, then 1, then 2
-    wedge = np.empty((3, len(tri)))
-    for corner in range(3):
-        t1c, t2c = t1[tri[:, corner]], t2[tri[:, corner]]
-        at1 = np.einsum("mi,mi->m", a, t1c)
-        bt2 = np.einsum("mi,mi->m", b, t2c)
-        at2 = np.einsum("mi,mi->m", a, t2c)
-        bt1 = np.einsum("mi,mi->m", b, t1c)
-        wedge[corner] = at1 * bt2 - at2 * bt1
-    sgn = np.bincount(tri.T.ravel(), weights=wedge.ravel(),
-                      minlength=len(mesh.vertices))
-    flip = sgn < 0
-    t2[flip] = -t2[flip]
-
-    lam = np.einsum("nai,ni->na", apply_j(t1), t2)
-    norm = np.linalg.norm(lam, axis=1, keepdims=True)
-    lam = lam / np.maximum(norm, 1e-300)
+    i, j = UPPER
+    inc = mesh.topology.incidence
+    m6 = inc @ (a[:, i] * b[:, j] - a[:, j] * b[:, i])
+    s = 0.5 * (m6 @ J_UPPER.T)
+    s6 = s @ J_UPPER
+    t6 = m6 - s6
+    # |X|_F = sqrt(2) |upper entries|, and |J_a|_F = 2
+    s_norm = 2.0 * np.linalg.norm(s, axis=1)
+    t_norm = np.sqrt(2.0) * np.linalg.norm(t6, axis=1)
+    area = inc @ mesh.triangle_areas()
+    folded = np.minimum(s_norm, t_norm) <= 1e-12 * area
+    if folded.any():
+        raise FoldedVertex(
+            f"the summed winding bivector has a vanishing self-dual or "
+            f"anti-self-dual part at {int(folded.sum())} of {len(folded)} "
+            f"vertices, first vertex {int(np.argmax(folded))}")
+    s6 /= s_norm[:, None]
+    t6 /= t_norm[:, None]
+    tangent = _antisymmetric(s6 + t6)
+    proj = -(tangent @ tangent)
+    t1 = _largest_column(proj)
+    t2 = np.einsum("nji,nj->ni", tangent, t1)
+    m1 = _largest_column(np.eye(4) - proj)
+    m2 = np.einsum("nji,nj->ni", _antisymmetric(s6 - t6), m1)
+    lam = -s / np.linalg.norm(s, axis=1, keepdims=True)
     return t1, t2, m1, m2, lam
 
 
-def mesh_bnorm(mesh: SurfaceMesh, frames=None,
-               offsets: np.ndarray | None = None) -> np.ndarray:
+def mesh_bnorm(mesh: SurfaceMesh, frames=None) -> np.ndarray:
     """Per-vertex |B| estimate from a two-ring quadratic fit.
 
     One projection of the offsets onto (t1, t2, m1, m2) gives the tangent
@@ -325,12 +361,11 @@ def mesh_bnorm(mesh: SurfaceMesh, frames=None,
     recovers the second fundamental form, both normals in one two-column
     solve of the 5x5 normal equations.  Vertices with fewer than six
     neighbors (or on the boundary) return NaN.  frames is
-    mesh_tangent_frames(mesh) and offsets is two_ring_offsets(mesh) when the
-    caller has them.
+    mesh_tangent_frames(mesh) when the caller has it.
     """
-    d = two_ring_offsets(mesh) if offsets is None else offsets
+    d = two_ring_offsets(mesh)
     if frames is None:
-        frames = mesh_tangent_frames(mesh, offsets=d)
+        frames = mesh_tangent_frames(mesh)
     t1, t2, m1, m2, _lam = frames
     count = mesh.topology.ring2[1].sum(axis=1)
     # padding offsets are 0, so their coordinates and design rows are too

@@ -325,15 +325,17 @@ def chart(lam) -> SphereChart:
 def arc_distance(lam) -> np.ndarray:
     """Pointwise geodesic distance on S^2 to the half circle, closed form.
 
-    The half circle is p(t) = (0, cos t, sin t), |t| <= pi/2; the maximum of
-    <lam, p(t)> is hypot(lam2, lam3) when lam2 >= 0 and |lam3| otherwise.
-    Points on the set (lam1 = 0, lam2 >= 0) return exactly 0.
+    The half circle is p(t) = (0, cos t, sin t), |t| <= pi/2.  The nearest
+    point is (0, lam2, lam3) normalised when lam2 >= 0, and the pole
+    (0, 0, sign lam3) otherwise; the angle to it is taken by atan2 of its
+    sine and cosine, which keeps full relative precision at small distances
+    (arccos of a cosine near 1 returns 0 below about 1e-8).  Points on the
+    set (lam1 = 0, lam2 >= 0) return exactly 0.
     """
     lam = np.asarray(lam, dtype=float)
     l1, l2, l3 = lam[..., 0], lam[..., 1], lam[..., 2]
-    best = np.where(l2 >= 0.0, np.hypot(l2, l3), np.abs(l3))
-    d = np.arccos(np.clip(best, -1.0, 1.0))
-    return np.where((l1 == 0.0) & (l2 >= 0.0), 0.0, d)
+    return np.where(l2 >= 0.0, np.arctan2(np.abs(l1), np.hypot(l2, l3)),
+                    np.arctan2(np.hypot(l1, l2), np.abs(l3)))
 
 
 def containment_margin(lams) -> ContainmentReport:

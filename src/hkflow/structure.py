@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IdentityViolation
-from .util import check_rotation
+from .util import check_rotation, readonly
 
 _J1 = np.array([
     [0.0, -1.0, 0.0, 0.0],
@@ -47,12 +47,19 @@ _J3 = np.array([
 _J = np.stack([_J1, _J2, _J3])
 _J.flags.writeable = False
 
+#: (rows, cols) of the six entries above the diagonal of a 4x4 matrix, in
+#: row order; an antisymmetric matrix (a bivector) is stored as these entries
+UPPER = tuple(readonly(k) for k in np.triu_indices(4, 1))
+#: the standard J_a as rows of their upper entries, shape (3, 6)
+J_UPPER = readonly(_J[:, UPPER[0], UPPER[1]])
+
 
 def apply_j(v) -> np.ndarray:
     """J_a v for a = 1, 2, 3 under the standard triple, shape (..., 3, 4).
 
     Every J_a is a signed permutation matrix, so each entry is exactly one
-    of +-v_k.  The geometry modules apply the triple only through here.
+    of +-v_k.  The geometry modules apply the triple only through here and
+    through J_UPPER.
     """
     return np.einsum("aij,...j->...ai", _J, v)
 

@@ -185,9 +185,11 @@ class ParametricSurface:
         raise NotImplementedError
 
     def window(self):
-        """The domain clipped to [-4 scale, 4 scale] in each parameter."""
+        """The domain with each infinite bound clipped to -+4 scale; finite
+        bounds, and so closed families, are kept whole."""
         c = 4 * self.scale
-        return tuple((max(lo, -c), min(hi, c)) for lo, hi in self.domain)
+        return tuple((lo if np.isfinite(lo) else -c,
+                      hi if np.isfinite(hi) else c) for lo, hi in self.domain)
 
     def check_stencil(self, u, v, h: float) -> None:
         """Raise unless centered stencils of step h stay inside the domain."""

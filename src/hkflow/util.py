@@ -63,10 +63,13 @@ def json_dumps(obj, indent: int = 0) -> str:
 
 
 def write_jsonl(path, records) -> None:
-    """Write a trajectory log: one json_dumps line per record."""
+    """Write a trajectory log: one json_dumps line per record, flushed as
+    soon as records yields it, so a producer that raises midway leaves
+    every record it made behind."""
     with open(path, "w") as fh:
         for rec in records:
             fh.write(json_dumps(rec) + "\n")
+            fh.flush()
 
 
 def _write(obj, out: list, indent: int, level: int) -> None:

@@ -42,6 +42,30 @@ def test_verify_all_identities(tmp_path, capsys):
     assert manifest["config"]["scenario"]["seed"] == 0
 
 
+def test_manifest_records_argv_versions_and_threads(tmp_path, monkeypatch):
+    import platform
+
+    import scipy
+
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    argv = ["--out", str(tmp_path / "out"), "--seed", "3", "verify",
+            "--suite", "quaternionic"]
+    assert main(argv) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["argv"] == argv
+    assert manifest["version"] == hkflow.__version__
+    assert manifest["python"] == platform.python_version()
+    assert manifest["numpy"] == np.__version__
+    assert manifest["scipy"] == scipy.__version__
+    assert manifest["threads"]["OMP_NUM_THREADS"] == "1"
+    assert manifest["threads"]["MKL_NUM_THREADS"] is None
+    assert set(manifest["threads"]) == {"OMP_NUM_THREADS",
+                                        "OPENBLAS_NUM_THREADS",
+                                        "MKL_NUM_THREADS"}
+    assert manifest["config"]["scenario"]["seed"] == 3
+
+
 def test_verify_deterministic(tmp_path):
     code_a, out_a = main(["--out", str(tmp_path / "a"), "verify"]), tmp_path / "a"
     code_b, out_b = main(["--out", str(tmp_path / "b"), "verify"]), tmp_path / "b"
@@ -249,6 +273,24 @@ def test_flow_mesh_explicit_dt_too_large_exits_2(tmp_path):
     assert code == 2
 
 
+def test_flow_mesh_stopped_by_guard_leaves_its_records(tmp_path):
+    """dt sits just under 0.25 h_min^2 of icosphere(2); one explicit step
+    shrinks the edges below the bound, so the second step raises.  The
+    history holds the two states reached, as a finished run writes them."""
+    cfg = config(tmp_path, "\n".join([
+        "[mesh]", "kind = icosphere", "subdivisions = 2",
+        "[flow]", "dt = 0.019", "t_end = 0.2", "scheme = explicit",
+    ]))
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "flow-mesh"]) == 2
+    records = [json.loads(line) for line in
+               (out / "history.jsonl").read_text().splitlines()]
+    assert [r["t"] for r in records] == [0.0, 0.019]
+    assert all(set(r) == {"t", "max_B", "max_H", "area", "margin"}
+               for r in records)
+    assert not (out / "summary.json").exists()
+
+
 # -- analyze ----------------------------------------------------------------------
 
 def test_analyze_missing_file(tmp_path, capsys):
@@ -338,19 +380,19 @@ GOLDEN = {
         "snapshot_every = 5\n",
         "0c34ab98151230c15155b04239dd3e58b285d09cbaeecd04459f404eb4477ba1"),
     "torus-16": ("phase --surface torus", "[surface]\nn = 16\n",
-                 "69c1818e2684a992711a2c81ab786d0ca7fd6412e40189bf63fd1f77445039c2"),
+                 "25d123f762b598e2c47409d2e48d028a4787955121b0e602eb720dd85e3fc272"),
     # 48 x 48 points: the torus jets are evaluated in blocks
     "torus-48": ("phase --surface torus", "[surface]\nn = 48\n",
-                 "58b24c453d2e3308e0abb0859b741d2994719ae0f785f5f2cfa243c3ca14d8c4"),
+                 "8c47346c66b80e84d000d00574bd46c34926ddfbc7454f7d9bd9977b0668b3a7"),
     "verify-20": ("verify", "[surface]\npoints = 20\n",
                   "cdb6131f66872d77df1d2d5e8d7603194650dde9b2a5a457e3bba33eef480089"),
     "icosphere-2": ("flow-mesh", "[mesh]\nkind = icosphere\nsubdivisions = 2\n"
                     "[flow]\ndt = 1e-3\nt_end = 0.01\n",
-                    "5a56b0679f9231555b3be9025b8cab99c8139b71eab26483973997b35eee8b99"),
+                    "8d857efd57e69ae681dd41ab00ca4508b077633f16a13750555b622b79ca812e"),
     "type1-log": ("analyze log.jsonl", "",
                   "53b5d7d3f9145d90bb94cd2df74c44b5277a9c814fb6c16f30840b0dd22c4f09"),
     "sphere-32": ("phase --surface sphere", "",
-                  "81a0bdd7fefb54ae500f25e14e1a4c47373a90385873957b32dfde22f54aedfe"),
+                  "ef74167c4ff393ae51ab4f2f4cf858ae69f1037c57c91dac687d478160998712"),
 }
 
 # a Type-I blow-up at T = 0.25 with sup sqrt(T - t)|B| = 1/sqrt(2)

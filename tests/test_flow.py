@@ -101,10 +101,10 @@ def test_measure_matches_separate_estimators(torus):
 def test_run_mcf_fingerprint():
     """max|B| and area along a short flow, pinned to the last bit."""
     hist = run_mcf(icosphere(3), dt=1e-3, t_end=0.01)
-    max_b = [1.4454841364939273, 1.4483780115346052, 1.4512890948374744,
-             1.4542176057840486, 1.457163758661628, 1.4601277638965062,
-             1.4631098291072326, 1.4661101600051378, 1.4691289611654108,
-             1.4721664366885039, 1.4752227907683773]
+    max_b = [1.4447738607932523, 1.4476545270936567, 1.4505533310846652,
+             1.4534703750863922, 1.4564057713741103, 1.45935964135862,
+             1.4623321148775685, 1.46532332958252, 1.468333430409072,
+             1.4713625691188215, 1.4744109039038913]
     area = [12.506492733969928, 12.456615425578903, 12.406738716594937,
             12.356862611834883, 12.306987116172145, 12.257112234537612,
             12.207237971920673, 12.157364333370257, 12.107491323995923,

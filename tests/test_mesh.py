@@ -2,13 +2,14 @@
 import numpy as np
 import pytest
 
-from hkflow.errors import DegenerateTriangle, NonOrientableMesh
+from hkflow.errors import DegenerateTriangle, FoldedVertex, NonOrientableMesh
 from hkflow.mesh import (SurfaceMesh, flat_square,
                          grid_torus_mesh, icosphere, mesh_bnorm,
                          mesh_mean_curvature, mesh_phase_field,
                          mesh_tangent_frames, read_off4, two_ring_offsets,
                          write_off4)
 from hkflow.structure import standard_structure
+from hkflow.surfaces import Sphere, frames
 
 S = standard_structure()
 
@@ -443,22 +444,29 @@ def test_obtuse_mesh_hits_the_mixed_area_clamp():
     assert np.any(cots < 0.0) and np.any(np.all(cots >= 0.0, axis=1))
 
 
+def _projectors(t1, t2):
+    return (t1[:, :, None] * t1[:, None, :] + t2[:, :, None] * t2[:, None, :])
+
+
 @pytest.mark.parametrize("make", GEOMETRY_MESHES, ids=GEOMETRY_IDS)
 def test_frames_with_shared_offsets_match_reference_bits(make):
-    """Orientation summed by one bincount over the corners in order equals
-    the per-corner np.add.at sums, and shared two-ring offsets give the
-    same frames and |B| as offsets gathered by each estimator."""
+    """The bivector frames against the two-ring covariance frames of the
+    reference: both orient every plane the same way, and their tangent
+    projectors agree at rounding where symmetry makes both routes exact
+    (flat square, Clifford torus) and to first order in the mesh size
+    elsewhere (observed gaps 0.14 and 0.23 at longest edges 0.21 and
+    0.23)."""
     mesh = make()
     *want, sgn = _Reference(mesh).tangent_frames(mesh, S)
-    d = two_ring_offsets(mesh)
-    got = mesh_tangent_frames(mesh, offsets=d)
-    for a, b in zip(got, want):
-        _same_bits(a, b)
-    for a, b in zip(mesh_tangent_frames(mesh), want):
-        _same_bits(a, b)
+    got = mesh_tangent_frames(mesh)
+    gap = np.abs(_projectors(*got[:2]) - _projectors(*want[:2])).max()
+    p, q, r = mesh.corner_vectors()
+    h_max = np.linalg.norm(np.concatenate([q - p, r - q, p - r]), axis=1).max()
+    exact = make in (GEOMETRY_MESHES[1], GEOMETRY_MESHES[3])
+    assert gap <= (1e-13 if exact else h_max)
+    assert np.all(np.sum(got[4] * want[4], axis=1) > 0.0)
     # the winding sign decides every flip; check it is never near zero
     assert np.all(sgn != 0.0)
-    _same_bits(mesh_bnorm(mesh, got, d), mesh_bnorm(mesh))
 
 
 @pytest.mark.parametrize("make", GEOMETRY_MESHES, ids=GEOMETRY_IDS)
@@ -469,7 +477,7 @@ def test_bnorm_matches_reference_fit_to_rounding(make):
     ref = _Reference(mesh)
     *frames, _sgn = ref.tangent_frames(mesh, S)
     want = ref.bnorm(mesh, frames)
-    got = mesh_bnorm(mesh)
+    got = mesh_bnorm(mesh, frames)
     assert np.array_equal(np.isnan(got), np.isnan(want))
     fin = ~np.isnan(want)
     pos = fin & (want > 0.0)
@@ -572,13 +580,13 @@ def _orders(errors):
 def test_bnorm_error_shrinks_at_second_order(case):
     """max |B| error under refinement against exact references: sqrt(2) on
     the unit sphere, the curve route on the lifted torus.  The errors match
-    the values recorded before the fit was written as batched matmuls, so a
-    reformulation changes them only at rounding level."""
+    the values recorded with the bivector frames, so a reformulation of the
+    fit changes them only at rounding level."""
     if case == "icosphere":
         errors = [np.max(np.abs(mesh_bnorm(icosphere(s)) - np.sqrt(2.0)))
                   for s in (2, 3, 4)]
-        recorded = [0.12414656377831368, 0.03127057412083234,
-                    0.008285393050592171]
+        recorded = [0.1244871782478878, 0.030560298420157173,
+                    0.008282430304614952]
     else:
         errors = []
         for nx, ny in ((48, 24), (96, 48), (192, 96)):
@@ -588,3 +596,84 @@ def test_bnorm_error_shrinks_at_second_order(case):
                     0.005940349320373658]
     assert np.all(_orders(errors) >= 1.8)
     assert np.allclose(errors, recorded, rtol=1e-10, atol=0.0)
+
+
+# -- observed convergence order of the mesh phase ---------------------------
+
+def _jittered_icosphere(subdivisions, seed=5):
+    """icosphere(subdivisions) with every vertex moved 0.2 h_min along a
+    random tangent direction, then put back on the unit sphere."""
+    m = icosphere(subdivisions)
+    rng = np.random.default_rng(seed)
+    x = m.vertices[:, :3]
+    g = rng.standard_normal(x.shape)
+    g -= np.sum(g * x, axis=1, keepdims=True) * x
+    g *= 0.2 * m.min_edge_length() / np.linalg.norm(g, axis=1, keepdims=True)
+    v = np.zeros_like(m.vertices)
+    v[:, :3] = (x + g) / np.linalg.norm(x + g, axis=1, keepdims=True)
+    return m.with_vertices(v)
+
+
+@pytest.mark.parametrize("case", ["torus", "jittered_icosphere"])
+def test_phase_error_shrinks_against_exact_jets(case):
+    """max |lam_mesh - lam| under refinement, against frames(jet).lam of the
+    exact family at each vertex: second order on the lifted torus, first
+    order on an icosphere whose vertices are jittered tangentially."""
+    from hkflow.curves import PlaneCurve, embed_torus
+
+    errors = []
+    if case == "torus":
+        for nx, ny in ((48, 24), (96, 48), (192, 96)):
+            curve = PlaneCurve.from_function(
+                lambda x: (1.0 + 0.05 * np.cos(3.0 * x)) * np.exp(1j * x),
+                n=nx)
+            mesh, fam = embed_torus(curve, ny=ny)
+            # vertex ix * ny + iy sits at (2 pi ix / nx, 2 pi iy / ny)
+            u = np.repeat(2 * np.pi * np.arange(nx) / nx, ny)
+            v = np.tile(2 * np.pi * np.arange(ny) / ny, nx)
+            jet = fam.jet(u, v)
+            assert np.max(np.abs(jet.x - mesh.vertices)) < 1e-12
+            errors.append(np.max(np.abs(mesh_phase_field(mesh)
+                                        - frames(jet).lam)))
+        floor = 1.8
+    else:
+        for sub in (3, 4, 5):
+            mesh = _jittered_icosphere(sub)
+            y = mesh.vertices
+            jet = Sphere().jet(np.arccos(y[:, 2]),
+                               np.arctan2(y[:, 1], y[:, 0]))
+            errors.append(np.max(np.abs(mesh_phase_field(mesh)
+                                        - frames(jet).lam)))
+        floor = 0.8
+    assert errors[0] < 0.2
+    assert np.all(_orders(errors) >= floor)
+
+
+# -- folded one-rings -------------------------------------------------------
+
+def _folded_square():
+    # flat_square(2) folded along x1 = 1/2: the triangles right of the fold
+    # lie on those left of it with the opposite winding, so at the centre
+    # vertex the summed winding bivector is exactly zero
+    m = flat_square(2)
+    v = m.vertices.copy()
+    v[:, 0] = np.minimum(v[:, 0], 1.0 - v[:, 0])
+    return m.with_vertices(v)
+
+
+def _bowtie():
+    # two triangles sharing vertex 0, spanning e1^e2 and e4^e3: the sum is
+    # anti-self-dual there, so its J-span part vanishes and only T is left
+    e = np.eye(4)
+    verts = np.stack([np.zeros(4), e[0], e[1], e[2], e[3]])
+    return SurfaceMesh(verts, np.array([[0, 1, 2], [0, 4, 3]]))
+
+
+@pytest.mark.parametrize("make, vertex", [(_folded_square, 4), (_bowtie, 0)],
+                         ids=["folded_square", "bowtie"])
+def test_folded_one_ring_raises(make, vertex):
+    mesh = make()
+    with pytest.raises(FoldedVertex, match=f"at 1 of .* first vertex {vertex}$"):
+        mesh_tangent_frames(mesh)
+    with pytest.raises(FoldedVertex):
+        mesh_phase_field(mesh)

@@ -271,6 +271,20 @@ def test_arc_distance_worked_points():
         assert arc_distance(np.array(lam)) == 0.0
 
 
+@pytest.mark.parametrize("delta", [1e-6, 1e-8, 1e-9, 1e-10, 1e-12])
+def test_arc_distance_exact_at_small_distances(delta):
+    """Off the arc's interior, beside an arc point, and beside a pole (where
+    the nearest point switches to the pole since lam2 < 0): the distance
+    comes back to the last bits, where arccos of a cosine near 1 gave 0."""
+    s, c = np.sin(delta), np.cos(delta)
+    lams = np.array([[s, c, 0.0],
+                     [-s, c * np.cos(0.7), c * np.sin(0.7)],
+                     [0.0, -s, c],
+                     [s * np.cos(-2.0), s * np.sin(-2.0), -c]])
+    d = arc_distance(lams)
+    assert np.all(np.abs(d - delta) <= 4e-16 * delta)
+
+
 def test_containment_margin_exact_hit():
     lams = np.array([[np.sin(0.3), np.cos(0.3), 0.0],
                      [0.0, 0.6, 0.8]])

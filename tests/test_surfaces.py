@@ -226,6 +226,21 @@ def test_check_stencil_guards_domain():
     Sphere().check_stencil(1.0, 1.0, 1e-4)  # interior point fine
 
 
+def test_window_clips_only_infinite_directions():
+    from hkflow.curves import PlaneCurve, TorusFromCurve
+
+    assert Sphere().window() == Sphere.domain
+    torus = TorusFromCurve(PlaneCurve.circle(1.0, n=16))
+    assert torus.window() == ((0.0, 2 * np.pi), (0.0, 2 * np.pi))
+    assert Cylinder(1.0, half_length=7.0).window() == ((-7.0, 7.0),
+                                                       (0.0, 2 * np.pi))
+    assert Plane().window() == ((-4.0, 4.0), (-4.0, 4.0))
+    assert GrimReaper().window() == ((-np.pi / 2, np.pi / 2), (-4.0, 4.0))
+    wide = NumericalJetSurface(lambda u, v: None, scale=0.5,
+                               domain=((0.0, np.inf), (-np.inf, 1.0)))
+    assert wide.window() == ((0.0, 2.0), (-2.0, 1.0))
+
+
 def test_sample_domain_respects_bounds(rng):
     def clamp(lo, hi):
         lo = -2.0 if not np.isfinite(lo) else lo

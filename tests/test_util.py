@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from hkflow.util import format_float, format_rows, write_csv
+from hkflow.util import format_float, format_rows, write_csv, write_jsonl
 
 
 def _reference(cols, sep=","):
@@ -43,3 +43,18 @@ def test_format_rows_separator_and_shape():
     grid = np.arange(6.0).reshape(2, 3)
     assert format_rows([grid, -grid]) == ["0,-0", "1,-1", "2,-2", "3,-3",
                                           "4,-4", "5,-5"]
+
+
+def test_write_jsonl_keeps_records_made_before_a_failure(tmp_path):
+    path = tmp_path / "log.jsonl"
+
+    def records():
+        yield {"t": 0.0}
+        yield {"t": 0.5}
+        # every yielded record is on disk before the producer goes on
+        assert path.read_text() == '{"t": 0}\n{"t": 0.5}\n'
+        raise RuntimeError("guard")
+
+    with pytest.raises(RuntimeError, match="guard"):
+        write_jsonl(path, records())
+    assert path.read_text() == '{"t": 0}\n{"t": 0.5}\n'
