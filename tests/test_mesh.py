@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from hkflow import mesh as mesh_module
 from hkflow.errors import DegenerateTriangle, FoldedVertex, NonOrientableMesh
 from hkflow.mesh import (SurfaceMesh, flat_square,
                          grid_torus_mesh, icosphere, mesh_bnorm,
@@ -495,50 +496,81 @@ def test_two_ring_offsets_padding_is_zero(make):
 
 
 _SOLVE = np.linalg.solve
+_SPD_SOLVE = mesh_module._spd_solve
 
 
-def _counting_solve(monkeypatch, fail_first):
-    """Record the arguments of each np.linalg.solve call; optionally make
-    the first one raise LinAlgError."""
-    calls = []
+def _spd_batch(rng, n):
+    """n random well-conditioned SPD 5x5 matrices, (n, 5, 5)."""
+    a = rng.standard_normal((n, 5, 5))
+    return a @ a.transpose(0, 2, 1) + 5.0 * np.eye(5)
 
-    def fake(a, b):
-        calls.append((a.copy(), b.copy()))
-        if fail_first and len(calls) == 1:
-            raise np.linalg.LinAlgError("Singular matrix")
-        return _SOLVE(a, b)
 
-    monkeypatch.setattr(np.linalg, "solve", fake)
-    return calls
+def _batched_spd_solve(spd, b):
+    """_spd_solve on (n, 5, 5) and (n, 5, c) arrays, the layout of
+    np.linalg.solve; NaN above the diagonal shows only the lower triangle
+    is read."""
+    gram = np.moveaxis(spd, 0, -1).copy()
+    gram[np.triu_indices(5, 1)] = np.nan
+    return np.moveaxis(_SPD_SOLVE(gram, np.moveaxis(b, 0, -1)), -1, 0)
+
+
+def _assert_close_per_system(got, want, rtol):
+    scale = np.abs(want).max(axis=(1, 2), keepdims=True)
+    assert np.all(np.abs(got - want) <= rtol * scale)
 
 
 def test_bnorm_makes_one_solve_per_state(monkeypatch):
+    """One batched solve serves every vertex and both normals, and the
+    unrolled Cholesky solve agrees with np.linalg.solve."""
     mesh = _sheared_square()
     want = mesh_bnorm(mesh)
-    calls = _counting_solve(monkeypatch, fail_first=False)
+    calls = []
+
+    def spy(gram, rhs):
+        calls.append((gram.shape, rhs.shape))
+        return _SPD_SOLVE(gram, rhs)
+
+    monkeypatch.setattr(mesh_module, "_spd_solve", spy)
     _same_bits(mesh_bnorm(mesh), want)
-    assert len(calls) == 1
-    ata, atw = calls[0]
-    assert ata.shape == (len(mesh.vertices), 5, 5)
-    assert atw.shape == (len(mesh.vertices), 5, 2)
+    n = len(mesh.vertices)
+    assert calls == [((5, 5, n), (5, 2, n))]
+    rng = np.random.default_rng(7)
+    for count, cols in ((1, 1), (9, 2), (400, 3)):
+        spd = _spd_batch(rng, count)
+        b = rng.standard_normal((count, 5, cols))
+        _assert_close_per_system(_batched_spd_solve(spd, b),
+                                 _SOLVE(spd, b), 1e-12)
 
 
 def test_bnorm_solve_fallback_adds_ridge(monkeypatch):
-    """A singular batch is solved again with ata + 1e-12 I."""
+    """A batch holding an exactly singular Gram is factored again with
+    gram + 1e-12 I; NaN rows stay as they were, and a batch that fails
+    even with the ridge raises LinAlgError."""
+    rng = np.random.default_rng(3)
+    spd = _spd_batch(rng, 6)
+    spd[2, 4, :] = spd[2, :, 4] = 0.0
+    b = rng.standard_normal((6, 5, 2))
+    _assert_close_per_system(_batched_spd_solve(spd, b),
+                             _SOLVE(spd + 1e-12 * np.eye(5), b), 1e-12)
+    with pytest.raises(np.linalg.LinAlgError):
+        _batched_spd_solve(-spd, b)
+
+    # with t2 = e4 at one interior vertex, v = 0 on its whole two-ring (the
+    # mesh lies in x4 = 0), so its Gram is exactly singular
     mesh = _sheared_square()
+    frames = list(mesh_tangent_frames(mesh))
+    frames[1] = frames[1].copy()
+    vertex = int(np.flatnonzero(~mesh.boundary_vertex_mask)[0])
+    frames[1][vertex] = [0.0, 0.0, 0.0, 1.0]
     plain = mesh_bnorm(mesh)
+    got = mesh_bnorm(mesh, frames)
     monkeypatch.setattr(np.linalg, "solve",
                         lambda a, b: _SOLVE(a + 1e-12 * np.eye(5), b))
-    ridged = mesh_bnorm(mesh)
-    calls = _counting_solve(monkeypatch, fail_first=True)
-    got = mesh_bnorm(mesh)
-    assert len(calls) == 2
-    (ata, atw), (reg, atw2) = calls
-    _same_bits(reg, ata + 1e-12 * np.eye(5))
-    _same_bits(atw2, atw)
-    _same_bits(got, ridged)
+    want = _Reference(mesh).bnorm(mesh, frames)
     assert np.array_equal(np.isnan(got), np.isnan(plain))
     assert np.isnan(got).any() and not np.isnan(got).all()
+    fin = ~np.isnan(got)
+    assert np.all(np.abs(got[fin] - want[fin]) <= 1e-12 * want[fin])
 
 
 def test_vertices_are_a_readonly_copy():
@@ -596,6 +628,34 @@ def test_bnorm_error_shrinks_at_second_order(case):
                     0.005940349320373658]
     assert np.all(_orders(errors) >= 1.8)
     assert np.allclose(errors, recorded, rtol=1e-10, atol=0.0)
+
+
+def _random_rotation(rng):
+    """A random element of SO(4)."""
+    q, r = np.linalg.qr(rng.standard_normal((4, 4)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0.0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+@pytest.mark.parametrize("case", ["icosphere", "torus"])
+def test_bnorm_is_invariant_under_rigid_motions_and_scales_inversely(case):
+    """|B| is a Euclidean invariant of the immersion: a rotation in SO(4)
+    followed by a translation leaves the estimate unchanged, and scaling
+    the vertices by c divides it by c (observed gaps below 1e-14)."""
+    mesh = icosphere(3) if case == "icosphere" else _torus_lift(48, 24)[0]
+    want = mesh_bnorm(mesh)
+    assert np.all(want > 0.0)
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        rotation, shift = _random_rotation(rng), rng.standard_normal(4)
+        moved = mesh.vertices @ rotation.T + shift
+        got = mesh_bnorm(mesh.with_vertices(moved))
+        assert np.all(np.abs(got - want) <= 1e-12 * want)
+    for c in (0.3, 2.5):
+        got = mesh_bnorm(mesh.with_vertices(c * mesh.vertices))
+        assert np.all(np.abs(c * got - want) <= 1e-12 * want)
 
 
 # -- observed convergence order of the mesh phase ---------------------------
