@@ -29,13 +29,14 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .curves import (PlaneCurve, TorusFromCurve, b_norm_history, diagnostics,
-                     embed_torus, run_csf, write_curve_csv)
+from .curves import (CSF_SCHEMES, PlaneCurve, TorusFromCurve, b_norm_history,
+                     diagnostics, embed_torus, run_csf, write_curve_csv)
 from .errors import GeometryError, InsufficientHistory, NotBlowingUp
-from .flow import FlowHistory, run_mcf, translator_residual, type1_monitor
+from .flow import (MCF_SCHEMES, FlowHistory, run_mcf, translator_residual,
+                   type1_monitor)
 from .mesh import flat_square, icosphere
 from .phase import (coupling_residual, degree, euler_numbers,
-                    gauss_normal_curvatures, phase_differential,
+                    gauss_normal_curvatures, margin_report, phase_differential,
                     phase_sample_exact, write_phase_field_csv)
 from .structure import standard_structure
 from .surfaces import (Cylinder, GrimReaper, Plane, QuadraticGraph, Sphere,
@@ -72,16 +73,13 @@ _SCHEMA = {
         "extent": (float, 1.0),
     },
     "surface": {
-        "family": (str, "cylinder"),
         "radius": (float, 1.0),
         "n": (int, 32),
         "points": (int, 50),
     },
     "analyze": {
-        "mode": (str, "auto"),
         "family": (str, "grim-reaper"),
         "v0": (str, "0,0,1,0"),
-        "tail_frac": (float, 0.4),
     },
     "output": {
         "dir": (str, "out"),
@@ -135,6 +133,8 @@ def load_config(path: str | None) -> dict:
                 raise ConfigError(
                     f"bad value {raw!r} for [{sec}] {key}: expected "
                     f"{typ.__name__}")
+            if typ is float and not math.isfinite(cfg[sec][key]):
+                raise ConfigError(f"[{sec}] {key} must be finite")
             if (sec, key) in _COUNT_KEYS and cfg[sec][key] < 1:
                 raise ConfigError(f"[{sec}] {key} must be at least 1")
     return cfg
@@ -147,9 +147,21 @@ def _parse_dt(raw) -> float | None:
         dt = float(raw)
     except ValueError:
         raise ConfigError(f"bad [flow] dt {raw!r}: expected 'auto' or float")
-    if dt <= 0:
-        raise ConfigError("[flow] dt must be positive")
+    if not 0 < dt < math.inf:
+        raise ConfigError("[flow] dt must be positive and finite")
     return dt
+
+
+def _scheme(cfg, schemes) -> dict:
+    """[flow] scheme as keyword arguments of a flow: none for 'auto', which
+    leaves the flow its own default."""
+    name = cfg["flow"]["scheme"]
+    if name == "auto":
+        return {}
+    if name not in schemes:
+        raise ConfigError(f"unknown [flow] scheme {name!r}; choose from "
+                          f"{('auto',) + schemes}")
+    return {"scheme": name}
 
 
 def _parse_v0(raw: str):
@@ -363,11 +375,11 @@ def cmd_verify(cfg, args, out: Path) -> int:
 # flow-curve
 # ---------------------------------------------------------------------------
 
-def _type1_fields(cfg, hist: FlowHistory) -> dict:
+def _type1_fields(hist: FlowHistory) -> dict:
     """T_est, its CI half-width and sup sqrt(T_est - t) max|B| of a
     trajectory; all None, with a note saying why, when the fit fails."""
     try:
-        rep = type1_monitor(hist, tail_frac=cfg["analyze"]["tail_frac"])
+        rep = type1_monitor(hist)
     except (InsufficientHistory, NotBlowingUp) as exc:
         return {"t_est": None, "ci_halfwidth": None, "sup_rescaled": None,
                 "note": str(exc)}
@@ -376,11 +388,11 @@ def _type1_fields(cfg, hist: FlowHistory) -> dict:
 
 
 def cmd_flow_curve(cfg, args, out: Path) -> int:
+    scheme = _scheme(cfg, CSF_SCHEMES)
     curve = _build_curve(cfg)
     fl = cfg["flow"]
-    scheme = fl["scheme"] if fl["scheme"] != "auto" else "rk4"
     result = run_csf(curve, t_end=fl["t_end"], dt=_parse_dt(fl["dt"]),
-                     scheme=scheme, snapshot_every=fl["snapshot_every"])
+                     snapshot_every=fl["snapshot_every"], **scheme)
 
     snapdir = out / "snapshots"
     snapdir.mkdir(exist_ok=True)
@@ -396,7 +408,7 @@ def cmd_flow_curve(cfg, args, out: Path) -> int:
     diag = diagnostics(result.curves[0]).as_dict()
     diag.update({"t_final": float(hist.t[-1]),
                  "truncated": bool(result.truncated)})
-    diag.update(_type1_fields(cfg, hist))
+    diag.update(_type1_fields(hist))
     (out / "diagnostics.json").write_text(json_dumps(diag, indent=2) + "\n")
     print(f"flow-curve: {len(result.curves)} snapshots to t="
           f"{hist.t[-1]:g}, diagnostics in {out / 'diagnostics.json'}")
@@ -423,20 +435,17 @@ def _build_mesh(cfg):
 
 
 def cmd_flow_mesh(cfg, args, out: Path) -> int:
+    scheme = _scheme(cfg, MCF_SCHEMES)
     mesh = _build_mesh(cfg)
     fl = cfg["flow"]
-    dt = _parse_dt(fl["dt"])
-    if dt is None:
-        dt = 0.2 * mesh.min_edge_length() ** 2
-    scheme = fl["scheme"] if fl["scheme"] != "auto" else "semi-implicit"
     ckdir = None
     if fl["checkpoint_every"]:
         ckdir = out / "checkpoints"
         ckdir.mkdir(exist_ok=True)
-    hist = run_mcf(mesh, dt=dt, t_end=fl["t_end"], scheme=scheme,
+    hist = run_mcf(mesh, dt=_parse_dt(fl["dt"]), t_end=fl["t_end"],
                    log_path=out / "history.jsonl",
                    checkpoint_every=fl["checkpoint_every"],
-                   checkpoint_dir=ckdir)
+                   checkpoint_dir=ckdir, **scheme)
     summary = {
         "t_final": float(hist.t[-1]),
         "steps": int(len(hist.t) - 1),
@@ -480,7 +489,7 @@ def _analyze_type1(cfg, path: Path) -> dict:
     if not records:
         raise ConfigError(f"{path}: empty trajectory log")
     report = {"kind": "type1", "records": len(records)}
-    report.update(_type1_fields(cfg, FlowHistory.from_records(records)))
+    report.update(_type1_fields(FlowHistory.from_records(records)))
     margins = [r["margin"] for r in records if "margin" in r]
     report["min_margin"] = min(margins) if margins else None
     return report
@@ -534,15 +543,11 @@ def cmd_analyze(cfg, args, out: Path) -> int:
     path = Path(args.path)
     if not path.exists():
         raise ConfigError(f"no such file: {path}")
-    mode = args.mode or cfg["analyze"]["mode"]
+    mode = args.mode
     if mode == "auto":
         mode = "type1" if path.suffix == ".jsonl" else "soliton"
-    if mode == "type1":
-        report = _analyze_type1(cfg, path)
-    elif mode == "soliton":
-        report = _analyze_soliton(cfg, path)
-    else:
-        raise ConfigError(f"unknown analyze mode {mode!r}")
+    analyze = _analyze_type1 if mode == "type1" else _analyze_soliton
+    report = analyze(cfg, path)
     (out / "analyze_report.json").write_text(json_dumps(report, indent=2)
                                              + "\n")
     for key, val in report.items():
@@ -556,16 +561,16 @@ def cmd_analyze(cfg, args, out: Path) -> int:
 
 def cmd_phase(cfg, args, out: Path) -> int:
     rng = np.random.default_rng(cfg["scenario"]["seed"])
-    name = args.surface or cfg["surface"]["family"]
-    fam = _make_surface(cfg, rng, name)
+    fam = _make_surface(cfg, rng, args.surface)
     csv_path = out / "phase_field.csv"
-    margin = write_phase_field_csv(csv_path, fam, n=cfg["surface"]["n"])
+    contain = margin_report(
+        write_phase_field_csv(csv_path, fam, n=cfg["surface"]["n"]))
     report = {
         "family": fam.name,
         "n": cfg["surface"]["n"],
         "csv": csv_path.name,
-        "min_margin": float(np.min(margin)),
-        "touches_forbidden_set": bool(np.min(margin) <= 1e-12),
+        "min_margin": contain.margin,
+        "touches_forbidden_set": contain.violation,
     }
     (out / "phase_report.json").write_text(json_dumps(report, indent=2)
                                            + "\n")
@@ -600,11 +605,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("analyze", help="post-process stored output")
     p.add_argument("path", help=".jsonl trajectory log or u,v sample CSV")
     p.add_argument("--mode", choices=("auto", "type1", "soliton"),
-                   default=None)
+                   default="auto")
 
     p = sub.add_parser("phase", help="dump a phase-field CSV")
-    p.add_argument("--surface", default=None,
-                   help="family name (default from [surface])")
+    p.add_argument("--surface", default="cylinder",
+                   help="family name (default cylinder)")
     return parser
 
 

@@ -167,6 +167,7 @@ def _spectral_filter(values: np.ndarray) -> np.ndarray:
 
 
 STEP_BOUND = 0.2   # c in the parabolic step bound dt <= c * spacing^2
+CSF_SCHEMES = ("rk4", "semi-implicit")
 
 
 def csf_step(curve: PlaneCurve, dt: float, scheme: str = "rk4") -> PlaneCurve:
@@ -199,7 +200,8 @@ def csf_step(curve: PlaneCurve, dt: float, scheme: str = "rk4") -> PlaneCurve:
         zhat /= 1.0 + dt * a * k * k
         z_new = np.fft.ifft(zhat)
     else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+        raise ValueError(f"unknown scheme {scheme!r}; choose from "
+                         f"{CSF_SCHEMES}")
     z_new = _spectral_filter(z_new)
     if np.min(np.abs(z_new)) < guard:
         raise OriginCollision("curve entered the origin guard band")
@@ -223,6 +225,9 @@ def run_csf(curve: PlaneCurve, t_end: float, dt: float | None = None,
     With dt=None the step adapts to the parabolic bound as the curve
     shrinks (the last step lands exactly on t_end); a fixed dt gives the
     uniformly spaced trajectories the phase-evolution check requires.
+    The run stops and is marked truncated when the curve reaches the origin
+    guard band, or when a step no longer advances t: near the blow-up time
+    the adaptive step falls below half an ulp of t.
     """
     t = 0.0
     times = [0.0]
@@ -233,17 +238,22 @@ def run_csf(curve: PlaneCurve, t_end: float, dt: float | None = None,
         if dt is None:
             h = curve.min_spacing()
             dt_k = min(STEP_BOUND * h * h, t_end - t)
+            t_next = t + dt_k
         else:
             dt_k = min(dt, t_end - t)
+            # counted time avoids accumulation drift, so fixed-dt snapshot
+            # grids stay uniform to one rounding of step*dt
+            t_next = min((step + 1) * dt, t_end)
+        if t_next == t:
+            truncated = True
+            break
         try:
             curve = csf_step(curve, dt_k, scheme)
         except OriginCollision:
             truncated = True
             break
         step += 1
-        # counted time avoids accumulation drift, so fixed-dt snapshot
-        # grids stay uniform to one rounding of step*dt
-        t = t + dt_k if dt is None else min(step * dt, t_end)
+        t = t_next
         if step % snapshot_every == 0 or t >= t_end - 1e-15:
             times.append(t)
             curves.append(curve)

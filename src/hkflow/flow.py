@@ -25,6 +25,9 @@ from .surfaces import (ParametricSurface, frames, mean_curvature,
                        midpoint_grid, normal_projection)
 from .util import write_jsonl
 
+MCF_SCHEMES = ("semi-implicit", "explicit")
+TYPE1_TAIL = 0.4   # trailing fraction of a history that the Type-I fit reads
+
 
 @dataclass(eq=False)
 class FlowState:
@@ -103,7 +106,8 @@ def _advance_vertices(state: FlowState, dt: float, scheme: str) -> np.ndarray:
         disp = np.where(valid[:, None], h, 0.0)
         return mesh.vertices + dt * disp
     if scheme != "semi-implicit":
-        raise ValueError(f"unknown scheme {scheme!r}")
+        raise ValueError(f"unknown scheme {scheme!r}; choose from "
+                         f"{MCF_SCHEMES}")
 
     m = sp.diags(state.mixed_areas)
     a = (m - dt * state.cot_matrix).tocsr()
@@ -143,16 +147,19 @@ def mcf_step(state: FlowState, dt: float,
     return FlowState.measure(state.mesh.with_vertices(verts), state.t + dt)
 
 
-def run_mcf(mesh: SurfaceMesh, dt: float, t_end: float,
+def run_mcf(mesh: SurfaceMesh, dt: float | None, t_end: float,
             scheme: str = "semi-implicit", log_path=None,
             checkpoint_every: int = 0, checkpoint_dir=None) -> FlowHistory:
     """Run the flow to t_end, logging one JSON record per emitted state.
 
-    Stops early (and marks the history truncated) once max|B| * h_min
-    exceeds 0.5: beyond that the discrete curvature is under-resolved.
+    dt=None steps 0.2 h_min^2 (explicit bound: 0.25 h_min^2).  Stops early
+    (and marks the history truncated) once max|B| * h_min exceeds 0.5:
+    beyond that the discrete curvature is under-resolved.
     The log is written one flushed record per state, so a run that a guard
     stops with an exception leaves the records of every state it reached.
     """
+    if dt is None:
+        dt = 0.2 * mesh.min_edge_length() ** 2
     n_steps = int(round(t_end / dt))
     first = state = FlowState.measure(mesh, 0.0)
     records = [state.record()]
@@ -262,10 +269,10 @@ class Type1Report:
     sup_rescaled: float
 
 
-def type1_monitor(history: FlowHistory, tail_frac: float = 0.4) -> Type1Report:
+def type1_monitor(history: FlowHistory) -> Type1Report:
     """Blow-up time estimate from the Type-I model.
 
-    Fits 1/max|B|^2 linearly against t on the trailing tail_frac of the
+    Fits 1/max|B|^2 linearly against t on the trailing TYPE1_TAIL of the
     history (the model is asymptotic); the fitted zero crossing is T_est.
     The returned sup is max over the tail of sqrt(T_est - t) * max|B|.
     """
@@ -273,7 +280,7 @@ def type1_monitor(history: FlowHistory, tail_frac: float = 0.4) -> Type1Report:
     b = np.asarray(history.max_b, dtype=float)
     if len(t) < 5:
         raise InsufficientHistory(f"need at least 5 history points, got {len(t)}")
-    n_tail = max(2, int(math.ceil(tail_frac * len(t))))
+    n_tail = max(2, int(math.ceil(TYPE1_TAIL * len(t))))
     tt, bb = t[-n_tail:], b[-n_tail:]
     y = 1.0 / (bb * bb)
     a_mat = np.stack([np.ones_like(tt), tt], axis=1)
@@ -286,7 +293,13 @@ def type1_monitor(history: FlowHistory, tail_frac: float = 0.4) -> Type1Report:
     if dof > 0:
         resid = y - a_mat @ coef
         sigma2 = float(resid @ resid) / dof
-        cov = sigma2 * np.linalg.inv(a_mat.T @ a_mat)
+        try:
+            cov = sigma2 * np.linalg.inv(a_mat.T @ a_mat)
+        except np.linalg.LinAlgError:
+            # a run stopped at the blow-up time: the tail times agree to
+            # about the square root of the rounding unit
+            raise InsufficientHistory(
+                "the tail times are too close to fit a covariance") from None
         grad = np.array([-1.0 / beta, alpha / (beta * beta)])
         var_t = float(grad @ cov @ grad)
         ci = 1.96 * math.sqrt(max(var_t, 0.0))

@@ -339,18 +339,21 @@ def arc_distance(lam) -> np.ndarray:
 
 
 def containment_margin(lams) -> ContainmentReport:
-    """Min distance of a phase sample set to the half circle.
+    """Min distance of a phase sample set to the half circle."""
+    return margin_report(arc_distance(lams))
 
-    A sample lying on the set exactly forces margin 0 and the violation
-    flag; otherwise the margin is the smallest pointwise distance.
-    """
-    lams = np.asarray(lams, dtype=float)
-    if lams.size == 0:
+
+def margin_report(margins) -> ContainmentReport:
+    """Containment report of pointwise arc_distance values.  These are
+    exactly 0 on the half circle and positive off it, so a zero margin is
+    the exact membership test: it forces margin 0 and the violation flag;
+    otherwise the margin is the smallest pointwise distance."""
+    margins = np.asarray(margins, dtype=float)
+    if margins.size == 0:
         raise ValueError("empty phase sample set")
-    d = arc_distance(lams)
-    hit = bool(np.any((lams[..., 0] == 0.0) & (lams[..., 1] >= 0.0)))
-    margin = 0.0 if hit else float(np.min(d))
-    return ContainmentReport(margin=margin, violation=hit)
+    hit = bool(np.any(margins == 0.0))
+    return ContainmentReport(margin=0.0 if hit else float(np.min(margins)),
+                             violation=hit)
 
 
 # ---------------------------------------------------------------------------

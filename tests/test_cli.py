@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,8 @@ import numpy as np
 import pytest
 
 import hkflow
-from hkflow.cli import main
+from hkflow.cli import _SCHEMA, main
+from hkflow.mesh import flat_square, icosphere, read_off4
 
 
 def run(tmp_path, *argv):
@@ -95,6 +97,17 @@ def test_verify_evaluates_only_the_requested_identities(tmp_path,
     assert list(report["identities"]) == ["quaternionic"]
 
 
+def test_verify_one_surface(tmp_path):
+    code, out = run(tmp_path, "verify", "--surface", "sphere")
+    assert code == 0
+    report = json.loads((out / "verify_report.json").read_text())
+    assert report["surface"] == "sphere"
+    assert report["all_pass"]
+    # the other four sample families of their own
+    assert list(report["identities"]) == ["quaternionic", "phase-block",
+                                          "coupling", "energy"]
+
+
 def test_verify_unknown_identity(tmp_path):
     code, _ = run(tmp_path, "verify", "--suite", "bogus")
     assert code == 1
@@ -135,6 +148,24 @@ CONFIG_ERRORS = {
     "removed-redistribute-every": ("[flow]\nredistribute_every = 5\n",
                                    "flow-curve", ""),
     "removed-stability-c": ("[flow]\nstability_c = 0.1\n", "flow-curve", ""),
+    # analyze --mode and phase --surface set these; type1_monitor owns the tail
+    "removed-analyze-mode": ("[analyze]\nmode = type1\n", "flow-curve", ""),
+    "removed-analyze-tail-frac": ("[analyze]\ntail_frac = 0.5\n",
+                                  "flow-curve", ""),
+    "removed-surface-family": ("[surface]\nfamily = sphere\n", "phase", ""),
+    # each flow takes only its own schemes; t_end = 0 takes no step, so the
+    # name is checked before the run and not inside a step
+    "curve-scheme-explicit": ("[flow]\nscheme = explicit\n", "flow-curve", ""),
+    "mesh-scheme-rk4": ("[flow]\nscheme = rk4\n", "flow-mesh", ""),
+    "mesh-scheme-unknown-no-step": ("[flow]\nscheme = foo\nt_end = 0\n",
+                                    "flow-mesh", ""),
+    # float() reads nan and inf; no run can use them
+    "mesh-t-end-nan": ("[flow]\nt_end = nan\n", "flow-mesh", ""),
+    "curve-t-end-inf": ("[flow]\nt_end = inf\n", "flow-curve", ""),
+    "curve-radius-nan": ("[curve]\nradius = nan\n", "flow-curve", ""),
+    "mesh-radius-nan": ("[mesh]\nradius = nan\n", "flow-mesh", ""),
+    "curve-dt-nan": ("[flow]\ndt = nan\n", "flow-curve", ""),
+    "mesh-dt-inf": ("[flow]\ndt = inf\n", "flow-mesh", ""),
     # det-gauss samples its own families, so --surface would skip it
     "verify-identity-not-run": ("", "verify --suite det-gauss --surface "
                                 "cylinder", ""),
@@ -169,6 +200,29 @@ def test_bad_input_is_a_config_error(tmp_path, monkeypatch, capsys, case):
     assert "Traceback" not in err
     if command.startswith("analyze"):
         assert "log.jsonl, line " in err
+
+
+@pytest.mark.parametrize("command, choices", [
+    ("flow-curve", "('auto', 'rk4', 'semi-implicit')"),
+    ("flow-mesh", "('auto', 'semi-implicit', 'explicit')"),
+])
+def test_unknown_scheme_names_the_choices(tmp_path, capsys, command, choices):
+    cfg = config(tmp_path, "[flow]\nscheme = foo\n")
+    assert main(["--config", cfg, "--out", str(tmp_path / "out"),
+                 command]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"hkflow: config error: unknown [flow] scheme 'foo'; "
+                   f"choose from {choices}\n")
+
+
+def test_readme_config_reference_matches_schema():
+    """README's configuration table lists every key with its default."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    rows = re.findall(r"^\| `\[(\w+)\]` \| `(\w+)` \| `([^`]*)` \|",
+                      readme.read_text(), flags=re.MULTILINE)
+    assert rows == [(sec, key, str(default))
+                    for sec, keys in _SCHEMA.items()
+                    for key, (_, default) in keys.items()]
 
 
 def test_analyze_non_unit_v0_is_a_config_error(tmp_path, capsys):
@@ -235,6 +289,30 @@ def test_flow_curve_outputs_byte_identical(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+def test_flow_curve_stops_at_the_blow_up_time(tmp_path):
+    # the adaptive step falls below half an ulp of t before t reaches 0.25;
+    # the tail times then agree too closely for the Type-I fit
+    cfg = config(tmp_path, "[curve]\nn = 16\n[flow]\nt_end = 0.25\n")
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "flow-curve"]) == 0
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert diag["truncated"]
+    assert diag["t_final"] < 0.25
+    assert diag["t_est"] is None and diag["note"]
+
+
+def test_flow_curve_figure_eight(tmp_path):
+    cfg = config(tmp_path, "[curve]\nfamily = figure-eight\nn = 64\n"
+                           "[flow]\nt_end = 0.01\nsnapshot_every = 5\n")
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "flow-curve"]) == 0
+    diag = json.loads((out / "diagnostics.json").read_text())
+    # the zero-Maslov witness: it winds around neither 0 nor itself
+    assert diag["ind_gamma"] == diag["ind_gammaprime"] == 0
+    assert abs(diag["maslov_defect"]) < 1e-12
+    assert diag["t_final"] == 0.01 and not diag["truncated"]
+
+
 def test_flow_curve_origin_crossing_exits_2(tmp_path):
     # eps = 1 pinches the loop onto the origin at a grid point
     cfg = config(tmp_path, "\n".join([
@@ -261,6 +339,37 @@ def test_flow_mesh_summary(tmp_path):
     assert summary["area_monotone"]
     assert not summary["truncated"]
     assert summary["area_final"] < summary["area_initial"]
+
+
+def test_flow_mesh_auto_dt_is_its_stated_step(tmp_path):
+    """dt = auto steps 0.2 h_min^2 of the initial mesh: the same bytes as
+    that step given as a number."""
+    h_min = icosphere(2).min_edge_length()
+    logs = []
+    for name, dt in (("auto", "auto"), ("number", repr(0.2 * h_min ** 2))):
+        cfg = config(tmp_path, "[mesh]\nkind = icosphere\nsubdivisions = 2\n"
+                               f"[flow]\ndt = {dt}\nt_end = 0.05\n")
+        out = tmp_path / name
+        assert main(["--config", cfg, "--out", str(out), "flow-mesh"]) == 0
+        logs.append((out / "history.jsonl").read_bytes())
+    assert logs[0] == logs[1]
+    assert logs[0].count(b"\n") > 2
+
+
+def test_flow_mesh_square_with_checkpoints(tmp_path):
+    # the flat square is minimal and its boundary is pinned: nothing moves
+    cfg = config(tmp_path, "[mesh]\nkind = square\nn = 4\n"
+                           "[flow]\ndt = 1e-3\nt_end = 5e-3\n"
+                           "checkpoint_every = 2\n")
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "flow-mesh"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["steps"] == 5
+    assert summary["area_final"] == summary["area_initial"] == 1.0
+    names = sorted(p.name for p in (out / "checkpoints").iterdir())
+    assert names == ["checkpoint_000002.off", "checkpoint_000004.off"]
+    assert np.array_equal(read_off4(out / "checkpoints" / names[-1]).vertices,
+                          flat_square(4).vertices)
 
 
 def test_flow_mesh_explicit_dt_too_large_exits_2(tmp_path):
@@ -383,7 +492,8 @@ GOLDEN = {
         "0c34ab98151230c15155b04239dd3e58b285d09cbaeecd04459f404eb4477ba1"),
     "torus-16": ("phase --surface torus", "[surface]\nn = 16\n",
                  "25d123f762b598e2c47409d2e48d028a4787955121b0e602eb720dd85e3fc272"),
-    # 48 x 48 points: the torus jets are evaluated in blocks
+    # 48 x 48 points but 48 distinct u: the torus jets of those are
+    # evaluated in one block and gathered back
     "torus-48": ("phase --surface torus", "[surface]\nn = 48\n",
                  "8c47346c66b80e84d000d00574bd46c34926ddfbc7454f7d9bd9977b0668b3a7"),
     "verify-20": ("verify", "[surface]\npoints = 20\n",

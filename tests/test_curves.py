@@ -150,6 +150,15 @@ def test_csf_snapshots_uniform():
     assert res.times[-1] == 0.02
 
 
+def test_csf_stops_when_the_step_no_longer_advances_t():
+    """Past the blow-up time T = 1/4 the adaptive step falls below half an
+    ulp of t; the run stops there instead of looping at a fixed t."""
+    res = run_csf(PlaneCurve.circle(1.0, n=16), t_end=0.3)
+    assert res.truncated
+    assert res.times[-1] < 0.25
+    assert np.all(np.diff(res.times) > 0)
+
+
 def test_perturbed_circle_runs_and_blows_up():
     pc = PlaneCurve.from_function(
         lambda x: np.exp(1j * x) * (1.0 + 0.05 * np.cos(3 * x)), n=256)

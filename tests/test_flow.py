@@ -220,6 +220,15 @@ def test_type1_monitor_rejects_flat_history():
         type1_monitor(hist)
 
 
+def test_type1_monitor_rejects_unresolved_tail_times():
+    # tail times a few ulps apart, as at the end of a run stopped at T
+    t = 0.25 - 1e-13 * np.arange(10.0, 0.0, -1.0)
+    hist = FlowHistory(t=t, max_b=1.0 / np.sqrt(0.25 - t + 1e-14),
+                       area=np.ones_like(t))
+    with pytest.raises(InsufficientHistory):
+        type1_monitor(hist)
+
+
 def test_type1_monitor_needs_history():
     t = np.linspace(0.0, 0.1, 4)
     hist = FlowHistory(t=t, max_b=1.0 + t, area=np.ones_like(t))

@@ -450,7 +450,7 @@ def _projectors(t1, t2):
 
 
 @pytest.mark.parametrize("make", GEOMETRY_MESHES, ids=GEOMETRY_IDS)
-def test_frames_with_shared_offsets_match_reference_bits(make):
+def test_frames_with_shared_offsets_match_reference_projectors(make):
     """The bivector frames against the two-ring covariance frames of the
     reference: both orient every plane the same way, and their tangent
     projectors agree at rounding where symmetry makes both routes exact
