@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import functools
 import json
 import math
@@ -89,9 +90,6 @@ _SCHEMA = {
 # counts a run divides by or samples with, so they must be at least 1
 _COUNT_KEYS = (("flow", "snapshot_every"), ("surface", "n"),
                ("surface", "points"), ("mesh", "n"))
-
-_CURVE_FAMILIES = ("circle", "perturbed-circle", "figure-eight")
-_MESH_KINDS = ("icosphere", "torus", "square")
 
 
 class ConfigError(Exception):
@@ -174,44 +172,42 @@ def _parse_v0(raw: str):
         raise ConfigError(f"bad v0 {raw!r}: expected 4 comma-separated floats")
 
 
+def _build(section: str, label: str, name: str, builders: dict):
+    """builders[name]() for the [section] family or kind called name; an
+    unknown name or a ValueError from the builder is a ConfigError."""
+    if name not in builders:
+        raise ConfigError(f"unknown {section} {label} {name!r}; choose from "
+                          f"{tuple(builders)}")
+    try:
+        return builders[name]()
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {name}: {exc}")
+
+
 def _build_curve(cfg):
     c = cfg["curve"]
-    fam, r, n = c["family"], c["radius"], c["n"]
-    if fam not in _CURVE_FAMILIES:
-        raise ConfigError(
-            f"unknown curve family {fam!r}; choose from {_CURVE_FAMILIES}")
-    eps, mode = c["eps"], c["mode"]
-    try:
-        if fam == "circle":
-            return PlaneCurve.circle(r, n=n)
-        if fam == "perturbed-circle":
-            return PlaneCurve.from_function(
-                lambda x: r * np.exp(1j * x) * (1 + eps * np.cos(mode * x)),
-                n=n)
+    r, n, eps, mode = c["radius"], c["n"], c["eps"], c["mode"]
+    return _build("curve", "family", c["family"], {
+        "circle": lambda: PlaneCurve.circle(r, n=n),
+        "perturbed-circle": lambda: PlaneCurve.from_function(
+            lambda x: r * np.exp(1j * x) * (1 + eps * np.cos(mode * x)),
+            n=n),
         # embedded zero-Maslov witness: turning number 0, winding 0
-        return PlaneCurve.from_function(
-            lambda x: 3 + np.sin(x) + 0.5j * np.sin(2 * x), n=n)
-    except ValueError as exc:
-        raise ConfigError(f"[curve] {fam}: {exc}")
+        "figure-eight": lambda: PlaneCurve.from_function(
+            lambda x: 3 + np.sin(x) + 0.5j * np.sin(2 * x), n=n),
+    })
 
 
 def _make_surface(cfg, rng, name: str):
     r = cfg["surface"]["radius"]
-    registry = {
-        "plane": lambda: Plane(),
+    return _build("surface", "family", name, {
         "cylinder": lambda: Cylinder(r),
-        "sphere": lambda: Sphere(r),
         "grim-reaper": lambda: GrimReaper(),
+        "plane": lambda: Plane(),
         "quadratic-graph": lambda: QuadraticGraph.random(rng),
+        "sphere": lambda: Sphere(r),
         "torus": lambda: TorusFromCurve(PlaneCurve.circle(r, n=256)),
-    }
-    if name not in registry:
-        raise ConfigError(f"unknown surface family {name!r}; choose from "
-                          f"{tuple(sorted(registry))}")
-    try:
-        return registry[name]()
-    except ValueError as exc:
-        raise ConfigError(f"[surface] {name}: {exc}")
+    })
 
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -405,7 +401,7 @@ def cmd_flow_curve(cfg, args, out: Path) -> int:
          "margin": float(m)}
         for t, b, a, m in zip(hist.t, hist.max_b, hist.area, hist.margin)))
 
-    diag = diagnostics(result.curves[0]).as_dict()
+    diag = dataclasses.asdict(diagnostics(result.curves[0]))
     diag.update({"t_final": float(hist.t[-1]),
                  "truncated": bool(result.truncated)})
     diag.update(_type1_fields(hist))
@@ -421,17 +417,11 @@ def cmd_flow_curve(cfg, args, out: Path) -> int:
 
 def _build_mesh(cfg):
     m = cfg["mesh"]
-    if m["kind"] not in _MESH_KINDS:
-        raise ConfigError(
-            f"unknown mesh kind {m['kind']!r}; choose from {_MESH_KINDS}")
-    try:
-        if m["kind"] == "icosphere":
-            return icosphere(m["subdivisions"], m["radius"])
-        if m["kind"] == "torus":
-            return embed_torus(_build_curve(cfg), ny=m["ny"])[0]
-        return flat_square(m["n"], m["extent"])
-    except ValueError as exc:
-        raise ConfigError(f"[mesh] {m['kind']}: {exc}")
+    return _build("mesh", "kind", m["kind"], {
+        "icosphere": lambda: icosphere(m["subdivisions"], m["radius"]),
+        "torus": lambda: embed_torus(_build_curve(cfg), ny=m["ny"])[0],
+        "square": lambda: flat_square(m["n"], m["extent"]),
+    })
 
 
 def cmd_flow_mesh(cfg, args, out: Path) -> int:

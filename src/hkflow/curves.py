@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateDerivative, DegenerateSpacing, OriginCollision,
-                     PointOnCurve, StabilityViolation)
+from .errors import (DegenerateDerivative, OriginCollision, PointOnCurve,
+                     StabilityViolation)
 from .flow import FlowHistory
 from .mesh import grid_torus_mesh
 from .phase import containment_margin
@@ -124,6 +124,22 @@ def _first_two_derivatives(samples: np.ndarray):
             np.fft.ifft(zhat * _derivative_factor(n, 2)))
 
 
+def _require_speed(g1: np.ndarray) -> None:
+    """Raise unless |gamma'| stays above 1e-8 max|gamma'| at every sample."""
+    if np.min(np.abs(g1)) < 1e-8 * np.max(np.abs(g1)):
+        raise DegenerateDerivative("gamma' vanishes at sample resolution")
+
+
+def _curvature_frame(g1: np.ndarray, g2: np.ndarray):
+    """|gamma'|^2, the unit normal -i gamma' / |gamma'| and the curvature
+    vector of curvature_vector, from gamma' and gamma''."""
+    speed2 = np.abs(g1) ** 2
+    radial = np.real(np.conj(g1) * g2) / speed2
+    kap = (g2 - g1 * radial) / speed2
+    nrm = -1j * g1 / np.sqrt(speed2)
+    return speed2, nrm, kap
+
+
 def curvature_vector(curve: PlaneCurve) -> np.ndarray:
     """Arclength second derivative of the curve, as complex numbers.
 
@@ -132,11 +148,8 @@ def curvature_vector(curve: PlaneCurve) -> np.ndarray:
     a counterclockwise circle of radius R gives -gamma / R^2.
     """
     g1, g2 = _first_two_derivatives(curve.samples)
-    speed2 = np.abs(g1) ** 2
-    if np.min(np.sqrt(speed2)) < 1e-8 * np.max(np.sqrt(speed2)):
-        raise DegenerateSpacing("parametrization speed collapses somewhere")
-    radial = np.real(np.conj(g1) * g2) / speed2
-    return (g2 - g1 * radial) / speed2
+    _require_speed(g1)
+    return _curvature_frame(g1, g2)[2]
 
 
 def _flow_rhs(samples: np.ndarray) -> np.ndarray:
@@ -146,10 +159,7 @@ def _flow_rhs(samples: np.ndarray) -> np.ndarray:
 def _velocity(samples: np.ndarray, g1: np.ndarray,
               g2: np.ndarray) -> np.ndarray:
     """Flow velocity from the samples and their first two derivatives."""
-    speed2 = np.abs(g1) ** 2
-    radial = np.real(np.conj(g1) * g2) / speed2
-    kap = (g2 - g1 * radial) / speed2
-    nrm = -1j * g1 / np.sqrt(speed2)
+    _, nrm, kap = _curvature_frame(g1, g2)
     gperp = np.real(samples * np.conj(nrm)) * nrm
     return kap - gperp / np.abs(samples) ** 2
 
@@ -292,12 +302,6 @@ class CurveDiagnostics:
     total_turning: float
     maslov_defect: float
 
-    def as_dict(self) -> dict:
-        return {"ind_gamma": self.ind_gamma,
-                "ind_gammaprime": self.ind_gammaprime,
-                "total_turning": self.total_turning,
-                "maslov_defect": self.maslov_defect}
-
 
 def diagnostics(curve: PlaneCurve) -> CurveDiagnostics:
     """Winding numbers and turning of the curve.
@@ -308,8 +312,7 @@ def diagnostics(curve: PlaneCurve) -> CurveDiagnostics:
     and vanishes exactly for zero-Maslov tori.
     """
     g1, g2 = _first_two_derivatives(curve.samples)
-    if np.min(np.abs(g1)) < 1e-8 * np.max(np.abs(g1)):
-        raise DegenerateDerivative("gamma' vanishes at sample resolution")
+    _require_speed(g1)
     ind_gamma = _polyline_winding(curve.samples)
     ind_gp = _polyline_winding(g1)
     turning = -float(np.mean(np.imag(g2 / g1)))
@@ -347,11 +350,9 @@ class TorusFromCurve(ParametricSurface):
         n = curve.n
         coef = np.fft.fft(curve.samples) / n
         self._k = _spectral_modes(n)
-        kd1 = 1j * self._k
-        if n % 2 == 0:
-            kd1[n // 2] = 0.0
         # coefficients of gamma, gamma' and gamma''
-        self._coefs = (coef, kd1 * coef, -(self._k ** 2) * coef)
+        self._coefs = (coef, _derivative_factor(n, 1) * coef,
+                       _derivative_factor(n, 2) * coef)
 
     def _gamma_jets(self, u):
         """gamma and its first two derivatives at the parameters u.
@@ -433,12 +434,10 @@ def torus_bnorm2(curve: PlaneCurve) -> np.ndarray:
 
 
 def _torus_bnorm2(z, g1, g2) -> np.ndarray:
-    speed = np.abs(g1)
-    nrm = -1j * g1 / speed
-    kap = (g2 - g1 * np.real(np.conj(g1) * g2) / speed ** 2) / speed ** 2
+    speed2, nrm, kap = _curvature_frame(g1, g2)
     k_signed = np.real(kap * np.conj(nrm))
     radial = np.real(z * np.conj(nrm)) / np.abs(z) ** 2
-    mu = -np.imag(np.conj(z) * g1) / (np.abs(z) ** 2 * speed)
+    mu = -np.imag(np.conj(z) * g1) / (np.abs(z) ** 2 * np.sqrt(speed2))
     return k_signed ** 2 + radial ** 2 + 2 * mu ** 2
 
 

@@ -22,10 +22,6 @@ class DegenerateDerivative(GeometryError):
     """A curve derivative vanishes where a direction is required."""
 
 
-class DegenerateSpacing(GeometryError):
-    """Consecutive curve samples coincide (the polyline is not immersed)."""
-
-
 class DegenerateTriangle(GeometryError):
     """A mesh triangle has (numerically) zero area."""
 

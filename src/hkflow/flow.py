@@ -152,7 +152,9 @@ def run_mcf(mesh: SurfaceMesh, dt: float | None, t_end: float,
             checkpoint_every: int = 0, checkpoint_dir=None) -> FlowHistory:
     """Run the flow to t_end, logging one JSON record per emitted state.
 
-    dt=None steps 0.2 h_min^2 (explicit bound: 0.25 h_min^2).  Stops early
+    dt=None steps 0.2 h_min^2 (explicit bound: 0.25 h_min^2).  The run
+    takes k = floor(t_end (1 + 1e-12) / dt) whole steps of dt, then, when
+    t_end - k dt exceeds 1e-12 t_end, one step onto t_end.  Stops early
     (and marks the history truncated) once max|B| * h_min exceeds 0.5:
     beyond that the discrete curvature is under-resolved.
     The log is written one flushed record per state, so a run that a guard
@@ -160,7 +162,8 @@ def run_mcf(mesh: SurfaceMesh, dt: float | None, t_end: float,
     """
     if dt is None:
         dt = 0.2 * mesh.min_edge_length() ** 2
-    n_steps = int(round(t_end / dt))
+    n_whole = max(0, math.floor(t_end * (1 + 1e-12) / dt))
+    n_steps = n_whole + (t_end - n_whole * dt > 1e-12 * t_end)
     first = state = FlowState.measure(mesh, 0.0)
     records = [state.record()]
 
@@ -170,7 +173,10 @@ def run_mcf(mesh: SurfaceMesh, dt: float | None, t_end: float,
         for k in range(n_steps):
             if state.max_b * state.mesh.min_edge_length() > 0.5:
                 return
-            state = mcf_step(state, dt, scheme)
+            # the last step starts at 0 or past t_end / 2, so t_end - t is
+            # exact and the run ends on t_end itself
+            state = mcf_step(state, dt if k < n_whole else t_end - state.t,
+                             scheme)
             records.append(state.record())
             yield records[-1]
             if checkpoint_every and checkpoint_dir is not None \

@@ -85,15 +85,26 @@ def _dj_shape_operator(fr: FrameData, sff: np.ndarray) -> np.ndarray:
             + q[..., :, None] * a3[..., None, :])
 
 
-def _dj_finite_difference(family: ParametricSurface, u, v, fr: FrameData,
-                          h: float) -> np.ndarray:
-    """dJ by centered differences of the phase over the parameters."""
-    lam_du = (frames(family.jet(u + h, v)).lam
-              - frames(family.jet(u - h, v)).lam) / (2 * h)
-    lam_dv = (frames(family.jet(u, v + h)).lam
-              - frames(family.jet(u, v - h)).lam) / (2 * h)
-    grad = np.stack([lam_du, lam_dv], axis=-2)            # (..., 2, 3)
+def _stencil_gradient(family: ParametricSurface, u, v, fr: FrameData,
+                      h: float, field) -> np.ndarray:
+    """Derivatives along (e1, e2) of field(jet), by centered differences of
+    step h over the parameters; shape (..., 2) + the field's shape."""
+    du = (field(family.jet(u + h, v)) - field(family.jet(u - h, v))) / (2 * h)
+    dv = (field(family.jet(u, v + h)) - field(family.jet(u, v - h))) / (2 * h)
+    grad = np.stack([du, dv], axis=-2)
     return np.einsum("...ia,...ab->...ib", fr.coeffs, grad)
+
+
+def _check_routes(a, b, h: float, what: str, where: str = "") -> float:
+    """Max-norm gap between two routes to one quantity; IdentityViolation
+    beyond max(1e-6, 10 h^2), above the O(h^2) error of a step-h stencil."""
+    gap = float(np.max(np.abs(a - b)))
+    tol = max(1e-6, 10 * h * h)
+    if gap > tol:
+        detail = f" (tol {format_float(tol)}) on {where}" if where else ""
+        raise IdentityViolation(
+            f"{what} disagree by {format_float(gap)}{detail}")
+    return gap
 
 
 def phase_differential(family: ParametricSurface, u, v) -> PhaseSample:
@@ -111,13 +122,8 @@ def phase_differential(family: ParametricSurface, u, v) -> PhaseSample:
     fr = frames(jet)
     sff = second_fundamental_form(jet, fr)
     dj_b = _dj_shape_operator(fr, sff)
-    dj_a = _dj_finite_difference(family, u, v, fr, h)
-    gap = float(np.max(np.abs(dj_a - dj_b)))
-    tol = max(1e-6, 10 * h * h)
-    if gap > tol:
-        raise IdentityViolation(
-            f"dJ routes disagree by {format_float(gap)} (tol {format_float(tol)}) "
-            f"on {family.name}")
+    dj_a = _stencil_gradient(family, u, v, fr, h, lambda j: frames(j).lam)
+    gap = _check_routes(dj_a, dj_b, h, "dJ routes", family.name)
     return _sample_from_dj(fr.lam, dj_a, gap)
 
 
@@ -221,11 +227,6 @@ def coupling_residual(fr: FrameData, sff: np.ndarray,
 # Tension field
 # ---------------------------------------------------------------------------
 
-def _h_field(family: ParametricSurface, u, v):
-    jet = family.jet(u, v)
-    return mean_curvature(jet, frames(jet))
-
-
 def tension(family: ParametricSurface, u, v) -> np.ndarray:
     """Tension field of the phase map, tau = lam x m,
     m_a = sum_j <J_a grad^perp_{e_j} H, e_j>.
@@ -240,10 +241,8 @@ def tension(family: ParametricSurface, u, v) -> np.ndarray:
     h = FD_STEP * family.scale
     family.check_stencil(u, v, h)
     fr = frames(family.jet(u, v))
-    dh_du = (_h_field(family, u + h, v) - _h_field(family, u - h, v)) / (2 * h)
-    dh_dv = (_h_field(family, u, v + h) - _h_field(family, u, v - h)) / (2 * h)
-    grad = np.stack([dh_du, dh_dv], axis=-2)              # (..., 2, 4)
-    de = np.einsum("...ia,...ak->...ik", fr.coeffs, grad)
+    de = _stencil_gradient(family, u, v, fr, h,
+                           lambda j: mean_curvature(j, frames(j)))
     e = np.stack([fr.e1, fr.e2], axis=-2)
     # normal part of each derivative row
     tang = np.einsum("...ik,...jk->...ij", de, e)
@@ -253,11 +252,7 @@ def tension(family: ParametricSurface, u, v) -> np.ndarray:
     je = apply_j(e)                                       # (..., 2, 3, 4)
     alt = (np.einsum("...k,...ak->...a", nab[..., 1, :], je[..., 0, :, :])
            - np.einsum("...k,...ak->...a", nab[..., 0, :], je[..., 1, :, :]))
-    gap = float(np.max(np.abs(alt - tau)))
-    tol = max(1e-6, 10 * h * h)
-    if gap > tol:
-        raise IdentityViolation(
-            f"tension contractions disagree by {format_float(gap)}")
+    _check_routes(alt, tau, h, "tension contractions")
     return tau
 
 
@@ -313,9 +308,9 @@ def chart(lam) -> SphereChart:
     the forbidden set is detected exactly (it includes both poles).
     """
     lam = np.asarray(lam, dtype=float)
-    l1, l2 = lam[..., 0], lam[..., 1]
-    if np.any((l1 == 0.0) & (l2 >= 0.0)):
+    if np.any(arc_distance(lam) == 0.0):
         raise OnForbiddenSet("phase direction lies on {lam1 = 0, lam2 >= 0}")
+    l1, l2 = lam[..., 0], lam[..., 1]
     r = np.hypot(l1, l2)
     phi = np.arctan2(l1, l2)
     phi = np.where(phi <= 0.0, phi + 2 * np.pi, phi)

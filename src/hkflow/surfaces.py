@@ -105,14 +105,19 @@ def frames(jet: SurfaceJet) -> FrameData:
     return FrameData(e1=e1, e2=e2, nu1=nu1, nu2=nu2, lam=lam, g=g, coeffs=coeffs)
 
 
-def second_fundamental_form(jet: SurfaceJet, fr: FrameData) -> np.ndarray:
-    """Components h[..., a, i, j] = <B(e_i, e_j), nu_a>, symmetric in (i, j)."""
-    xdd = np.stack([
+def _hessian(jet: SurfaceJet) -> np.ndarray:
+    """Coordinate Hessian [[X_uu, X_uv], [X_uv, X_vv]], shape (..., 2, 2, 4)."""
+    return np.stack([
         np.stack([jet.xuu, jet.xuv], axis=-2),
         np.stack([jet.xuv, jet.xvv], axis=-2),
-    ], axis=-3)                                           # (..., 2, 2, 4)
+    ], axis=-3)
+
+
+def second_fundamental_form(jet: SurfaceJet, fr: FrameData) -> np.ndarray:
+    """Components h[..., a, i, j] = <B(e_i, e_j), nu_a>, symmetric in (i, j)."""
     # Contract both slots of the coordinate Hessian with the frame coeffs.
-    b = np.einsum("...ia,...jb,...abk->...ijk", fr.coeffs, fr.coeffs, xdd)
+    b = np.einsum("...ia,...jb,...abk->...ijk", fr.coeffs, fr.coeffs,
+                  _hessian(jet))
     nu = np.stack([fr.nu1, fr.nu2], axis=-2)              # (..., 2, 4)
     return np.einsum("...ijk,...ak->...aij", b, nu)
 
@@ -128,11 +133,7 @@ def mean_curvature(jet: SurfaceJet, fr: FrameData, sff=None) -> np.ndarray:
         tr = sff[..., 0, 0] + sff[..., 1, 1]
         return (tr[..., 0, None] * fr.nu1 + tr[..., 1, None] * fr.nu2)
     ginv = np.linalg.inv(fr.g)
-    xdd = np.stack([
-        np.stack([jet.xuu, jet.xuv], axis=-2),
-        np.stack([jet.xuv, jet.xvv], axis=-2),
-    ], axis=-3)
-    h = np.einsum("...ab,...abk->...k", ginv, xdd)
+    h = np.einsum("...ab,...abk->...k", ginv, _hessian(jet))
     return normal_projection(fr, h)
 
 

@@ -88,8 +88,6 @@ def _write(obj, out: list, indent: int, level: int) -> None:
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
         out.append(format_float(obj))
-    elif isinstance(obj, np.ndarray):
-        _write(obj.tolist(), out, indent, level)
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")

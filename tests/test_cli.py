@@ -372,6 +372,19 @@ def test_flow_mesh_square_with_checkpoints(tmp_path):
                           flat_square(4).vertices)
 
 
+def test_flow_mesh_ends_at_t_end(tmp_path):
+    """dt = auto is 0.0125 on the n = 4 square, above t_end = 0.01: the run
+    takes one step of t_end itself, not one whole step past it."""
+    cfg = config(tmp_path, "[mesh]\nkind = square\nn = 4\n"
+                           "[flow]\nt_end = 0.01\n")
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "flow-mesh"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["steps"] == 1
+    assert summary["t_final"] == 0.01
+    assert not summary["truncated"]
+
+
 def test_flow_mesh_explicit_dt_too_large_exits_2(tmp_path):
     cfg = config(tmp_path, "\n".join([
         "[mesh]", "kind = icosphere", "subdivisions = 2",

@@ -7,8 +7,8 @@ from hkflow.curves import (CurveFlowResult, PlaneCurve, TorusFromCurve,
                            diagnostics, embed_torus, run_csf,
                            spectral_derivative, torus_area, torus_bnorm2,
                            winding_number, write_curve_csv)
-from hkflow.errors import (DegenerateDerivative, DegenerateSpacing,
-                           OriginCollision, PointOnCurve, StabilityViolation)
+from hkflow.errors import (DegenerateDerivative, OriginCollision, PointOnCurve,
+                           StabilityViolation)
 from hkflow.flow import type1_monitor
 from hkflow.surfaces import frames, mean_curvature
 
@@ -89,7 +89,7 @@ def test_curvature_vector_ellipse():
 
 def test_curvature_vector_degenerate_speed():
     c = PlaneCurve.from_function(lambda x: 3.0 + np.cos(x) + 0j * x, n=256)
-    with pytest.raises(DegenerateSpacing):
+    with pytest.raises(DegenerateDerivative):
         curvature_vector(c)
     with pytest.raises(DegenerateDerivative):
         diagnostics(c)

@@ -127,6 +127,18 @@ def test_flow_mesh_outputs_byte_identical(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+@pytest.mark.parametrize("t_end, times", [
+    (4e-4, [0.0, 4e-4]),
+    (2.5e-3, [0.0, 1e-3, 2e-3, 2.5e-3]),
+])
+def test_run_mcf_last_step_lands_on_t_end(t_end, times):
+    """Whole steps of dt, then one shorter step onto t_end; a t_end below
+    dt / 2 still takes that step."""
+    hist = run_mcf(icosphere(2), dt=1e-3, t_end=t_end)
+    assert hist.t.tolist() == times
+    assert not hist.truncated
+
+
 def test_run_mcf_truncates_under_resolved():
     # a coarse sphere already violates max|B| * h_min <= 0.5 at t = 0
     hist = run_mcf(icosphere(1), dt=1e-3, t_end=0.05)
@@ -229,6 +241,16 @@ def test_type1_monitor_rejects_unresolved_tail_times():
         type1_monitor(hist)
 
 
+def test_type1_monitor_on_five_points():
+    # the 2-point tail has no degrees of freedom left for an interval
+    t = np.linspace(0.0, 0.2, 5)
+    b = 1.0 / np.sqrt(2.0 * (0.25 - t))
+    report = type1_monitor(FlowHistory(t=t, max_b=b, area=np.ones_like(t)))
+    assert report.ci_halfwidth == 0.0
+    assert abs(report.t_est - 0.25) < 1e-12
+    assert abs(report.sup_rescaled - 1.0 / np.sqrt(2.0)) < 1e-12
+
+
 def test_type1_monitor_needs_history():
     t = np.linspace(0.0, 0.1, 4)
     hist = FlowHistory(t=t, max_b=1.0 + t, area=np.ones_like(t))
@@ -283,6 +305,20 @@ def test_phase_evolution_shrinking_sphere():
     u = np.array([1.1, 1.9, 0.7])
     v = np.array([0.3, 2.0, 4.4])
     report = phase_evolution_check(states, u, v)
+    assert report.residual < 1e-10
+
+
+@pytest.mark.parametrize("levels", [3, 4])
+def test_phase_evolution_three_point_stencil(levels):
+    """Fewer than 5 snapshots take the three-point stencil.  The phase of
+    the shrinking cylinder S^1(sqrt(2 - 2t)) x R does not depend on its
+    radius, so d(lambda)/dt and tau both vanish."""
+    times = 0.02 * np.arange(levels)
+    states = [(t, Cylinder(np.sqrt(2.0 - 2.0 * t))) for t in times]
+    u = np.array([0.1, -0.3, 0.5])
+    v = np.array([0.3, 2.0, 4.4])
+    report = phase_evolution_check(states, u, v)
+    assert report.times.tolist() == times[1:-1].tolist()
     assert report.residual < 1e-10
 
 

@@ -261,6 +261,27 @@ def test_chart_forbidden_set():
     chart(np.array([0.0, -1.0, 0.0]))
 
 
+def test_chart_raises_exactly_where_arc_distance_is_zero(rng):
+    """The chart's forbidden set {lam1 = 0, lam2 >= 0} is the zero set of
+    arc_distance: both poles, signed zeros and 1e-300 components included."""
+    special = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [-0.0, 1.0, 0.0],
+                        [0.0, -0.0, 1.0], [0.0, -1e-300, 1.0]])
+    lam = rng.normal(size=(40, 3))
+    lam /= np.linalg.norm(lam, axis=-1, keepdims=True)
+    lam[:, 0] = rng.choice([0.0, -0.0, 1e-300, -1e-300], size=40)
+    hits = 0
+    for row in np.concatenate([special, lam]):
+        on_set = bool(arc_distance(row) == 0.0)
+        assert on_set == (row[0] == 0.0 and row[1] >= 0.0)
+        if on_set:
+            hits += 1
+            with pytest.raises(OnForbiddenSet):
+                chart(row)
+        else:
+            chart(row)
+    assert 4 < hits < 40
+
+
 def test_arc_distance_worked_points():
     assert np.isclose(arc_distance(np.array([0.0, -1.0, 0.0])), np.pi / 2)
     th = 0.4

@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from hkflow.util import format_float, format_rows, write_csv, write_jsonl
+from hkflow.util import (format_float, format_rows, json_dumps, write_csv,
+                         write_jsonl)
 
 
 def _reference(cols, sep=","):
@@ -58,3 +59,16 @@ def test_write_jsonl_keeps_records_made_before_a_failure(tmp_path):
     with pytest.raises(RuntimeError, match="guard"):
         write_jsonl(path, records())
     assert path.read_text() == '{"t": 0}\n{"t": 0.5}\n'
+
+
+def test_json_dumps_empty_containers():
+    assert json_dumps({}) == "{}"
+    assert json_dumps([]) == "[]"
+    assert json_dumps({"a": {}, "b": [], "c": ()}, indent=2) == (
+        '{\n  "a": {},\n  "b": [],\n  "c": []\n}')
+
+
+def test_json_dumps_rejects_arrays():
+    # payloads carry lists of floats; an array is not one of the types
+    with pytest.raises(TypeError):
+        json_dumps(np.zeros(2))
