@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
-import functools
 import json
 import math
 import os
@@ -229,108 +228,108 @@ def write_manifest(out: Path, command: str, argv: list, cfg: dict) -> None:
 # verify
 # ---------------------------------------------------------------------------
 
-_IDENTITY_NAMES = ("quaternionic", "phase-block", "coupling", "energy",
-                   "det-gauss", "det-norms", "degree-torus", "degree-sphere")
+# identity -> tolerance on its max residual, in report order
+_TOLERANCES = {"quaternionic": 1e-14, "phase-block": 1e-10, "coupling": 1e-5,
+               "energy": 1e-6, "det-gauss": 1e-6, "det-norms": 1e-6,
+               "degree-torus": 1e-3, "degree-sphere": 1e-2}
+_IDENTITY_NAMES = tuple(_TOLERANCES)
 # the identities that sample families of their own, not the --surface one
 _OWN_FAMILIES = ("det-gauss", "det-norms", "degree-torus", "degree-sphere")
+
+
+def _phase_block(s, fr) -> float:
+    """max over a and the points of |omega_a(e1, e1)|, |omega_a(e2, e2)|
+    and |omega_a(e1, e2) - lam_a|."""
+    return max(float(np.max(np.abs(r))) for a in (1, 2, 3) for r in (
+        s.kahler_form(a, fr.e1, fr.e1), s.kahler_form(a, fr.e2, fr.e2),
+        s.kahler_form(a, fr.e1, fr.e2) - fr.lam[..., a - 1]))
+
+
+def _family_residuals(s, samples, full: bool) -> dict:
+    """Max phase-block residual over the (family, u, v) in samples and, when
+    full, the max coupling and energy residuals, from one geometry pass per
+    family."""
+    res = {}
+    for fam, u, v in samples:
+        jet = fam.jet(u, v)
+        fr = frames(jet)
+        rows = {"phase-block": _phase_block(s, fr)}
+        if full:
+            sff = second_fundamental_form(jet, fr)
+            h = mean_curvature(jet, fr, sff)
+            smp = phase_differential(fam, u, v)
+            rows["coupling"] = float(np.max(coupling_residual(fr, sff,
+                                                              smp.dj)))
+            rows["energy"] = float(np.max(np.abs(
+                smp.e_del - 0.25 * np.sum(h * h, axis=-1))))
+        for name, r in rows.items():
+            res[name] = max(res.get(name, 0.0), r)
+    return res
+
+
+def _det_residuals(samples) -> dict:
+    """Max det-gauss and det-norms residuals over the (graph, u, v) in
+    samples."""
+    worst_g = worst_n = 0.0
+    for fam, u, v in samples:
+        jet = fam.jet(u, v)
+        fr = frames(jet)
+        sff = second_fundamental_form(jet, fr)
+        smp = phase_sample_exact(fam, u, v)
+        kap, kperp = gauss_normal_curvatures(sff)
+        h = mean_curvature(jet, fr, sff)
+        h2 = np.sum(h * h, axis=-1)
+        worst_g = max(worst_g, float(np.max(
+            np.abs(smp.detdj - (kap + kperp)))))
+        worst_n = max(worst_n, float(np.max(
+            np.abs(smp.detdj - (0.5 * h2 - 0.5 * smp.dj_norm2())))))
+    return {"det-gauss": worst_g, "det-norms": worst_n}
 
 
 def _identity_suite(cfg, rng, surface_only: str | None, suite):
     """(name, residual, tolerance) triples, in _IDENTITY_NAMES order, of
     the identities in suite; no other identity is evaluated.
 
-    The families are built first, then each identity draws from rng in
-    turn, so a subset draws differently from the full suite."""
+    Every draw from rng comes first, in one fixed order whatever suite and
+    surface_only say: the families (the quadratic graph's coefficients),
+    the quaternionic rotation, one sample_domain set per family in family
+    order, then the 20 det graphs, each graph's coefficients followed by
+    its samples.  So a subset reports the same rows as the full suite.  An
+    identity added later appends its draws at the end."""
     s = standard_structure()
-    npts = cfg["surface"]["points"]
+    want = set(suite)
+    names = (("plane", "cylinder", "sphere", "grim-reaper", "quadratic-graph")
+             if surface_only is None else (surface_only,))
+    families = [_make_surface(cfg, rng, name) for name in names]
+    rotation = random_rotation(rng)
 
-    if surface_only is None:
-        families = [_make_surface(cfg, rng, name) for name in
-                    ("plane", "cylinder", "sphere", "grim-reaper",
-                     "quadratic-graph")]
-    else:
-        families = [_make_surface(cfg, rng, surface_only)]
+    def sampled(fam):
+        return fam, *fam.sample_domain(rng, cfg["surface"]["points"])
 
-    def quaternionic():
-        base = s.quaternionic_residual()
-        rot = s.rotate(random_rotation(rng)).quaternionic_residual()
-        return max(base, rot)
+    samples = [sampled(fam) for fam in families]
+    graphs = [sampled(QuadraticGraph.random(rng)) for _ in range(20)]
 
-    def per_family(fn):
-        worst = 0.0
-        for fam in families:
-            u, v = fam.sample_domain(rng, npts)
-            worst = max(worst, fn(fam, u, v))
-        return worst
-
-    def phase_block(fam, u, v):
-        fr = frames(fam.jet(u, v))
-        worst = 0.0
-        for alpha in (1, 2, 3):
-            w11 = s.kahler_form(alpha, fr.e1, fr.e1)
-            w12 = s.kahler_form(alpha, fr.e1, fr.e2)
-            w22 = s.kahler_form(alpha, fr.e2, fr.e2)
-            worst = max(worst,
-                        float(np.max(np.abs(w11))),
-                        float(np.max(np.abs(w22))),
-                        float(np.max(np.abs(w12 - fr.lam[..., alpha - 1]))))
-        return worst
-
-    def coupling(fam, u, v):
-        jet = fam.jet(u, v)
-        fr = frames(jet)
-        sff = second_fundamental_form(jet, fr)
-        smp = phase_differential(fam, u, v)
-        return float(np.max(coupling_residual(fr, sff, smp.dj)))
-
-    def energy(fam, u, v):
-        jet = fam.jet(u, v)
-        fr = frames(jet)
-        h = mean_curvature(jet, fr, second_fundamental_form(jet, fr))
-        smp = phase_differential(fam, u, v)
-        h2 = np.sum(h * h, axis=-1)
-        return float(np.max(np.abs(smp.e_del - 0.25 * h2)))
-
-    @functools.cache
-    def det_residuals():
-        worst_g = worst_n = 0.0
-        for _ in range(20):
-            fam = QuadraticGraph.random(rng)
-            u, v = fam.sample_domain(rng, npts)
-            jet = fam.jet(u, v)
-            fr = frames(jet)
-            sff = second_fundamental_form(jet, fr)
-            smp = phase_sample_exact(fam, u, v)
-            kap, kperp = gauss_normal_curvatures(sff)
-            h = mean_curvature(jet, fr, sff)
-            h2 = np.sum(h * h, axis=-1)
-            worst_g = max(worst_g, float(np.max(
-                np.abs(smp.detdj - (kap + kperp)))))
-            worst_n = max(worst_n, float(np.max(
-                np.abs(smp.detdj - (0.5 * h2 - 0.5 * smp.dj_norm2())))))
-        return worst_g, worst_n
-
-    def degree_torus():
-        fam = TorusFromCurve(PlaneCurve.circle(1.0, n=256))
-        return abs(degree(fam, n=64))
-
-    def degree_sphere():
+    res = {}
+    if "quaternionic" in want:
+        res["quaternionic"] = max(s.quaternionic_residual(),
+                                  s.rotate(rotation).quaternionic_residual())
+    if want & {"phase-block", "coupling", "energy"}:
+        res.update(_family_residuals(s, samples,
+                                     bool(want & {"coupling", "energy"})))
+    if want & {"det-gauss", "det-norms"}:
+        res.update(_det_residuals(graphs))
+    # the degrees draw nothing and grid the sphere at 128 x 128: let the
+    # samples go first
+    del samples, graphs
+    if "degree-torus" in want:
+        res["degree-torus"] = abs(degree(
+            TorusFromCurve(PlaneCurve.circle(1.0, n=256)), n=64))
+    if "degree-sphere" in want:
         fam = _make_surface(cfg, rng, "sphere")
-        deg = degree(fam, n=128)
         chi_t, chi_n = euler_numbers(fam, n=128)
-        return abs(2.0 * deg - (chi_t + chi_n))
-
-    checks = (
-        ("quaternionic", quaternionic, 1e-14),
-        ("phase-block", lambda: per_family(phase_block), 1e-10),
-        ("coupling", lambda: per_family(coupling), 1e-5),
-        ("energy", lambda: per_family(energy), 1e-6),
-        ("det-gauss", lambda: det_residuals()[0], 1e-6),
-        ("det-norms", lambda: det_residuals()[1], 1e-6),
-        ("degree-torus", degree_torus, 1e-3),
-        ("degree-sphere", degree_sphere, 1e-2),
-    )
-    return [(name, fn(), tol) for name, fn, tol in checks if name in suite]
+        res["degree-sphere"] = abs(2.0 * degree(fam, n=128) - (chi_t + chi_n))
+    return [(name, res[name], _TOLERANCES[name]) for name in _IDENTITY_NAMES
+            if name in want]
 
 
 def cmd_verify(cfg, args, out: Path) -> int:

@@ -31,6 +31,11 @@ from .surfaces import ParametricSurface, SurfaceJet
 from .util import readonly, write_csv
 
 
+def _grid(n: int) -> np.ndarray:
+    """The parameters x_j = 2 pi j / n, j = 0 .. n-1."""
+    return 2 * np.pi * np.arange(n) / n
+
+
 @dataclass(eq=False)
 class PlaneCurve:
     """Closed curve sampled at x_j = 2 pi j / N, as complex positions.
@@ -63,7 +68,7 @@ class PlaneCurve:
 
     @property
     def x(self) -> np.ndarray:
-        return 2 * np.pi * np.arange(self.n) / self.n
+        return _grid(self.n)
 
     def diameter(self) -> float:
         return self._diameter
@@ -74,13 +79,11 @@ class PlaneCurve:
     @classmethod
     def circle(cls, radius: float = 1.0, center: complex = 0.0,
                n: int = 256) -> "PlaneCurve":
-        x = 2 * np.pi * np.arange(n) / n
-        return cls(center + radius * np.exp(1j * x))
+        return cls(center + radius * np.exp(1j * _grid(n)))
 
     @classmethod
     def from_function(cls, fn, n: int = 256) -> "PlaneCurve":
-        x = 2 * np.pi * np.arange(n) / n
-        return cls(np.asarray(fn(x), dtype=complex))
+        return cls(np.asarray(fn(_grid(n)), dtype=complex))
 
 
 # Per-grid spectral factors, built on first use and shared read-only by
@@ -414,12 +417,11 @@ def embed_torus(curve: PlaneCurve, ny: int = 32):
     """
     if ny < 8:
         raise ValueError("ny must be at least 8")
-    y = 2 * np.pi * np.arange(ny) / ny
+    y = _grid(ny)
     z = curve.samples[:, None]
     c, s = np.cos(y)[None, :], np.sin(y)[None, :]
-    pts = np.stack([np.real(z * c), np.imag(z * c),
-                    np.real(z * s), np.imag(z * s)], axis=-1)
-    return grid_torus_mesh(pts), TorusFromCurve(curve)
+    return (grid_torus_mesh(TorusFromCurve._embed(z * c, z * s)),
+            TorusFromCurve(curve))
 
 
 def torus_bnorm2(curve: PlaneCurve) -> np.ndarray:

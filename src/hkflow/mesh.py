@@ -490,6 +490,10 @@ def mesh_phase_field(mesh: SurfaceMesh) -> np.ndarray:
 
 def icosphere(subdivisions: int = 3, radius: float = 1.0) -> SurfaceMesh:
     """Subdivided icosahedron projected to the sphere, in {x4 = 0}."""
+    if subdivisions < 0:
+        raise ValueError("subdivisions must be at least 0")
+    if radius <= 0:
+        raise ValueError("radius must be positive")
     phi = (1.0 + np.sqrt(5.0)) / 2.0
     verts = np.array([
         [-1, phi, 0], [1, phi, 0], [-1, -phi, 0], [1, -phi, 0],
@@ -504,25 +508,21 @@ def icosphere(subdivisions: int = 3, radius: float = 1.0) -> SurfaceMesh:
         [4, 9, 5], [2, 4, 11], [6, 2, 10], [8, 6, 7], [9, 8, 1],
     ], dtype=int)
     for _ in range(subdivisions):
-        edge_mid: dict = {}
-        verts_list = list(verts)
-
-        def midpoint(i, j):
-            key = (min(i, j), max(i, j))
-            if key not in edge_mid:
-                m = verts_list[i] + verts_list[j]
-                m /= np.linalg.norm(m)
-                edge_mid[key] = len(verts_list)
-                verts_list.append(m)
-            return edge_mid[key]
-
-        new_faces = []
-        for a, b, c in faces:
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            new_faces.extend([[a, ab, ca], [b, bc, ab], [c, ca, bc],
-                              [ab, bc, ca]])
-        verts = np.array(verts_list)
-        faces = np.array(new_faces, dtype=int)
+        # edges ab, bc, ca of each face in turn; the midpoints are numbered
+        # in order of first occurrence
+        edges = np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        _, first, inverse = np.unique(edges[:, 0] * len(verts) + edges[:, 1],
+                                      return_index=True, return_inverse=True)
+        ends = edges[np.sort(first)]
+        m = verts[ends[:, 0]] + verts[ends[:, 1]]
+        # the batched matmul rounds as the 1-D norm of each row does
+        m /= np.sqrt(m[:, None, :] @ m[:, :, None])[:, 0]
+        rank = np.argsort(np.argsort(first))
+        ab, bc, ca = (len(verts) + rank[inverse]).reshape(-1, 3).T
+        a, b, c = faces.T
+        faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca],
+                         axis=1).reshape(-1, 3)
+        verts = np.concatenate([verts, m])
     v4 = np.zeros((len(verts), 4))
     v4[:, :3] = radius * verts
     return SurfaceMesh(v4, faces)
@@ -530,19 +530,18 @@ def icosphere(subdivisions: int = 3, radius: float = 1.0) -> SurfaceMesh:
 
 def flat_square(n: int = 12, extent: float = 1.0) -> SurfaceMesh:
     """Triangulated square [0, extent]^2 in the (x1, x2)-plane."""
+    if extent <= 0:
+        raise ValueError("extent must be positive")
     xs = np.linspace(0.0, extent, n + 1)
     uu, vv = np.meshgrid(xs, xs, indexing="ij")
     verts = np.zeros(((n + 1) ** 2, 4))
     verts[:, 0] = uu.ravel()
     verts[:, 1] = vv.ravel()
-    tris = []
-    for i in range(n):
-        for j in range(n):
-            a = i * (n + 1) + j
-            b = a + (n + 1)
-            tris.append([a, b, a + 1])
-            tris.append([b, b + 1, a + 1])
-    return SurfaceMesh(verts, np.array(tris, dtype=int))
+    # cell (i, j) in row-major order: triangles (a, b, a+1), (b, b+1, a+1)
+    a = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+    b = a + (n + 1)
+    tris = np.stack([a, b, a + 1, b, b + 1, a + 1], axis=1).reshape(-1, 3)
+    return SurfaceMesh(verts, tris)
 
 
 def grid_torus_mesh(points: np.ndarray) -> SurfaceMesh:

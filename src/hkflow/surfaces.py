@@ -204,12 +204,10 @@ class ParametricSurface:
                 )
 
     def sample_domain(self, rng: np.random.Generator, n: int):
-        """Uniform interior parameter samples, shrunk away from open edges
-        by 5% of the extent."""
+        """Uniform parameter samples in window(), shrunk away from the edges
+        of each non-periodic direction by 5% of its extent."""
         out = []
-        for (lo, hi), per in zip(self.domain, self.periodic):
-            lo = max(lo, -2.0) if not np.isfinite(lo) else lo
-            hi = min(hi, 2.0) if not np.isfinite(hi) else hi
+        for (lo, hi), per in zip(self.window(), self.periodic):
             pad = 0.0 if per else 0.05 * (hi - lo)
             out.append(rng.uniform(lo + pad, hi - pad, size=n))
         return out[0], out[1]

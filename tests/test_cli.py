@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 import hkflow
-from hkflow.cli import _SCHEMA, main
+from hkflow.cli import _IDENTITY_NAMES, _SCHEMA, main
 from hkflow.mesh import flat_square, icosphere, read_off4
+from hkflow.phase import phase_differential
 
 
 def run(tmp_path, *argv):
@@ -97,6 +98,46 @@ def test_verify_evaluates_only_the_requested_identities(tmp_path,
     assert list(report["identities"]) == ["quaternionic"]
 
 
+@pytest.fixture(scope="module")
+def full_verify_rows(tmp_path_factory):
+    rows = {}
+    for seed in (0, 1):
+        out = tmp_path_factory.mktemp(f"verify-seed-{seed}")
+        assert main(["--out", str(out), "--seed", str(seed), "verify"]) == 0
+        rows[seed] = json.loads(
+            (out / "verify_report.json").read_text())["identities"]
+    return rows
+
+
+@pytest.mark.parametrize("seed", (0, 1))
+@pytest.mark.parametrize("name", _IDENTITY_NAMES)
+def test_verify_subset_reports_the_full_run_rows(tmp_path, full_verify_rows,
+                                                 name, seed):
+    code, out = run(tmp_path, "--seed", str(seed), "verify", "--suite", name)
+    assert code == 0
+    report = json.loads((out / "verify_report.json").read_text())
+    assert report["identities"] == {name: full_verify_rows[seed][name]}
+
+
+@pytest.mark.parametrize("suite, calls", [
+    ("all", ["plane", "cylinder", "sphere", "grim-reaper", "quadratic-graph"]),
+    ("quaternionic,phase-block,det-gauss", []),
+])
+def test_verify_differentiates_the_phase_once_per_family(tmp_path,
+                                                         monkeypatch, suite,
+                                                         calls):
+    seen = []
+
+    def spy(family, u, v):
+        seen.append(family.name)
+        return phase_differential(family, u, v)
+
+    monkeypatch.setattr("hkflow.cli.phase_differential", spy)
+    code, _ = run(tmp_path, "verify", "--suite", suite)
+    assert code == 0
+    assert seen == calls
+
+
 def test_verify_one_surface(tmp_path):
     code, out = run(tmp_path, "verify", "--surface", "sphere")
     assert code == 0
@@ -176,6 +217,12 @@ CONFIG_ERRORS = {
     "surface-n-0": ("[surface]\nn = 0\n", "phase", ""),
     "surface-points-0": ("[surface]\npoints = 0\n", "verify", ""),
     "square-n-0": ("[mesh]\nkind = square\nn = 0\n", "flow-mesh", ""),
+    # sizes no mesh has: no icosahedron run, no DegenerateTriangle exit 2
+    "mesh-subdivisions-negative": ("[mesh]\nsubdivisions = -1\n",
+                                   "flow-mesh", ""),
+    "mesh-radius-0": ("[mesh]\nradius = 0\n", "flow-mesh", ""),
+    "square-extent-0": ("[mesh]\nkind = square\nextent = 0\n",
+                        "flow-mesh", ""),
     "curve-n-8": ("[curve]\nn = 8\n", "flow-curve", ""),
     "curve-radius-0": ("[curve]\nradius = 0\n", "flow-curve", ""),
     "torus-ny-4": ("[mesh]\nkind = torus\nny = 4\n", "flow-mesh", ""),
@@ -492,8 +539,10 @@ def test_phase_reaper_stays_clear(tmp_path):
 # midpoint grid (numpy 2.4.6, OpenBLAS, x86-64); each of those changes had
 # to leave these bytes unchanged.  icosphere-2 was recorded again when the
 # mesh |B| fit moved to ring moments and an unrolled Cholesky solve, which
-# moves max_B in its last bits and nothing else.  Another FFT or BLAS build
-# may round differently.
+# moves max_B in its last bits and nothing else.  verify-20 was recorded
+# again when verify moved every draw ahead of the evaluation and
+# sample_domain moved to window(), which change its samples.  Another FFT
+# or BLAS build may round differently.
 GOLDEN = {
     "rk4": ("flow-curve", "[curve]\nfamily = perturbed-circle\nn = 64\n"
             "[flow]\nt_end = 0.05\nsnapshot_every = 5\n",
@@ -510,7 +559,7 @@ GOLDEN = {
     "torus-48": ("phase --surface torus", "[surface]\nn = 48\n",
                  "8c47346c66b80e84d000d00574bd46c34926ddfbc7454f7d9bd9977b0668b3a7"),
     "verify-20": ("verify", "[surface]\npoints = 20\n",
-                  "cdb6131f66872d77df1d2d5e8d7603194650dde9b2a5a457e3bba33eef480089"),
+                  "42d83f6bec2fc78c57d45a7f276a16ddc58b217e005b612579507d4c97ae7f5b"),
     "icosphere-2": ("flow-mesh", "[mesh]\nkind = icosphere\nsubdivisions = 2\n"
                     "[flow]\ndt = 1e-3\nt_end = 0.01\n",
                     "7851086e6e78c7cc1c08613cd55e944802ccca90855d21b7666d51f83f44b138"),

@@ -57,6 +57,67 @@ def test_icosphere_vertices_on_sphere():
         assert m.is_closed
 
 
+def _reference_icosphere(subdivisions, radius):
+    """icosphere as written with a per-edge dict: each face in turn asks
+    for the midpoints of ab, bc and ca, numbering new ones as they come."""
+    base = icosphere(0)
+    verts = base.vertices[:, :3].copy()
+    faces = base.triangles.copy()
+    for _ in range(subdivisions):
+        edge_mid: dict = {}
+        verts_list = list(verts)
+
+        def midpoint(i, j):
+            key = (min(i, j), max(i, j))
+            if key not in edge_mid:
+                m = verts_list[i] + verts_list[j]
+                m /= np.linalg.norm(m)
+                edge_mid[key] = len(verts_list)
+                verts_list.append(m)
+            return edge_mid[key]
+
+        new_faces = []
+        for a, b, c in faces:
+            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+            new_faces.extend([[a, ab, ca], [b, bc, ab], [c, ca, bc],
+                              [ab, bc, ca]])
+        verts = np.array(verts_list)
+        faces = np.array(new_faces, dtype=int)
+    v4 = np.zeros((len(verts), 4))
+    v4[:, :3] = radius * verts
+    return v4, faces
+
+
+@pytest.mark.parametrize("subdivisions", range(6))
+def test_icosphere_matches_reference_bits(subdivisions):
+    mesh = icosphere(subdivisions, 1.5)
+    v4, faces = _reference_icosphere(subdivisions, 1.5)
+    _same_bits(mesh.vertices, v4)
+    _same_bits(mesh.triangles, faces)
+
+
+def test_flat_square_matches_reference_order():
+    for n in (1, 3, 8):
+        tris = []
+        for i in range(n):
+            for j in range(n):
+                a = i * (n + 1) + j
+                b = a + (n + 1)
+                tris.append([a, b, a + 1])
+                tris.append([b, b + 1, a + 1])
+        _same_bits(flat_square(n, 2.0).triangles, np.array(tris, dtype=int))
+
+
+@pytest.mark.parametrize("build", [lambda: icosphere(-1),
+                                   lambda: icosphere(2, 0.0),
+                                   lambda: flat_square(4, 0.0)],
+                         ids=["subdivisions-negative", "radius-0",
+                              "extent-0"])
+def test_bad_mesh_sizes_raise_value_error(build):
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_mixed_areas_partition_total():
     """Meyer cell areas sum to the triangle area, also with obtuse clamping."""
     for mesh in (icosphere(2), flat_square(5),
