@@ -237,12 +237,19 @@ _IDENTITY_NAMES = tuple(_TOLERANCES)
 _OWN_FAMILIES = ("det-gauss", "det-norms", "degree-torus", "degree-sphere")
 
 
+def _worst(residuals) -> float:
+    """The largest residual, NaN when any is NaN.  The builtin max keeps a
+    number against a later NaN (nan > x is False), which would report a
+    broken identity as a pass."""
+    return float(np.max(np.asarray(residuals, dtype=float)))
+
+
 def _phase_block(s, fr) -> float:
     """max over a and the points of |omega_a(e1, e1)|, |omega_a(e2, e2)|
     and |omega_a(e1, e2) - lam_a|."""
-    return max(float(np.max(np.abs(r))) for a in (1, 2, 3) for r in (
+    return _worst([np.max(np.abs(r)) for a in (1, 2, 3) for r in (
         s.kahler_form(a, fr.e1, fr.e1), s.kahler_form(a, fr.e2, fr.e2),
-        s.kahler_form(a, fr.e1, fr.e2) - fr.lam[..., a - 1]))
+        s.kahler_form(a, fr.e1, fr.e2) - fr.lam[..., a - 1])])
 
 
 def _family_residuals(s, samples, full: bool) -> dict:
@@ -263,7 +270,7 @@ def _family_residuals(s, samples, full: bool) -> dict:
             rows["energy"] = float(np.max(np.abs(
                 smp.e_del - 0.25 * np.sum(h * h, axis=-1))))
         for name, r in rows.items():
-            res[name] = max(res.get(name, 0.0), r)
+            res[name] = _worst([res.get(name, 0.0), r])
     return res
 
 
@@ -279,10 +286,10 @@ def _det_residuals(samples) -> dict:
         kap, kperp = gauss_normal_curvatures(sff)
         h = mean_curvature(jet, fr, sff)
         h2 = np.sum(h * h, axis=-1)
-        worst_g = max(worst_g, float(np.max(
-            np.abs(smp.detdj - (kap + kperp)))))
-        worst_n = max(worst_n, float(np.max(
-            np.abs(smp.detdj - (0.5 * h2 - 0.5 * smp.dj_norm2())))))
+        worst_g = _worst([worst_g, np.max(
+            np.abs(smp.detdj - (kap + kperp)))])
+        worst_n = _worst([worst_n, np.max(
+            np.abs(smp.detdj - (0.5 * h2 - 0.5 * smp.dj_norm2())))])
     return {"det-gauss": worst_g, "det-norms": worst_n}
 
 
@@ -311,8 +318,9 @@ def _identity_suite(cfg, rng, surface_only: str | None, suite):
 
     res = {}
     if "quaternionic" in want:
-        res["quaternionic"] = max(s.quaternionic_residual(),
-                                  s.rotate(rotation).quaternionic_residual())
+        res["quaternionic"] = _worst([
+            s.quaternionic_residual(),
+            s.rotate(rotation).quaternionic_residual()])
     if want & {"phase-block", "coupling", "energy"}:
         res.update(_family_residuals(s, samples,
                                      bool(want & {"coupling", "energy"})))

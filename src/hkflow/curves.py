@@ -53,11 +53,14 @@ class PlaneCurve:
         if z.ndim != 1 or len(z) < 16:
             raise ValueError("need at least 16 samples on one closed loop")
         self.samples = z = readonly(z.astype(complex))
-        d = float(np.hypot(np.ptp(z.real), np.ptp(z.imag)))
-        h = float(np.abs(np.diff(z, append=z[:1])).min())
+        # max - min and the wrapped difference are np.ptp and
+        # np.diff(z, append=z[:1]) to the bit, without their wrappers
+        zr, zi = z.real, z.imag
+        d = float(np.hypot(zr.max() - zr.min(), zi.max() - zi.min()))
+        h = float(np.abs(np.concatenate((z[1:], z[:1])) - z).min())
         if h <= 1e-10 * d:
             raise ValueError("curve is not immersed at sample resolution")
-        if np.min(np.abs(z)) <= 1e-10 * d:
+        if np.abs(z).min() <= 1e-10 * d:
             raise OriginCollision("curve passes through the origin")
         self._diameter = d
         self._min_spacing = h
@@ -104,6 +107,13 @@ def _derivative_factor(n: int, order: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
+def _derivative_stack(n: int) -> np.ndarray:
+    """_derivative_factor(n, 1) and _derivative_factor(n, 2) as (2, n) rows."""
+    return readonly(np.stack([_derivative_factor(n, 1),
+                              _derivative_factor(n, 2)]))
+
+
+@functools.lru_cache(maxsize=32)
 def _filter_profile(n: int) -> np.ndarray:
     k = np.abs(_spectral_modes(n)) / (n // 2)
     return readonly(np.exp(-36.0 * k ** 36))
@@ -120,11 +130,10 @@ def spectral_derivative(values: np.ndarray, order: int = 1) -> np.ndarray:
 
 
 def _first_two_derivatives(samples: np.ndarray):
-    """spectral_derivative orders 1 and 2 from one forward transform."""
-    n = len(samples)
-    zhat = np.fft.fft(samples)
-    return (np.fft.ifft(zhat * _derivative_factor(n, 1)),
-            np.fft.ifft(zhat * _derivative_factor(n, 2)))
+    """spectral_derivative orders 1 and 2 from one forward transform and one
+    stacked inverse transform; each row equals its own ifft to the bit."""
+    d = np.fft.ifft(np.fft.fft(samples) * _derivative_stack(len(samples)))
+    return d[0], d[1]
 
 
 def _require_speed(g1: np.ndarray) -> None:
@@ -216,7 +225,7 @@ def csf_step(curve: PlaneCurve, dt: float, scheme: str = "rk4") -> PlaneCurve:
         raise ValueError(f"unknown scheme {scheme!r}; choose from "
                          f"{CSF_SCHEMES}")
     z_new = _spectral_filter(z_new)
-    if np.min(np.abs(z_new)) < guard:
+    if np.abs(z_new).min() < guard:
         raise OriginCollision("curve entered the origin guard band")
     return PlaneCurve(z_new)
 

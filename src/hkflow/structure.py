@@ -106,27 +106,21 @@ class StructureTriple:
         """Max-norm residual of the defining relations.
 
         Checks J_a^2 = -Id for all a, pairwise anti-commutativity,
-        J1 J2 = J3 with its cyclic mates, and J1 J2 J3 = -Id.
+        J1 J2 = J3 with its cyclic mates, and J1 J2 J3 = -Id.  A NaN entry
+        gives NaN, never a pass.
         """
         j1, j2, j3 = self.j
         eye = np.eye(4)
-        res = 0.0
-        for a in (j1, j2, j3):
-            res = max(res, np.abs(a @ a + eye).max())
-        for a, b in ((j1, j2), (j2, j3), (j3, j1)):
-            res = max(res, np.abs(a @ b + b @ a).max())
-        res = max(res, np.abs(j1 @ j2 - j3).max())
-        res = max(res, np.abs(j2 @ j3 - j1).max())
-        res = max(res, np.abs(j3 @ j1 - j2).max())
-        res = max(res, np.abs(j1 @ j2 @ j3 + eye).max())
-        for a in (j1, j2, j3):
-            res = max(res, np.abs(a + a.T).max())  # compatibility with <,>
-        return float(res)
+        terms = [a @ a + eye for a in (j1, j2, j3)]
+        terms += [a @ b + b @ a for a, b in ((j1, j2), (j2, j3), (j3, j1))]
+        terms += [j1 @ j2 - j3, j2 @ j3 - j1, j3 @ j1 - j2, j1 @ j2 @ j3 + eye]
+        terms += [a + a.T for a in (j1, j2, j3)]  # compatibility with <,>
+        return float(np.max(np.abs(terms)))
 
     def verify(self) -> float:
         """Raise IdentityViolation unless the algebra holds to 1e-14."""
         res = self.quaternionic_residual()
-        if res > 1e-14:
+        if not res <= 1e-14:
             raise IdentityViolation(
                 f"quaternionic relations violated: residual {res:.3e} > 1.000e-14"
             )

@@ -115,9 +115,17 @@ def _hessian(jet: SurfaceJet) -> np.ndarray:
 
 def second_fundamental_form(jet: SurfaceJet, fr: FrameData) -> np.ndarray:
     """Components h[..., a, i, j] = <B(e_i, e_j), nu_a>, symmetric in (i, j)."""
-    # Contract both slots of the coordinate Hessian with the frame coeffs.
-    b = np.einsum("...ia,...jb,...abk->...ijk", fr.coeffs, fr.coeffs,
-                  _hessian(jet))
+    # Contract both slots of the coordinate Hessian with the frame coeffs:
+    # b_ij = sum_ab c_ia c_jb X_ab, summed from 0.0 in the order (a, b) =
+    # 00, 01, 10, 11, which is the three-operand einsum's order to the bit.
+    c = fr.coeffs[..., None]                              # (..., 2, 2, 1)
+    b = np.empty(c.shape[:-3] + (2, 2, 4))
+    for i in (0, 1):
+        ci0, ci1 = c[..., i, 0, :], c[..., i, 1, :]
+        for j in (0, 1):
+            cj0, cj1 = c[..., j, 0, :], c[..., j, 1, :]
+            b[..., i, j, :] = (0.0 + ci0 * cj0 * jet.xuu + ci0 * cj1 * jet.xuv
+                               + ci1 * cj0 * jet.xuv + ci1 * cj1 * jet.xvv)
     nu = np.stack([fr.nu1, fr.nu2], axis=-2)              # (..., 2, 4)
     return np.einsum("...ijk,...ak->...aij", b, nu)
 

@@ -149,6 +149,67 @@ def test_verify_one_surface(tmp_path):
                                           "coupling", "energy"]
 
 
+def test_verify_reports_a_nan_residual_as_a_failure(tmp_path, capsys):
+    """A cylinder of radius 1e-160 overflows |H|^2 = 1/r^2, so its coupling
+    and energy residuals are NaN: they must read nan and FAIL, not pass."""
+    cfg = config(tmp_path, "[surface]\nradius = 1e-160\n")
+    with np.errstate(all="ignore"):
+        code, out = run(tmp_path, "--config", cfg, "verify",
+                        "--surface", "cylinder")
+    assert code == 2
+    report = json.loads((out / "verify_report.json").read_text())
+    assert not report["all_pass"]
+    for name in ("coupling", "energy"):
+        row = report["identities"][name]
+        assert math.isnan(row["residual"]) and row["pass"] is False, name
+    assert re.search(r"^coupling +residual nan .*FAIL$",
+                     capsys.readouterr().out, re.M)
+
+
+def test_verify_folds_keep_a_nan_that_comes_late(tmp_path, monkeypatch):
+    """A NaN that follows finite residuals survives every fold: the rotated
+    triple's quaternionic residual, the last phase-block term of the second
+    family, and det dJ on the second det graph."""
+    from dataclasses import replace
+
+    import hkflow.cli as cli
+    from hkflow.structure import StructureTriple
+
+    triples = iter([1e-16, float("nan")])
+    monkeypatch.setattr(StructureTriple, "quaternionic_residual",
+                        lambda self: next(triples))
+    calls = {"frames": 0, "exact": 0}
+    frames, exact = cli.frames, cli.phase_sample_exact
+
+    def late_nan_frames(jet):
+        fr = frames(jet)
+        calls["frames"] += 1
+        if calls["frames"] != 2:
+            return fr
+        lam = fr.lam.copy()
+        lam[-1, 2] = np.nan
+        return replace(fr, lam=lam)
+
+    def late_nan_exact(family, u, v):
+        smp = exact(family, u, v)
+        calls["exact"] += 1
+        if calls["exact"] != 2:
+            return smp
+        detdj = smp.detdj.copy()
+        detdj[-1] = np.nan
+        return replace(smp, detdj=detdj)
+
+    monkeypatch.setattr(cli, "frames", late_nan_frames)
+    monkeypatch.setattr(cli, "phase_sample_exact", late_nan_exact)
+    suite = ["quaternionic", "phase-block", "det-gauss", "det-norms"]
+    code, out = run(tmp_path, "verify", "--suite", ",".join(suite))
+    assert code == 2
+    rows = json.loads((out / "verify_report.json").read_text())["identities"]
+    assert list(rows) == suite
+    for name, row in rows.items():
+        assert math.isnan(row["residual"]) and row["pass"] is False, name
+
+
 def test_verify_unknown_identity(tmp_path):
     code, _ = run(tmp_path, "verify", "--suite", "bogus")
     assert code == 1

@@ -363,3 +363,79 @@ def test_write_curve_csv(tmp_path):
     assert rows.shape == (32, 3)
     assert np.allclose(rows[:, 0], c.x, atol=0)
     assert np.allclose(rows[:, 1] + 1j * rows[:, 2], c.samples, atol=0)
+
+
+# -- kernels against their former routes ---------------------------------------
+
+@pytest.mark.parametrize("n", [16, 17, 64, 255, 256, 512])
+def test_first_two_derivatives_equal_two_spectral_derivatives(n):
+    from hkflow.curves import _derivative_stack, _first_two_derivatives
+    z = np.random.default_rng(n).standard_normal((n, 2)) @ [1, 1j]
+    g1, g2 = _first_two_derivatives(z)
+    for got, order in ((g1, 1), (g2, 2)):
+        expect = spectral_derivative(z, order)
+        assert np.array_equal(got, expect)
+        assert np.array_equal(np.signbit(got.view(float)),
+                              np.signbit(expect.view(float)))
+    stack = _derivative_stack(n)
+    assert stack is _derivative_stack(n) and not stack.flags.writeable
+
+
+def _count_transforms(monkeypatch):
+    calls = []
+    fft, ifft = np.fft.fft, np.fft.ifft
+    monkeypatch.setattr(np.fft, "fft", lambda a: calls.append(1) or fft(a))
+    monkeypatch.setattr(np.fft, "ifft", lambda a: calls.append(1) or ifft(a))
+    return calls
+
+
+def test_rk4_step_makes_ten_transforms(monkeypatch):
+    """Four stages of one forward and one stacked inverse transform, plus
+    the filter's pair."""
+    c = PlaneCurve.circle(1.0, n=256)
+    calls = _count_transforms(monkeypatch)
+    csf_step(c, 0.1 * c.min_spacing() ** 2, "rk4")
+    assert len(calls) == 10
+
+
+def test_b_norm_history_snapshot_makes_two_transforms(monkeypatch):
+    res = run_csf(_limacon(64), t_end=1e-3, dt=5e-4)
+    calls = _count_transforms(monkeypatch)
+    b_norm_history(res)
+    assert len(calls) == 2 * len(res.curves)
+
+
+def _random_curve_samples(rng, n):
+    """A star-shaped loop about the origin with random low modes and
+    sample jitter."""
+    x = 2 * np.pi * np.arange(n) / n
+    modes = rng.standard_normal((4, 2)) @ [1, 1j] * 0.1
+    r = 1.0 + sum(m * np.exp(1j * (k + 1) * x) for k, m in enumerate(modes))
+    loop = r * np.exp(1j * x) + 1e-3 * rng.standard_normal((n, 2)) @ [1, 1j]
+    return rng.uniform(0.1, 10.0) * loop
+
+
+def test_plane_curve_measures_equal_ptp_and_diff_routes():
+    rng = np.random.default_rng(16)
+    for n in (16, 17, 64, 255, 256):
+        for _ in range(10):
+            c = PlaneCurve(_random_curve_samples(rng, n))
+            z = c.samples
+            assert c.diameter() == float(np.hypot(np.ptp(z.real),
+                                                  np.ptp(z.imag)))
+            assert c.min_spacing() == float(
+                np.abs(np.diff(z, append=z[:1])).min())
+
+
+def test_plane_curve_and_guard_band_keep_their_errors():
+    x = 2 * np.pi * np.arange(64) / 64
+    with pytest.raises(ValueError,
+                       match="^curve is not immersed at sample resolution$"):
+        PlaneCurve(np.exp(1j * np.floor(x)))   # repeated consecutive samples
+    with pytest.raises(OriginCollision,
+                       match="^curve passes through the origin$"):
+        PlaneCurve(np.exp(1j * x) - 1.0)
+    near = PlaneCurve.circle(1.0, center=1.0005, n=128)
+    with pytest.raises(OriginCollision,
+                       match="^curve entered the origin guard band$"):
+        csf_step(near, dt=1e-6)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hkflow.errors import NonRotation
+from hkflow.errors import IdentityViolation, NonRotation
 from hkflow.structure import StructureTriple, standard_structure
 from hkflow.util import random_rotation
 
@@ -51,6 +51,17 @@ def test_verify_rejects_broken_triple():
     j[0, 0, 0] = 0.5
     with pytest.raises(Exception):
         StructureTriple(j).verify()
+
+
+def test_nan_triple_is_not_a_pass():
+    """The builtin max would keep 0.0 against a NaN; the residual is NaN
+    and verify raises."""
+    j = standard_structure().j.copy()
+    j[1, 2, 3] = np.nan
+    broken = StructureTriple(j)
+    assert np.isnan(broken.quaternionic_residual())
+    with pytest.raises(IdentityViolation, match="residual nan"):
+        broken.verify()
 
 
 @settings(max_examples=50, deadline=None)

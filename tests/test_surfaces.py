@@ -8,7 +8,7 @@ from hkflow.errors import DegenerateJet, StencilOutOfDomain
 from hkflow.structure import standard_structure
 from hkflow.surfaces import (Cylinder, GrimReaper, NumericalJetSurface, Plane,
                              QuadraticGraph, Sphere, SurfaceJet, frames,
-                             mean_curvature, normal_projection,
+                             mean_curvature, midpoint_grid, normal_projection,
                              second_fundamental_form, tangential_projection)
 
 S = standard_structure()
@@ -255,3 +255,68 @@ def test_degenerate_jet_rejected():
                      np.zeros(4))
     with pytest.raises(DegenerateJet):
         frames(jet)
+
+
+# -- second fundamental form against the einsum route --------------------------
+
+def _einsum_sff(jet, fr):
+    """The second fundamental form as written before the explicit sums: one
+    three-operand einsum over the stacked coordinate Hessian."""
+    hess = np.stack([np.stack([jet.xuu, jet.xuv], axis=-2),
+                     np.stack([jet.xuv, jet.xvv], axis=-2)], axis=-3)
+    b = np.einsum("...ia,...jb,...abk->...ijk", fr.coeffs, fr.coeffs, hess)
+    nu = np.stack([fr.nu1, fr.nu2], axis=-2)
+    return np.einsum("...ijk,...ak->...aij", b, nu)
+
+
+def _assert_same_bits(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _torus_lift():
+    from hkflow.curves import PlaneCurve, TorusFromCurve
+    return TorusFromCurve(PlaneCurve.from_function(
+        lambda x: (1.5 + 0.4 * np.cos(3 * x)) * np.exp(1j * x), n=64))
+
+
+SFF_FAMILIES = FAMILIES + [
+    NumericalJetSurface(lambda u, v: Sphere().jet(u, v).x,
+                        domain=Sphere.domain, periodic=Sphere.periodic),
+    _torus_lift()]
+
+
+@pytest.mark.parametrize("fam", SFF_FAMILIES, ids=lambda f: f.name)
+def test_sff_matches_einsum_bits_on_window_grid(fam):
+    u, v, _, _ = midpoint_grid(fam.window(), 48)
+    jet = fam.jet(u, v)
+    fr = frames(jet)
+    _assert_same_bits(second_fundamental_form(jet, fr), _einsum_sff(jet, fr))
+
+
+def test_sff_matches_einsum_bits_on_random_graphs_and_batch_shapes():
+    rng = np.random.default_rng(16)
+    for _ in range(20):
+        fam = QuadraticGraph.random(rng)
+        u, v = fam.sample_domain(rng, 12)
+        for shape in ((), (12,), (3, 4)):
+            uu, vv = (u[0], v[0]) if shape == () else (u.reshape(shape),
+                                                       v.reshape(shape))
+            jet = fam.jet(uu, vv)
+            fr = frames(jet)
+            sff = second_fundamental_form(jet, fr)
+            assert sff.shape == shape + (2, 2, 2)
+            _assert_same_bits(sff, _einsum_sff(jet, fr))
+
+
+def test_sff_matches_einsum_bits_for_full_coefficient_matrices():
+    """The summation order, not the triangular coeffs of frames, is what
+    reproduces the einsum: dense coefficients with mixed signs match too."""
+    from dataclasses import replace
+    rng = np.random.default_rng(17)
+    fam = Sphere()
+    u, v = fam.sample_domain(rng, 30)
+    jet = fam.jet(u.reshape(5, 6), v.reshape(5, 6))
+    fr = replace(frames(jet), coeffs=rng.standard_normal((5, 6, 2, 2)))
+    _assert_same_bits(second_fundamental_form(jet, fr), _einsum_sff(jet, fr))
