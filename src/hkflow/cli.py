@@ -29,8 +29,9 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .curves import (CSF_SCHEMES, PlaneCurve, TorusFromCurve, b_norm_history,
-                     diagnostics, embed_torus, run_csf, write_curve_csv)
+from .curves import (CSF_SCHEMES, PlaneCurve, TorusFromCurve, csf_march,
+                     diagnostics, embed_torus, snapshot_record,
+                     write_curve_csv)
 from .errors import GeometryError, InsufficientHistory, NotBlowingUp
 from .flow import (MCF_SCHEMES, FlowHistory, run_mcf, translator_residual,
                    type1_monitor)
@@ -386,34 +387,31 @@ def _type1_fields(hist: FlowHistory) -> dict:
     except (InsufficientHistory, NotBlowingUp) as exc:
         return {"t_est": None, "ci_halfwidth": None, "sup_rescaled": None,
                 "note": str(exc)}
-    return {"t_est": rep.t_est, "ci_halfwidth": rep.ci_halfwidth,
-            "sup_rescaled": rep.sup_rescaled}
+    return dataclasses.asdict(rep)
 
 
 def cmd_flow_curve(cfg, args, out: Path) -> int:
     scheme = _scheme(cfg, CSF_SCHEMES)
     curve = _build_curve(cfg)
     fl = cfg["flow"]
-    result = run_csf(curve, t_end=fl["t_end"], dt=_parse_dt(fl["dt"]),
-                     snapshot_every=fl["snapshot_every"], **scheme)
-
+    snaps = csf_march(curve, fl["t_end"], _parse_dt(fl["dt"]),
+                      snapshot_every=fl["snapshot_every"], **scheme)
     snapdir = out / "snapshots"
     snapdir.mkdir(exist_ok=True)
-    for k, c in enumerate(result.curves):
-        write_curve_csv(snapdir / f"snap_{k:05d}.csv", c)
 
-    hist = b_norm_history(result)
-    write_jsonl(out / "history.jsonl", (
-        {"t": float(t), "max_B": float(b), "area": float(a),
-         "margin": float(m)}
-        for t, b, a, m in zip(hist.t, hist.max_b, hist.area, hist.margin)))
+    def trajectory():
+        # written as yielded: a run that a step stops leaves what it reached
+        for k, (_, t, c) in enumerate(snaps):
+            write_curve_csv(snapdir / f"snap_{k:05d}.csv", c)
+            yield snapshot_record(t, c)
 
-    diag = dataclasses.asdict(diagnostics(result.curves[0]))
-    diag.update({"t_final": float(hist.t[-1]),
-                 "truncated": bool(result.truncated)})
-    diag.update(_type1_fields(hist))
+    records = write_jsonl(out / "history.jsonl", trajectory())
+    hist = FlowHistory.from_records(records)
+    diag = {**dataclasses.asdict(diagnostics(curve)),
+            "t_final": float(hist.t[-1]),
+            "truncated": bool(hist.t[-1] < fl["t_end"]), **_type1_fields(hist)}
     (out / "diagnostics.json").write_text(json_dumps(diag, indent=2) + "\n")
-    print(f"flow-curve: {len(result.curves)} snapshots to t="
+    print(f"flow-curve: {len(records)} snapshots to t="
           f"{hist.t[-1]:g}, diagnostics in {out / 'diagnostics.json'}")
     return 0
 
@@ -465,8 +463,8 @@ def cmd_flow_mesh(cfg, args, out: Path) -> int:
 
 def _analyze_type1(cfg, path: Path) -> dict:
     """Type-I fit of a trajectory log.  A line that is not a JSON record
-    with numeric t, max_B and area, or whose t does not increase, is a
-    ConfigError naming the file and the line."""
+    with numeric t, max_B, area and (if present) margin, or whose t does
+    not increase, is a ConfigError naming the file and the line."""
     records = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -474,22 +472,21 @@ def _analyze_type1(cfg, path: Path) -> dict:
                 continue
             try:
                 rec = json.loads(line)
-                ok = all(type(rec[k]) in (int, float)
-                         for k in ("t", "max_B", "area"))
+                ok = all(type(x) in (int, float) for x in (
+                    rec["t"], rec["max_B"], rec["area"], rec.get("margin", 0)))
             except (ValueError, TypeError, KeyError):
                 ok = False
             if not ok or (records and not rec["t"] > records[-1]["t"]):
                 raise ConfigError(
                     f"{path}, line {lineno}: expected a JSON record with "
-                    f"numeric t, max_B and area, t increasing")
+                    f"numeric t, max_B, area and margin, t increasing")
             records.append(rec)
     if not records:
         raise ConfigError(f"{path}: empty trajectory log")
-    report = {"kind": "type1", "records": len(records)}
-    report.update(_type1_fields(FlowHistory.from_records(records)))
-    margins = [r["margin"] for r in records if "margin" in r]
-    report["min_margin"] = min(margins) if margins else None
-    return report
+    hist = FlowHistory.from_records(records)
+    return {"kind": "type1", "records": len(records), **_type1_fields(hist),
+            "min_margin": (None if hist.margin is None
+                           else float(hist.margin.min()))}
 
 
 def _analyze_soliton(cfg, path: Path) -> dict:

@@ -18,13 +18,14 @@ winding of x -> gamma(x) gamma'(x) about 0.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (DegenerateDerivative, OriginCollision, PointOnCurve,
                      StabilityViolation)
-from .flow import FlowHistory
+from .flow import FlowHistory, march
 from .mesh import grid_torus_mesh
 from .phase import containment_margin
 from .surfaces import ParametricSurface, SurfaceJet
@@ -40,8 +41,9 @@ def _grid(n: int) -> np.ndarray:
 class PlaneCurve:
     """Closed curve sampled at x_j = 2 pi j / N, as complex positions.
 
-    Invariants: N >= 16, consecutive samples separated (immersed polyline),
-    and the origin stays off the image; the flow equation is singular there.
+    Invariants: N >= 16 finite samples, consecutive samples separated
+    (immersed polyline), and the origin stays off the image; the flow
+    equation is singular there.
     The samples are stored read-only, so the diameter and the smallest gap
     measured once at construction stay valid.
     """
@@ -57,6 +59,9 @@ class PlaneCurve:
         # np.diff(z, append=z[:1]) to the bit, without their wrappers
         zr, zi = z.real, z.imag
         d = float(np.hypot(zr.max() - zr.min(), zi.max() - zi.min()))
+        # the extremes, and so d, are finite exactly when every sample is
+        if not math.isfinite(d):
+            raise ValueError("curve samples must be finite")
         h = float(np.abs(np.concatenate((z[1:], z[:1])) - z).min())
         if h <= 1e-10 * d:
             raise ValueError("curve is not immersed at sample resolution")
@@ -192,6 +197,12 @@ STEP_BOUND = 0.2   # c in the parabolic step bound dt <= c * spacing^2
 CSF_SCHEMES = ("rk4", "semi-implicit")
 
 
+def _step_bound(curve: PlaneCurve) -> float:
+    """STEP_BOUND * (min spacing)^2: the largest rk4 step csf_step takes."""
+    h = curve.min_spacing()
+    return STEP_BOUND * h * h
+
+
 def csf_step(curve: PlaneCurve, dt: float, scheme: str = "rk4") -> PlaneCurve:
     """One step of the reduced torus flow.
 
@@ -203,11 +214,10 @@ def csf_step(curve: PlaneCurve, dt: float, scheme: str = "rk4") -> PlaneCurve:
     z = curve.samples
     guard = 1e-3 * curve.diameter()
     if scheme == "rk4":
-        h = curve.min_spacing()
-        if dt > STEP_BOUND * h * h:
+        bound = _step_bound(curve)
+        if dt > bound:
             raise StabilityViolation(
-                f"dt={dt:g} exceeds {STEP_BOUND:g}*spacing^2="
-                f"{STEP_BOUND * h * h:g}")
+                f"dt={dt:g} exceeds {STEP_BOUND:g}*spacing^2={bound:g}")
         k1 = _flow_rhs(z)
         k2 = _flow_rhs(z + 0.5 * dt * k1)
         k3 = _flow_rhs(z + 0.5 * dt * k2)
@@ -240,47 +250,22 @@ class CurveFlowResult:
         return self.curves[-1]
 
 
+def csf_march(curve: PlaneCurve, t_end: float, dt: float | None = None,
+              scheme: str = "rk4", snapshot_every: int = 1):
+    """flow.march of the reduced flow, by the parabolic step bound when dt
+    is None; it also ends when the curve reaches the origin guard band."""
+    return march(curve, lambda c, h: csf_step(c, h, scheme), t_end, dt,
+                 snapshot_every, bound=_step_bound, stops=OriginCollision)
+
+
 def run_csf(curve: PlaneCurve, t_end: float, dt: float | None = None,
             scheme: str = "rk4", snapshot_every: int = 1) -> CurveFlowResult:
-    """Integrate the flow to t_end.
-
-    With dt=None the step adapts to the parabolic bound as the curve
-    shrinks (the last step lands exactly on t_end); a fixed dt gives the
-    uniformly spaced trajectories the phase-evolution check requires.
-    The run stops and is marked truncated when the curve reaches the origin
-    guard band, or when a step no longer advances t: near the blow-up time
-    the adaptive step falls below half an ulp of t.
-    """
-    t = 0.0
-    times = [0.0]
-    curves = [curve]
-    step = 0
-    truncated = False
-    while t < t_end - 1e-15:
-        if dt is None:
-            h = curve.min_spacing()
-            dt_k = min(STEP_BOUND * h * h, t_end - t)
-            t_next = t + dt_k
-        else:
-            dt_k = min(dt, t_end - t)
-            # counted time avoids accumulation drift, so fixed-dt snapshot
-            # grids stay uniform to one rounding of step*dt
-            t_next = min((step + 1) * dt, t_end)
-        if t_next == t:
-            truncated = True
-            break
-        try:
-            curve = csf_step(curve, dt_k, scheme)
-        except OriginCollision:
-            truncated = True
-            break
-        step += 1
-        t = t_next
-        if step % snapshot_every == 0 or t >= t_end - 1e-15:
-            times.append(t)
-            curves.append(curve)
-    return CurveFlowResult(times=np.array(times), curves=curves,
-                           truncated=truncated)
+    """The snapshots of csf_march; a fixed dt gives the uniformly spaced
+    trajectories the phase-evolution check requires."""
+    _, times, curves = zip(*csf_march(curve, t_end, dt, scheme,
+                                      snapshot_every))
+    return CurveFlowResult(times=np.array(times), curves=list(curves),
+                           truncated=times[-1] < t_end)
 
 
 # ---------------------------------------------------------------------------
@@ -289,22 +274,19 @@ def run_csf(curve: PlaneCurve, t_end: float, dt: float | None = None,
 
 def _polyline_winding(z: np.ndarray) -> int:
     inc = np.angle(np.roll(z, -1) / z)
-    total = float(np.sum(inc)) / (2 * np.pi)
-    return int(round(total))
+    return int(round(float(np.sum(inc)) / (2 * np.pi)))
 
 
 def winding_number(curve: PlaneCurve, p: complex = 0.0) -> int:
     """Winding of the sampled loop about p, by summed argument increments."""
-    z = curve.samples - p
-    a = z
-    b = np.roll(z, -1)
-    seg = b - a
+    a = curve.samples - p
+    seg = np.roll(a, -1) - a
     tt = np.clip(-np.real(a * np.conj(seg)) / np.maximum(np.abs(seg) ** 2, 1e-300),
                  0.0, 1.0)
     dist = np.min(np.abs(a + tt * seg))
     if dist <= 1e-12 * max(curve.diameter(), 1e-300):
         raise PointOnCurve("query point lies on the polyline")
-    return _polyline_winding(z)
+    return _polyline_winding(a)
 
 
 @dataclass
@@ -326,14 +308,9 @@ def diagnostics(curve: PlaneCurve) -> CurveDiagnostics:
     g1, g2 = _first_two_derivatives(curve.samples)
     _require_speed(g1)
     ind_gamma = _polyline_winding(curve.samples)
-    ind_gp = _polyline_winding(g1)
     turning = -float(np.mean(np.imag(g2 / g1)))
-    return CurveDiagnostics(
-        ind_gamma=ind_gamma,
-        ind_gammaprime=ind_gp,
-        total_turning=turning,
-        maslov_defect=float(ind_gamma - turning),
-    )
+    return CurveDiagnostics(ind_gamma, _polyline_winding(g1), turning,
+                            float(ind_gamma - turning))
 
 
 # ---------------------------------------------------------------------------
@@ -470,22 +447,21 @@ def _torus_margin(z, g1) -> float:
     return containment_margin(lams).margin
 
 
-def b_norm_history(result: CurveFlowResult) -> FlowHistory:
-    """FlowHistory of the lifted tori along a curve-flow trajectory.
+def snapshot_record(t: float, curve: PlaneCurve) -> dict:
+    """History record of a snapshot: t and the lifted torus's max|B|, area
+    and phase margin, from one transform of the samples."""
+    z = curve.samples
+    g1, g2 = _first_two_derivatives(z)
+    return {"t": float(t),
+            "max_B": float(np.sqrt(np.max(_torus_bnorm2(z, g1, g2)))),
+            "area": _torus_area(z, g1), "margin": _torus_margin(z, g1)}
 
-    max|B|, area and phase margin of each snapshot share one transform of
-    its samples (gamma' and gamma'').
-    """
-    n = len(result.curves)
-    max_b, area, margin = np.empty(n), np.empty(n), np.empty(n)
-    for k, c in enumerate(result.curves):
-        z = c.samples
-        g1, g2 = _first_two_derivatives(z)
-        max_b[k] = np.sqrt(np.max(_torus_bnorm2(z, g1, g2)))
-        area[k] = _torus_area(z, g1)
-        margin[k] = _torus_margin(z, g1)
-    return FlowHistory(t=np.asarray(result.times, dtype=float), max_b=max_b,
-                       area=area, margin=margin, truncated=result.truncated)
+
+def b_norm_history(result: CurveFlowResult) -> FlowHistory:
+    """FlowHistory of the lifted tori along a curve-flow trajectory."""
+    return FlowHistory.from_records(
+        map(snapshot_record, result.times, result.curves),
+        truncated=result.truncated)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ zoom-in normalization around a chosen space-time point.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,15 +81,20 @@ class FlowHistory:
     margin: np.ndarray | None = None
 
     def __post_init__(self):
-        if np.any(np.diff(self.t) <= 0):
+        # a NaN fails every comparison: test for increase, not against it
+        if not np.all(np.diff(self.t) > 0):
             raise ValueError("history times must be strictly increasing")
 
     @classmethod
     def from_records(cls, records, **kwargs) -> "FlowHistory":
-        """History of trajectory-log records with keys t, max_B and area."""
-        return cls(t=np.array([r["t"] for r in records]),
-                   max_b=np.array([r["max_B"] for r in records]),
-                   area=np.array([r["area"] for r in records]), **kwargs)
+        """History of trajectory-log records with keys t, max_B and area,
+        and margin when every record carries one."""
+        records = list(records)
+        cols = {key: np.array([r[key] for r in records])
+                for key in ("t", "max_B", "area", "margin")
+                if all(key in r for r in records)}
+        return cls(t=cols["t"], max_b=cols["max_B"], area=cols["area"],
+                   margin=cols.get("margin"), **kwargs)
 
 
 def _advance_vertices(state: FlowState, dt: float, scheme: str) -> np.ndarray:
@@ -147,49 +153,73 @@ def mcf_step(state: FlowState, dt: float,
     return FlowState.measure(state.mesh.with_vertices(verts), state.t + dt)
 
 
+def march(state, advance, t_end: float, dt: float | None, every: int = 1,
+          bound=None, guard=None, stops=()):
+    """Yield (k, t, state) after k steps state = advance(state, h), at
+    k = 0, every every-th step and the last state reached.
+
+    A fixed dt takes n = floor(t_end (1 + 1e-12) / dt) steps of dt at the
+    counted times k dt, then, if t_end - n dt exceeds 1e-12 t_end, one
+    step onto t_end.  dt=None steps by bound(state), landing on t_end.
+    The march stops early when guard(state) holds before a step, when a
+    step raises one of stops, or when t no longer advances (near a blow-up
+    the bound falls below half an ulp of t).  So a run is truncated
+    exactly when its last t falls short of t_end.
+    """
+    if dt is not None:
+        n_whole = max(0, math.floor(t_end * (1 + 1e-12) / dt))
+        n_steps = n_whole + (t_end - n_whole * dt > 1e-12 * t_end)
+    k, t = 0, 0.0
+    yield k, t, state
+    # both clocks put the last step on t_end itself
+    while t < t_end:
+        if guard is not None and guard(state):
+            break
+        if dt is None:
+            h = min(bound(state), t_end - t)
+            t_next = t_end if h == t_end - t else t + h
+            if t_next == t:
+                break
+        else:
+            # t_end - n dt is exact, as n dt is 0 or past t_end / 2
+            h = dt if k < n_whole else t_end - n_whole * dt
+            t_next = (k + 1) * dt if k + 1 < n_steps else t_end
+        try:
+            state = advance(state, h)
+        except stops:
+            break
+        k, t = k + 1, t_next
+        if k % every == 0:
+            yield k, t, state
+    if k % every:
+        yield k, t, state
+
+
 def run_mcf(mesh: SurfaceMesh, dt: float | None, t_end: float,
             scheme: str = "semi-implicit", log_path=None,
             checkpoint_every: int = 0, checkpoint_dir=None) -> FlowHistory:
-    """Run the flow to t_end, logging one JSON record per emitted state.
-
-    dt=None steps 0.2 h_min^2 (explicit bound: 0.25 h_min^2).  The run
-    takes k = floor(t_end (1 + 1e-12) / dt) whole steps of dt, then, when
-    t_end - k dt exceeds 1e-12 t_end, one step onto t_end.  Stops early
-    (and marks the history truncated) once max|B| * h_min exceeds 0.5:
-    beyond that the discrete curvature is under-resolved.
-    The log is written one flushed record per state, so a run that a guard
-    stops with an exception leaves the records of every state it reached.
-    """
+    """march to t_end, logging one flushed JSON record per state, so a run
+    that an exception stops leaves every state it reached.  dt=None steps
+    0.2 h_min^2 of the initial mesh (explicit bound: 0.25 h_min^2)."""
     if dt is None:
         dt = 0.2 * mesh.min_edge_length() ** 2
-    n_whole = max(0, math.floor(t_end * (1 + 1e-12) / dt))
-    n_steps = n_whole + (t_end - n_whole * dt > 1e-12 * t_end)
     first = state = FlowState.measure(mesh, 0.0)
-    records = [state.record()]
 
     def trajectory():
         nonlocal state
-        yield records[0]
-        for k in range(n_steps):
-            if state.max_b * state.mesh.min_edge_length() > 0.5:
-                return
-            # the last step starts at 0 or past t_end / 2, so t_end - t is
-            # exact and the run ends on t_end itself
-            state = mcf_step(state, dt if k < n_whole else t_end - state.t,
-                             scheme)
-            records.append(state.record())
-            yield records[-1]
+        # past max|B| h_min = 0.5 the discrete curvature is under-resolved
+        for k, t, state in march(
+                first, lambda s, h: mcf_step(s, h, scheme), t_end, dt,
+                guard=lambda s: s.max_b * s.mesh.min_edge_length() > 0.5):
+            state.t = t   # the march's counted clock
+            yield state.record()
             if checkpoint_every and checkpoint_dir is not None \
-                    and (k + 1) % checkpoint_every == 0:
+                    and k and k % checkpoint_every == 0:
                 write_off4(state.mesh,
-                           f"{checkpoint_dir}/checkpoint_{k + 1:06d}.off")
+                           f"{checkpoint_dir}/checkpoint_{k:06d}.off")
 
-    if log_path is None:
-        for _ in trajectory():
-            pass
-    else:
-        write_jsonl(log_path, trajectory())
-    return FlowHistory.from_records(records, truncated=len(records) <= n_steps,
+    records = write_jsonl(log_path or os.devnull, trajectory())
+    return FlowHistory.from_records(records, truncated=state.t < t_end,
                                     states=[first, state])
 
 
@@ -365,23 +395,18 @@ def phase_evolution_check(states, u, v) -> PhaseEvolutionReport:
     if np.max(np.abs(steps - delta)) > 1e-9 * max(abs(delta), 1e-300):
         raise ValueError("snapshot times must be uniformly spaced")
 
-    def lam_of(k):
-        fam = states[k][1]
-        return frames(fam.jet(u, v)).lam
-
+    lam = [frames(fam.jet(u, v)).lam for _, fam in states]
     wide = len(states) >= 5
     lo, hi = (2, len(states) - 2) if wide else (1, len(states) - 1)
     per = []
-    mids = []
     for k in range(lo, hi):
         if wide:
-            ldot = (-lam_of(k + 2) + 8 * lam_of(k + 1)
-                    - 8 * lam_of(k - 1) + lam_of(k - 2)) / (12 * delta)
+            ldot = (-lam[k + 2] + 8 * lam[k + 1]
+                    - 8 * lam[k - 1] + lam[k - 2]) / (12 * delta)
         else:
-            ldot = (lam_of(k + 1) - lam_of(k - 1)) / (2 * delta)
+            ldot = (lam[k + 1] - lam[k - 1]) / (2 * delta)
         tau = tension(states[k][1], u, v)
         per.append(float(np.max(np.abs(ldot - tau))))
-        mids.append(times[k])
     return PhaseEvolutionReport(residual=float(np.max(per)),
-                                times=np.array(mids),
+                                times=times[lo:hi],
                                 per_snapshot=np.array(per))

@@ -62,14 +62,17 @@ def json_dumps(obj, indent: int = 0) -> str:
     return "".join(out)
 
 
-def write_jsonl(path, records) -> None:
+def write_jsonl(path, records) -> list:
     """Write a trajectory log: one json_dumps line per record, flushed as
     soon as records yields it, so a producer that raises midway leaves
-    every record it made behind."""
+    every record it made behind.  Returns the records written."""
+    written = []
     with open(path, "w") as fh:
         for rec in records:
             fh.write(json_dumps(rec) + "\n")
             fh.flush()
+            written.append(rec)
+    return written
 
 
 def _write(obj, out: list, indent: int, level: int) -> None:

@@ -292,6 +292,9 @@ CONFIG_ERRORS = {
     "log-not-json": ("", "analyze log.jsonl", _ONE_RECORD + "not json\n"),
     "log-without-area": ("", "analyze log.jsonl", '{"t": 0, "max_B": 1}\n'),
     "log-repeated-t": ("", "analyze log.jsonl", _ONE_RECORD * 2),
+    "log-margin-not-a-number": (
+        "", "analyze log.jsonl",
+        '{"t": 0, "max_B": 1, "area": 1, "margin": "wide"}\n'),
 }
 
 
@@ -430,6 +433,26 @@ def test_flow_curve_origin_crossing_exits_2(tmp_path):
     code = main(["--config", cfg, "--out", str(tmp_path / "out"),
                  "flow-curve"])
     assert code == 2
+
+
+def test_flow_curve_stopped_by_stability_leaves_its_trajectory(tmp_path):
+    """dt = 1.8e-3 sits just under 0.2 h0^2 = 1.93e-3 of the n = 64 unit
+    circle.  The shrinking circle's spacing brings the bound under dt, so
+    the 11th step raises.  The snapshots and history records at the
+    cadence stay behind, as a finished run writes them."""
+    cfg = config(tmp_path, "\n".join([
+        "[curve]", "family = circle", "n = 64",
+        "[flow]", "dt = 1.8e-3", "t_end = 0.05", "snapshot_every = 4",
+    ]))
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "flow-curve"]) == 2
+    records = [json.loads(line) for line in
+               (out / "history.jsonl").read_text().splitlines()]
+    assert [r["t"] for r in records] == [0.0, 4 * 1.8e-3, 8 * 1.8e-3]
+    assert all(set(r) == {"t", "max_B", "area", "margin"} for r in records)
+    assert sorted(p.name for p in (out / "snapshots").iterdir()) == [
+        "snap_00000.csv", "snap_00001.csv", "snap_00002.csv"]
+    assert not (out / "diagnostics.json").exists()
 
 
 # -- flow-mesh --------------------------------------------------------------------
@@ -600,7 +623,9 @@ def test_phase_reaper_stays_clear(tmp_path):
 # midpoint grid (numpy 2.4.6, OpenBLAS, x86-64); each of those changes had
 # to leave these bytes unchanged.  icosphere-2 was recorded again when the
 # mesh |B| fit moved to ring moments and an unrolled Cholesky solve, which
-# moves max_B in its last bits and nothing else.  verify-20 was recorded
+# moves max_B in its last bits and nothing else, and again when flow-mesh
+# moved to the counted clock k dt, which moves its last t and t_final from
+# 0.010000000000000002 to 0.01 and nothing else.  verify-20 was recorded
 # again when verify moved every draw ahead of the evaluation and
 # sample_domain moved to window(), which change its samples.  Another FFT
 # or BLAS build may round differently.
@@ -623,7 +648,7 @@ GOLDEN = {
                   "42d83f6bec2fc78c57d45a7f276a16ddc58b217e005b612579507d4c97ae7f5b"),
     "icosphere-2": ("flow-mesh", "[mesh]\nkind = icosphere\nsubdivisions = 2\n"
                     "[flow]\ndt = 1e-3\nt_end = 0.01\n",
-                    "7851086e6e78c7cc1c08613cd55e944802ccca90855d21b7666d51f83f44b138"),
+                    "314b62d025d8cebd99c65153b543e47f7dbca619b491259849a470b72e481d10"),
     "type1-log": ("analyze log.jsonl", "",
                   "53b5d7d3f9145d90bb94cd2df74c44b5277a9c814fb6c16f30840b0dd22c4f09"),
     "sphere-32": ("phase --surface sphere", "",

@@ -30,6 +30,16 @@ def test_curve_validation():
         PlaneCurve(np.cos(x) + 1j * np.sin(x) - 1.0)  # touches the origin
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+def test_curve_rejects_non_finite_samples(bad):
+    """Every check of a sample that is NaN comes out False, so without a
+    finiteness test such a curve built and ran."""
+    z = PlaneCurve.circle(1.0, n=64).samples.copy()
+    z[5] = bad
+    with pytest.raises(ValueError, match="^curve samples must be finite$"):
+        PlaneCurve(z)
+
+
 def test_spectral_derivative_modes():
     n = 64
     x = 2 * np.pi * np.arange(n) / n
@@ -157,6 +167,18 @@ def test_csf_stops_when_the_step_no_longer_advances_t():
     assert res.truncated
     assert res.times[-1] < 0.25
     assert np.all(np.diff(res.times) > 0)
+
+
+@pytest.mark.parametrize("every", [5, 7])
+def test_truncated_run_ends_on_the_state_where_it_stopped(every):
+    """A run that stalls between two snapshots still yields the state it
+    stopped on, so the cadence does not move where the run ends.  This run
+    stalls after 364 steps: a multiple of 7, but not of 5."""
+    runs = [run_csf(PlaneCurve.circle(1.0, n=16), t_end=0.3,
+                    snapshot_every=m) for m in (1, every)]
+    assert all(r.truncated for r in runs)
+    assert runs[1].times[-1] == runs[0].times[-1] < 0.25
+    assert np.array_equal(runs[1].final().samples, runs[0].final().samples)
 
 
 def test_perturbed_circle_runs_and_blows_up():

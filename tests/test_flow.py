@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from hkflow.curves import PlaneCurve, run_csf
 from hkflow.errors import (InsufficientHistory, NotBlowingUp,
                            StabilityViolation)
 from hkflow.flow import (FlowHistory, FlowState, blowup_point, mcf_step,
@@ -150,6 +151,31 @@ def test_history_times_must_increase():
     with pytest.raises(ValueError):
         FlowHistory(t=np.array([0.0, 0.1, 0.1]),
                     max_b=np.ones(3), area=np.ones(3))
+
+
+def test_history_times_must_not_be_nan():
+    # NaN - 0 <= 0 and 1 - NaN <= 0 are both False
+    with pytest.raises(ValueError):
+        FlowHistory(t=np.array([0.0, np.nan, 1.0]),
+                    max_b=np.ones(3), area=np.ones(3))
+
+
+@pytest.mark.parametrize("flow, dt, t_end, steps", [
+    ("mcf", 1e-3, 0.15, 150),
+    ("csf", 1e-3, 0.0125, 13),
+])
+def test_fixed_dt_times_are_counted_and_end_on_t_end(flow, dt, t_end, steps):
+    """Both flows place state k at exactly k dt and the last state on t_end
+    itself, with a shorter last step when t_end is not a whole number of
+    steps; adding dt step by step would drift off that grid."""
+    if flow == "mcf":
+        run = run_mcf(icosphere(2), dt=dt, t_end=t_end)
+        times = run.t
+    else:
+        run = run_csf(PlaneCurve.circle(1.0, n=64), t_end=t_end, dt=dt)
+        times = run.times
+    assert times.tolist() == [k * dt for k in range(steps)] + [t_end]
+    assert not run.truncated
 
 
 # -- soliton residuals --------------------------------------------------------
