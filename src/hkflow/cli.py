@@ -36,10 +36,10 @@ from .errors import GeometryError, InsufficientHistory, NotBlowingUp
 from .flow import (MCF_SCHEMES, FlowHistory, run_mcf, translator_residual,
                    type1_monitor)
 from .mesh import flat_square, icosphere
-from .phase import (coupling_residual, degree, euler_numbers,
-                    gauss_normal_curvatures, margin_report, phase_differential,
+from .phase import (ENERGY_TOL, containment_margin, coupling_residual, degree,
+                    euler_numbers, gauss_normal_curvatures, phase_differential,
                     phase_sample_exact, write_phase_field_csv)
-from .structure import standard_structure
+from .structure import QUATERNIONIC_TOL, standard_structure
 from .surfaces import (Cylinder, GrimReaper, Plane, QuadraticGraph, Sphere,
                        frames, mean_curvature, second_fundamental_form)
 from .util import json_dumps, random_rotation, write_jsonl
@@ -230,9 +230,9 @@ def write_manifest(out: Path, command: str, argv: list, cfg: dict) -> None:
 # ---------------------------------------------------------------------------
 
 # identity -> tolerance on its max residual, in report order
-_TOLERANCES = {"quaternionic": 1e-14, "phase-block": 1e-10, "coupling": 1e-5,
-               "energy": 1e-6, "det-gauss": 1e-6, "det-norms": 1e-6,
-               "degree-torus": 1e-3, "degree-sphere": 1e-2}
+_TOLERANCES = {"quaternionic": QUATERNIONIC_TOL, "phase-block": 1e-10,
+               "coupling": 1e-5, "energy": ENERGY_TOL, "det-gauss": 1e-6,
+               "det-norms": 1e-6, "degree-torus": 1e-3, "degree-sphere": 1e-2}
 _IDENTITY_NAMES = tuple(_TOLERANCES)
 # the identities that sample families of their own, not the --surface one
 _OWN_FAMILIES = ("det-gauss", "det-norms", "degree-torus", "degree-sphere")
@@ -557,8 +557,8 @@ def cmd_phase(cfg, args, out: Path) -> int:
     rng = np.random.default_rng(cfg["scenario"]["seed"])
     fam = _make_surface(cfg, rng, args.surface)
     csv_path = out / "phase_field.csv"
-    contain = margin_report(
-        write_phase_field_csv(csv_path, fam, n=cfg["surface"]["n"]))
+    sample = write_phase_field_csv(csv_path, fam, n=cfg["surface"]["n"])
+    contain = containment_margin(sample.lam)
     report = {
         "family": fam.name,
         "n": cfg["surface"]["n"],

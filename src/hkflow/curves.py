@@ -28,7 +28,7 @@ from .errors import (DegenerateDerivative, OriginCollision, PointOnCurve,
 from .flow import FlowHistory, march
 from .mesh import grid_torus_mesh
 from .phase import containment_margin
-from .surfaces import ParametricSurface, SurfaceJet
+from .surfaces import ParametricSurface
 from .util import readonly, write_csv
 
 
@@ -375,23 +375,18 @@ class TorusFromCurve(ParametricSurface):
         return tuple(e @ c for c in self._coefs)
 
     @staticmethod
-    def _embed(z1, z2):
-        return np.stack([np.real(z1), np.imag(z1), np.real(z2), np.imag(z2)],
-                        axis=-1)
+    def _coords(z1, z2):
+        return z1.real, z1.imag, z2.real, z2.imag
 
-    def jet(self, u, v) -> SurfaceJet:
-        u, v = np.broadcast_arrays(np.asarray(u, dtype=float),
-                                   np.asarray(v, dtype=float))
+    def jet_rows(self, u, v):
         g, g1, g2 = self._gamma_jets(u)
         c, s = np.cos(v), np.sin(v)
-        return SurfaceJet(
-            x=self._embed(g * c, g * s),
-            xu=self._embed(g1 * c, g1 * s),
-            xv=self._embed(-g * s, g * c),
-            xuu=self._embed(g2 * c, g2 * s),
-            xuv=self._embed(-g1 * s, g1 * c),
-            xvv=self._embed(-g * c, -g * s),
-        )
+        yield self._coords(g * c, g * s)
+        yield self._coords(g1 * c, g1 * s)
+        yield self._coords(-g * s, g * c)
+        yield self._coords(g2 * c, g2 * s)
+        yield self._coords(-g1 * s, g1 * c)
+        yield self._coords(-g * c, -g * s)
 
 
 def embed_torus(curve: PlaneCurve, ny: int = 32):
@@ -406,8 +401,8 @@ def embed_torus(curve: PlaneCurve, ny: int = 32):
     y = _grid(ny)
     z = curve.samples[:, None]
     c, s = np.cos(y)[None, :], np.sin(y)[None, :]
-    return (grid_torus_mesh(TorusFromCurve._embed(z * c, z * s)),
-            TorusFromCurve(curve))
+    x = np.stack(TorusFromCurve._coords(z * c, z * s), axis=-1)
+    return grid_torus_mesh(x), TorusFromCurve(curve)
 
 
 def torus_bnorm2(curve: PlaneCurve) -> np.ndarray:

@@ -21,7 +21,7 @@ from .errors import (InsufficientHistory, NotBlowingUp, SolveFailure,
                      StabilityViolation)
 from .mesh import (SurfaceMesh, mesh_bnorm, mesh_mean_curvature,
                    mesh_tangent_frames, write_off4)
-from .phase import arc_distance, tension
+from .phase import containment_margin, tension
 from .surfaces import (ParametricSurface, frames, mean_curvature,
                        midpoint_grid, normal_projection)
 from .util import write_jsonl
@@ -57,10 +57,9 @@ class FlowState:
         fr = mesh_tangent_frames(mesh)
         b = mesh_bnorm(mesh, fr)
         max_b = float(np.nanmax(b)) if np.any(np.isfinite(b)) else 0.0
-        margin = float(np.min(arc_distance(fr[4])))
         return cls(t=t, mesh=mesh, max_b=max_b, max_h=max_h,
-                   area=mesh.area(), margin=margin, cot_matrix=w,
-                   mixed_areas=areas)
+                   area=mesh.area(), margin=containment_margin(fr[4]).margin,
+                   cot_matrix=w, mixed_areas=areas)
 
     def record(self) -> dict:
         return {"t": self.t, "max_B": self.max_b, "max_H": self.max_h,
@@ -263,8 +262,12 @@ def shrinker_radius_by_bisection(make_family, lo: float = 1.0,
 
     make_family(r) must return a ParametricSurface whose outward normal is
     well defined at the probe point; the signed defect <H + X^perp/2, nu>
-    changes sign across the shrinking radius.
+    changes sign across the shrinking radius.  ValueError when it does not
+    change sign on [lo, hi].
     """
+    # imported here: scipy.optimize takes 0.22-0.25 s to import (2-core
+    # x86-64), which a module-level import would add to every command
+    from scipy.optimize import bisect
 
     def signed(r: float) -> float:
         family = make_family(r)
@@ -275,23 +278,7 @@ def shrinker_radius_by_bisection(make_family, lo: float = 1.0,
         nu_out = xperp / max(np.linalg.norm(xperp), 1e-300)
         return float(np.dot(h + 0.5 * xperp, nu_out))
 
-    f_lo, f_hi = signed(lo), signed(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if f_lo * f_hi > 0:
-        raise ValueError("no sign change on the bracket")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid = signed(mid)
-        if f_mid == 0.0 or hi - lo < 1e-12:
-            return mid
-        if f_lo * f_mid < 0:
-            hi, f_hi = mid, f_mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
+    return bisect(signed, lo, hi, xtol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from .surfaces import (FrameData, ParametricSurface, frames, mean_curvature,
 from .util import format_float, write_csv
 
 FD_STEP = 1e-4   # step of the dJ and tension stencils, times family.scale
+ENERGY_TOL = 1e-6   # max residual of the energy identity e_del = |H|^2/4
 
 
 @dataclass(eq=False)
@@ -171,16 +172,17 @@ def curvature_form(fr: FrameData, h_vec) -> np.ndarray:
 def energy_split(sample: PhaseSample, h_vec):
     """Check |dJ|^2-splitting against the mean curvature: e_del = |H|^2/4.
 
-    Returns the pointwise residual; raises IdentityViolation above 1e-6
-    (which would indicate a convention bug, not a numerical failure).
+    Returns the pointwise residual; raises IdentityViolation above
+    ENERGY_TOL (which would indicate a convention bug, not a numerical
+    failure).
     """
     h2 = np.sum(np.asarray(h_vec, dtype=float) ** 2, axis=-1)
     residual = np.abs(sample.e_del - 0.25 * h2)
     worst = float(np.max(residual))
-    if worst > 1e-6:
+    if worst > ENERGY_TOL:
         raise IdentityViolation(
             f"energy identity residual {format_float(worst)} exceeds "
-            f"{format_float(1e-6)}")
+            f"{format_float(ENERGY_TOL)}")
     return residual
 
 
@@ -334,16 +336,12 @@ def arc_distance(lam) -> np.ndarray:
 
 
 def containment_margin(lams) -> ContainmentReport:
-    """Min distance of a phase sample set to the half circle."""
-    return margin_report(arc_distance(lams))
-
-
-def margin_report(margins) -> ContainmentReport:
-    """Containment report of pointwise arc_distance values.  These are
-    exactly 0 on the half circle and positive off it, so a zero margin is
-    the exact membership test: it forces margin 0 and the violation flag;
-    otherwise the margin is the smallest pointwise distance."""
-    margins = np.asarray(margins, dtype=float)
+    """Containment of a phase sample set (..., 3) in the complement of the
+    half circle.  arc_distance is exactly 0 on the half circle and positive
+    off it, so a zero distance is the exact membership test: it forces
+    margin 0 and the violation flag; otherwise the margin is the smallest
+    pointwise distance."""
+    margins = arc_distance(lams)
     if margins.size == 0:
         raise ValueError("empty phase sample set")
     hit = bool(np.any(margins == 0.0))
@@ -356,9 +354,9 @@ def margin_report(margins) -> ContainmentReport:
 # ---------------------------------------------------------------------------
 
 def write_phase_field_csv(path, family: ParametricSurface,
-                          n: int = 32) -> np.ndarray:
+                          n: int = 32) -> PhaseSample:
     """Phase field on the midpoint grid of family.window() as CSV; returns
-    the margins, shape (n, n).
+    the PhaseSample written, of shape (n, n).
 
     Columns: u, v, lam1, lam2, lam3, e_del, e_delbar, detdJ, margin, where
     margin is the pointwise distance to the half circle.
@@ -369,4 +367,4 @@ def write_phase_field_csv(path, family: ParametricSurface,
     cols = [ug, vg, sample.lam[..., 0], sample.lam[..., 1], sample.lam[..., 2],
             sample.e_del, sample.e_delbar, sample.detdj, margin]
     write_csv(path, "u,v,lam1,lam2,lam3,e_del,e_delbar,detdJ,margin", cols)
-    return margin
+    return sample

@@ -26,6 +26,8 @@ import numpy as np
 from .errors import IdentityViolation
 from .util import check_rotation, readonly
 
+QUATERNIONIC_TOL = 1e-14   # max residual of the quaternionic relations
+
 _J1 = np.array([
     [0.0, -1.0, 0.0, 0.0],
     [1.0, 0.0, 0.0, 0.0],
@@ -118,12 +120,13 @@ class StructureTriple:
         return float(np.max(np.abs(terms)))
 
     def verify(self) -> float:
-        """Raise IdentityViolation unless the algebra holds to 1e-14."""
+        """Raise IdentityViolation unless the algebra holds to
+        QUATERNIONIC_TOL."""
         res = self.quaternionic_residual()
-        if not res <= 1e-14:
+        if not res <= QUATERNIONIC_TOL:
             raise IdentityViolation(
-                f"quaternionic relations violated: residual {res:.3e} > 1.000e-14"
-            )
+                f"quaternionic relations violated: residual {res:.3e} > "
+                f"{QUATERNIONIC_TOL:.3e}")
         return res
 
 

@@ -176,8 +176,8 @@ def midpoint_grid(domain, n: int):
 class ParametricSurface:
     """Base class: an immersion patch with exact jets.
 
-    Subclasses fill in jet(u, v) (broadcasting over array arguments) and the
-    domain metadata used by quadrature and finite-difference stencils.
+    Subclasses fill in jet_rows(u, v) and the domain metadata used by
+    quadrature and finite-difference stencils.
     """
 
     name = "surface"
@@ -191,6 +191,20 @@ class ParametricSurface:
     scale = 1.0
 
     def jet(self, u, v) -> SurfaceJet:
+        """The 2-jet at (u, v), broadcast against each other: each row of
+        jet_rows is filled into one (..., 4) array."""
+        u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
+        rows = []
+        for row in self.jet_rows(u, v):
+            arr = np.empty(u.shape + (4,))
+            for k, c in enumerate(row):
+                arr[..., k] = c
+            rows.append(arr)
+        return SurfaceJet(*rows)
+
+    def jet_rows(self, u, v):
+        """The rows x, xu, xv, xuu, xuv, xvv at the broadcast (u, v), each
+        four coordinates that are arrays of u's shape or constants."""
         raise NotImplementedError
 
     def window(self):
@@ -226,14 +240,9 @@ class Plane(ParametricSurface):
 
     name = "plane"
 
-    def jet(self, u, v) -> SurfaceJet:
-        u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
-        z = np.zeros(u.shape)
-        x = np.stack([u, v, z, z], axis=-1)
-        xu = np.stack([np.ones_like(u), z, z, z], axis=-1)
-        xv = np.stack([z, np.ones_like(u), z, z], axis=-1)
-        zero = np.zeros_like(x)
-        return SurfaceJet(x, xu, xv, zero, zero.copy(), zero.copy())
+    def jet_rows(self, u, v):
+        return ((u, v, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0),
+                (0.0,) * 4, (0.0,) * 4, (0.0,) * 4)
 
 
 class Cylinder(ParametricSurface):
@@ -256,18 +265,11 @@ class Cylinder(ParametricSurface):
         self.domain = ((-float(half_length), float(half_length)),
                        (0.0, 2.0 * np.pi))
 
-    def jet(self, u, v) -> SurfaceJet:
-        u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
-        r = self.radius
-        z = np.zeros(u.shape)
-        one = np.ones(u.shape)
-        x = np.stack([r * np.cos(v), r * np.sin(v), u, z], axis=-1)
-        xu = np.stack([z, z, one, z], axis=-1)
-        xv = np.stack([-r * np.sin(v), r * np.cos(v), z, z], axis=-1)
-        xuu = np.zeros_like(x)
-        xuv = np.zeros_like(x)
-        xvv = np.stack([-r * np.cos(v), -r * np.sin(v), z, z], axis=-1)
-        return SurfaceJet(x, xu, xv, xuu, xuv, xvv)
+    def jet_rows(self, u, v):
+        r, c, s = self.radius, np.cos(v), np.sin(v)
+        return ((r * c, r * s, u, 0.0), (0.0, 0.0, 1.0, 0.0),
+                (-r * s, r * c, 0.0, 0.0), (0.0,) * 4, (0.0,) * 4,
+                (-r * c, -r * s, 0.0, 0.0))
 
 
 class Sphere(ParametricSurface):
@@ -283,19 +285,16 @@ class Sphere(ParametricSurface):
             raise ValueError("radius must be positive")
         self.radius = float(radius)
 
-    def jet(self, u, v) -> SurfaceJet:
+    def jet_rows(self, u, v):
         # u = polar angle in (0, pi), v = azimuth
-        u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
         r = self.radius
         su, cu, sv, cv = np.sin(u), np.cos(u), np.sin(v), np.cos(v)
-        z = np.zeros(u.shape)
-        x = np.stack([r * su * cv, r * su * sv, r * cu, z], axis=-1)
-        xu = np.stack([r * cu * cv, r * cu * sv, -r * su, z], axis=-1)
-        xv = np.stack([-r * su * sv, r * su * cv, z, z], axis=-1)
-        xuu = np.stack([-r * su * cv, -r * su * sv, -r * cu, z], axis=-1)
-        xuv = np.stack([-r * cu * sv, r * cu * cv, z, z], axis=-1)
-        xvv = np.stack([-r * su * cv, -r * su * sv, z, z], axis=-1)
-        return SurfaceJet(x, xu, xv, xuu, xuv, xvv)
+        yield r * su * cv, r * su * sv, r * cu, 0.0
+        yield r * cu * cv, r * cu * sv, -r * su, 0.0
+        yield -r * su * sv, r * su * cv, 0.0, 0.0
+        yield -r * su * cv, -r * su * sv, -r * cu, 0.0
+        yield -r * cu * sv, r * cu * cv, 0.0, 0.0
+        yield -r * su * cv, -r * su * sv, 0.0, 0.0
 
 
 class GrimReaper(ParametricSurface):
@@ -307,17 +306,10 @@ class GrimReaper(ParametricSurface):
     name = "grim-reaper"
     domain = ((-np.pi / 2, np.pi / 2), (-np.inf, np.inf))
 
-    def jet(self, u, v) -> SurfaceJet:
-        u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
-        z = np.zeros(u.shape)
-        one = np.ones(u.shape)
-        t = np.tan(u)
-        x = np.stack([u, v, -np.log(np.cos(u)), z], axis=-1)
-        xu = np.stack([one, z, t, z], axis=-1)
-        xv = np.stack([z, one, z, z], axis=-1)
-        xuu = np.stack([z, z, 1.0 / np.cos(u) ** 2, z], axis=-1)
-        zero = np.zeros_like(x)
-        return SurfaceJet(x, xu, xv, xuu, zero, zero.copy())
+    def jet_rows(self, u, v):
+        return ((u, v, -np.log(np.cos(u)), 0.0), (1.0, 0.0, np.tan(u), 0.0),
+                (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0 / np.cos(u) ** 2, 0.0),
+                (0.0,) * 4, (0.0,) * 4)
 
 
 class QuadraticGraph(ParametricSurface):
@@ -346,20 +338,14 @@ class QuadraticGraph(ParametricSurface):
         c[:, 3:] = rng.uniform(-0.2, 0.2, size=(2, 2))
         return cls(c)
 
-    def jet(self, u, v) -> SurfaceJet:
-        u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
-        z = np.zeros(u.shape)
-        one = np.ones(u.shape)
+    def jet_rows(self, u, v):
         (a1, b1, c1, d1, e1), (a2, b2, c2, d2, e2) = self.coeffs
         q1 = 0.5 * (a1 * u * u + 2 * b1 * u * v + c1 * v * v) + d1 * u + e1 * v
         q2 = 0.5 * (a2 * u * u + 2 * b2 * u * v + c2 * v * v) + d2 * u + e2 * v
-        x = np.stack([u, v, q1, q2], axis=-1)
-        xu = np.stack([one, z, a1 * u + b1 * v + d1, a2 * u + b2 * v + d2], axis=-1)
-        xv = np.stack([z, one, b1 * u + c1 * v + e1, b2 * u + c2 * v + e2], axis=-1)
-        xuu = np.stack([z, z, a1 * one, a2 * one], axis=-1)
-        xuv = np.stack([z, z, b1 * one, b2 * one], axis=-1)
-        xvv = np.stack([z, z, c1 * one, c2 * one], axis=-1)
-        return SurfaceJet(x, xu, xv, xuu, xuv, xvv)
+        return ((u, v, q1, q2),
+                (1.0, 0.0, a1 * u + b1 * v + d1, a2 * u + b2 * v + d2),
+                (0.0, 1.0, b1 * u + c1 * v + e1, b2 * u + c2 * v + e2),
+                (0.0, 0.0, a1, a2), (0.0, 0.0, b1, b2), (0.0, 0.0, c1, c2))
 
 
 class NumericalJetSurface(ParametricSurface):
@@ -385,12 +371,10 @@ class NumericalJetSurface(ParametricSurface):
         u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
         return np.asarray(self._position(u, v), dtype=float)
 
-    def jet(self, u, v) -> SurfaceJet:
+    def jet_rows(self, u, v):
         h = 1e-5 * self.scale
         p = self.position
         x = p(u, v)
-        u = np.asarray(u, float)
-        v = np.asarray(v, float)
         xpu, xmu = p(u + h, v), p(u - h, v)
         xpv, xmv = p(u, v + h), p(u, v - h)
         xu = (xpu - xmu) / (2 * h)
@@ -399,4 +383,4 @@ class NumericalJetSurface(ParametricSurface):
         xvv = (xpv - 2 * x + xmv) / h**2
         xuv = (p(u + h, v + h) - p(u + h, v - h)
                - p(u - h, v + h) + p(u - h, v - h)) / (4 * h**2)
-        return SurfaceJet(x, xu, xv, xuu, xuv, xvv)
+        return (np.moveaxis(row, -1, 0) for row in (x, xu, xv, xuu, xuv, xvv))

@@ -295,6 +295,32 @@ CONFIG_ERRORS = {
     "log-margin-not-a-number": (
         "", "analyze log.jsonl",
         '{"t": 0, "max_B": 1, "area": 1, "margin": "wide"}\n'),
+    "unknown-section": ("[colour]\nhue = red\n", "flow-curve", ""),
+    "dt-not-a-number": ("[flow]\ndt = fast\n", "flow-curve", ""),
+    "curve-family-unknown": ("[curve]\nfamily = spiral\n", "flow-curve", ""),
+    "mesh-kind-unknown": ("[mesh]\nkind = cube\n", "flow-mesh", ""),
+    "phase-family-unknown": ("", "phase --surface catenoid", ""),
+    "soliton-family-unknown": ("[analyze]\nfamily = catenoid\n",
+                               "analyze log.jsonl --mode soliton",
+                               "u,v\n0.1,0.2\n"),
+    "soliton-v0-three-floats": ("[analyze]\nv0 = 0,0,1\n",
+                                "analyze log.jsonl --mode soliton",
+                                "u,v\n0.1,0.2\n"),
+    "soliton-v0-not-numeric": ("[analyze]\nv0 = 0,0,one,0\n",
+                               "analyze log.jsonl --mode soliton",
+                               "u,v\n0.1,0.2\n"),
+    "soliton-not-numeric": ("", "analyze log.jsonl --mode soliton",
+                            "u,v\n0.1,0.2\n0.3,abc\n"),
+    "soliton-no-samples": ("", "analyze log.jsonl --mode soliton", "u,v\n"),
+    "log-empty": ("", "analyze log.jsonl", ""),
+}
+# what an analyze error names when it is not one line of log.jsonl
+WHOLE_INPUT_ERRORS = {
+    "soliton-family-unknown": "unknown surface family 'catenoid'",
+    "soliton-v0-three-floats": "bad v0 '0,0,1'",
+    "soliton-v0-not-numeric": "bad v0 '0,0,one,0'",
+    "soliton-no-samples": "log.jsonl: no u,v samples",
+    "log-empty": "log.jsonl: empty trajectory log",
 }
 
 
@@ -310,7 +336,7 @@ def test_bad_input_is_a_config_error(tmp_path, monkeypatch, capsys, case):
     assert err.startswith("hkflow: config error")
     assert "Traceback" not in err
     if command.startswith("analyze"):
-        assert "log.jsonl, line " in err
+        assert WHOLE_INPUT_ERRORS.get(case, "log.jsonl, line ") in err
 
 
 @pytest.mark.parametrize("command, choices", [

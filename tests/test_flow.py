@@ -1,11 +1,13 @@
 """Mesh flow, soliton residuals, blow-up monitoring, phase evolution."""
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hkflow.curves import PlaneCurve, run_csf
-from hkflow.errors import (InsufficientHistory, NotBlowingUp,
+from hkflow.errors import (InsufficientHistory, NotBlowingUp, SolveFailure,
                            StabilityViolation)
 from hkflow.flow import (FlowHistory, FlowState, blowup_point, mcf_step,
                          parabolic_rescale, phase_evolution_check, run_mcf,
@@ -38,6 +40,21 @@ def test_bad_scheme_and_dt():
         mcf_step(state, dt=1e-3, scheme="leapfrog")
     with pytest.raises(ValueError):
         mcf_step(state, dt=0.0)
+
+
+def test_semi_implicit_solve_failures():
+    state = FlowState.measure(icosphere(1), 0.0)
+    # negative lumped areas: m - dt W loses its positive diagonal
+    flipped = dataclasses.replace(state, mixed_areas=-state.mixed_areas)
+    with pytest.raises(SolveFailure, match="lost positivity"):
+        mcf_step(flipped, dt=1e-3)
+    # only the upper triangle of the weights: a positive diagonal, but not
+    # symmetric, so conjugate gradients runs out of iterations
+    w = state.cot_matrix
+    upper = dataclasses.replace(
+        state, cot_matrix=sp.triu(w - sp.diags(w.diagonal())).tocsr())
+    with pytest.raises(SolveFailure, match="conjugate gradient failed"):
+        mcf_step(upper, dt=1.0)
 
 
 def test_semi_implicit_pins_boundary():

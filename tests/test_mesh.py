@@ -295,6 +295,41 @@ def test_off4_rejects_wrong_dimension(tmp_path):
         read_off4(path)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "missing header"),
+    ("COFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n", "missing header"),
+    ("OFF\n3 1 0\n0 0 0 0\n1 0 0 0\n", "truncated"),
+    ("OFF\n4 1 0\n0 0 0 0\n1 0 0 0\n0 1 0 0\n1 1 0 0\n4 0 1 3 2\n",
+     "face row 0 is not a triangle"),
+    ("OFF\n3 1 0\n0 0 0 0\n1 0 0 0\n0 1 0 0\n3 0 1\n",
+     "face row 0 is not a triangle"),
+], ids=["empty", "other-header", "truncated", "quad", "short-face"])
+def test_off4_rejects_malformed_files(tmp_path, text, message):
+    path = tmp_path / "bad.off"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        read_off4(path)
+
+
+def test_construction_checks_shapes_indices_and_topology():
+    m = icosphere(1)
+    v, t, topo = m.vertices, m.triangles, m.topology
+    last = len(v) - 1
+    cases = [
+        ((v[:, :3], t), "vertices must be"),
+        ((v[None], t), "vertices must be"),
+        ((v, np.c_[t, t[:, :1]]), "triangles must be"),
+        ((v, t.ravel()), "triangles must be"),
+        ((v, np.where(t == 0, -1, t)), "out of range"),
+        ((v, np.where(t == last, last + 1, t)), "out of range"),
+        ((v, t.copy(), topo), "topology's own array"),
+        ((np.vstack([v, v[:1]]), t, topo), "topology has 42 vertices"),
+    ]
+    for args, message in cases:
+        with pytest.raises(ValueError, match=message):
+            SurfaceMesh(*args)
+
+
 def test_with_vertices_fresh_cache():
     m = icosphere(1)
     a0 = m.area()

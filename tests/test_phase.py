@@ -68,6 +68,26 @@ def test_phase_differential_routes_agree(rng):
         assert sample.route_gap < 1e-6
 
 
+class _WrongHessian(QuadraticGraph):
+    """A graph whose X_uu row is zero, which its X_u row contradicts."""
+
+    name = "wrong-hessian"
+
+    def jet_rows(self, u, v):
+        rows = list(super().jet_rows(u, v))
+        rows[3] = (0.0,) * 4
+        return rows
+
+
+def test_phase_differential_rejects_inconsistent_jets(rng):
+    fam = _WrongHessian([[1.0, 0.0, 0.0, 0.0, 0.0], [0.0] * 5])
+    u, v = fam.sample_domain(rng, 10)
+    phase_differential(QuadraticGraph(fam.coeffs), u, v)  # consistent: fine
+    with pytest.raises(IdentityViolation,
+                       match=r"dJ routes disagree by .* on wrong-hessian"):
+        phase_differential(fam, u, v)
+
+
 def test_energy_split_identities(rng):
     for fam in _families(rng):
         u, v = fam.sample_domain(rng, 100)
@@ -321,10 +341,12 @@ def test_containment_margin_exact_hit():
 
 def test_phase_field_csv(tmp_path):
     path = tmp_path / "field.csv"
-    margin = write_phase_field_csv(path, Cylinder(1.0, half_length=1.0), n=8)
+    sample = write_phase_field_csv(path, Cylinder(1.0, half_length=1.0), n=8)
     rows = np.loadtxt(path, delimiter=",", skiprows=1)
     assert rows.shape == (64, 9)
-    # 17 digits round-trip: the returned margins are the written ones
+    # 17 digits round-trip: the margins of the returned sample are the
+    # written ones
+    margin = arc_distance(sample.lam)
     assert margin.shape == (8, 8)
     assert np.array_equal(margin.ravel(), rows[:, 8])
     header = path.read_text().splitlines()[0]

@@ -320,3 +320,111 @@ def test_sff_matches_einsum_bits_for_full_coefficient_matrices():
     jet = fam.jet(u.reshape(5, 6), v.reshape(5, 6))
     fr = replace(frames(jet), coeffs=rng.standard_normal((5, 6, 2, 2)))
     _assert_same_bits(second_fundamental_form(jet, fr), _einsum_sff(jet, fr))
+
+
+# -- jet: one base-class broadcast over each family's jet_rows ----------------
+
+def _stacked_jet(fam, u, v):
+    """The jets as each family built them before jet_rows: its own
+    broadcast and one np.stack per row."""
+    from hkflow.curves import TorusFromCurve
+
+    u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
+    z, one = np.zeros(u.shape), np.ones(u.shape)
+
+    def rows(*rs):
+        return SurfaceJet(*(np.stack(r, axis=-1) for r in rs))
+
+    if isinstance(fam, Plane):
+        return rows([u, v, z, z], [one, z, z, z], [z, one, z, z],
+                    [z] * 4, [z] * 4, [z] * 4)
+    if isinstance(fam, Cylinder):
+        r = fam.radius
+        return rows([r * np.cos(v), r * np.sin(v), u, z], [z, z, one, z],
+                    [-r * np.sin(v), r * np.cos(v), z, z], [z] * 4, [z] * 4,
+                    [-r * np.cos(v), -r * np.sin(v), z, z])
+    if isinstance(fam, Sphere):
+        r = fam.radius
+        su, cu, sv, cv = np.sin(u), np.cos(u), np.sin(v), np.cos(v)
+        return rows([r * su * cv, r * su * sv, r * cu, z],
+                    [r * cu * cv, r * cu * sv, -r * su, z],
+                    [-r * su * sv, r * su * cv, z, z],
+                    [-r * su * cv, -r * su * sv, -r * cu, z],
+                    [-r * cu * sv, r * cu * cv, z, z],
+                    [-r * su * cv, -r * su * sv, z, z])
+    if isinstance(fam, GrimReaper):
+        return rows([u, v, -np.log(np.cos(u)), z], [one, z, np.tan(u), z],
+                    [z, one, z, z], [z, z, 1.0 / np.cos(u) ** 2, z],
+                    [z] * 4, [z] * 4)
+    if isinstance(fam, QuadraticGraph):
+        (a1, b1, c1, d1, e1), (a2, b2, c2, d2, e2) = fam.coeffs
+        q1 = 0.5 * (a1 * u * u + 2 * b1 * u * v + c1 * v * v) + d1 * u + e1 * v
+        q2 = 0.5 * (a2 * u * u + 2 * b2 * u * v + c2 * v * v) + d2 * u + e2 * v
+        return rows([u, v, q1, q2],
+                    [one, z, a1 * u + b1 * v + d1, a2 * u + b2 * v + d2],
+                    [z, one, b1 * u + c1 * v + e1, b2 * u + c2 * v + e2],
+                    [z, z, a1 * one, a2 * one], [z, z, b1 * one, b2 * one],
+                    [z, z, c1 * one, c2 * one])
+    if isinstance(fam, TorusFromCurve):
+        g, g1, g2 = fam._gamma_jets(u)
+        c, s = np.cos(v), np.sin(v)
+        return rows(*([w.real, w.imag, y.real, y.imag] for w, y in (
+            (g * c, g * s), (g1 * c, g1 * s), (-g * s, g * c),
+            (g2 * c, g2 * s), (-g1 * s, g1 * c), (-g * c, -g * s))))
+    assert isinstance(fam, NumericalJetSurface)
+    h = 1e-5 * fam.scale
+    p = fam.position
+    x = p(u, v)
+    xpu, xmu = p(u + h, v), p(u - h, v)
+    xpv, xmv = p(u, v + h), p(u, v - h)
+    return SurfaceJet(x, (xpu - xmu) / (2 * h), (xpv - xmv) / (2 * h),
+                      (xpu - 2 * x + xmu) / h**2,
+                      (p(u + h, v + h) - p(u + h, v - h)
+                       - p(u - h, v + h) + p(u - h, v - h)) / (4 * h**2),
+                      (xpv - 2 * x + xmv) / h**2)
+
+
+def _jet_inputs(fam):
+    """A 48 x 48 window() grid, a 0-d point and (n, 1) x (1, m) inputs."""
+    u, v, _, _ = midpoint_grid(fam.window(), 48)
+    return [(u, v), (u[17, 0], v[0, 29]), (u[::6, :1], v[:1, ::4])]
+
+
+# every family: the five analytic ones, a tilted graph with signed zero
+# coefficients, numerical jets and the torus lift
+JET_FAMILIES = FAMILIES + [
+    QuadraticGraph([[-0.0, 0.3, -1.0, 0.1, -0.0], [0.5, -0.0, 0.0, 0.0, -0.2]]),
+    Cylinder(1.7, half_length=2.0), Sphere(0.6),
+    NumericalJetSurface(lambda u, v: Sphere().jet(u, v).x,
+                        domain=Sphere.domain, periodic=Sphere.periodic),
+    _torus_lift()]
+
+
+@pytest.mark.parametrize("fam", JET_FAMILIES,
+                         ids=lambda f: f"{f.name}-{JET_FAMILIES.index(f)}")
+def test_jet_rows_fill_the_stacked_jet_bits(fam):
+    for u, v in _jet_inputs(fam):
+        got, want = fam.jet(u, v), _stacked_jet(fam, u, v)
+        for name in ("x", "xu", "xv", "xuu", "xuv", "xvv"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.shape == np.broadcast_shapes(np.shape(u),
+                                                  np.shape(v)) + (4,)
+            _assert_same_bits(a, b)
+
+
+def test_only_the_base_class_defines_jet():
+    from hkflow.curves import TorusFromCurve
+    from hkflow.surfaces import ParametricSurface
+
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    families = set(subclasses(ParametricSurface))
+    assert {Plane, Cylinder, Sphere, GrimReaper, QuadraticGraph,
+            NumericalJetSurface, TorusFromCurve} <= families
+    assert "jet" in vars(ParametricSurface)
+    assert [c.__name__ for c in families if "jet" in vars(c)] == []
+    assert all("jet_rows" in vars(c) for c in families
+               if c.__module__.startswith("hkflow."))
