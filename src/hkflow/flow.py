@@ -14,13 +14,11 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import (InsufficientHistory, NotBlowingUp, SolveFailure,
                      StabilityViolation)
-from .mesh import (SurfaceMesh, mesh_bnorm, mesh_mean_curvature,
-                   mesh_tangent_frames, write_off4)
+from .mesh import (PaddedMatrix, SurfaceMesh, mesh_bnorm,
+                   mesh_mean_curvature, mesh_tangent_frames, write_off4)
 from .phase import containment_margin, tension
 from .surfaces import (ParametricSurface, frames, mean_curvature,
                        midpoint_grid, normal_projection)
@@ -28,6 +26,8 @@ from .util import write_jsonl
 
 MCF_SCHEMES = ("semi-implicit", "explicit")
 TYPE1_TAIL = 0.4   # trailing fraction of a history that the Type-I fit reads
+CG_RTOL = 1e-10    # the implicit solve stops at |b - a x| < CG_RTOL |b|
+CG_MAXITER = 10000
 
 
 @dataclass(eq=False)
@@ -45,7 +45,7 @@ class FlowState:
     max_h: float
     area: float
     margin: float
-    cot_matrix: sp.csr_matrix = field(repr=False)
+    cot_matrix: PaddedMatrix = field(repr=False)
     mixed_areas: np.ndarray = field(repr=False)
 
     @classmethod
@@ -114,33 +114,86 @@ def _advance_vertices(state: FlowState, dt: float, scheme: str) -> np.ndarray:
         raise ValueError(f"unknown scheme {scheme!r}; choose from "
                          f"{MCF_SCHEMES}")
 
-    m = sp.diags(state.mixed_areas)
-    a = (m - dt * state.cot_matrix).tocsr()
-    rhs = m @ mesh.vertices
-    x0 = mesh.vertices
-    bdry = mesh.boundary_vertex_mask
-    if bdry.any():
-        # pin boundary vertices: identity rows, move their columns to the rhs
-        keep = ~bdry
-        rhs = rhs[keep] - a[keep][:, bdry] @ mesh.vertices[bdry]
-        a = a[keep][:, keep]
-        x0 = x0[keep]
+    a, rhs, x0 = _implicit_system(state, dt)
     diag = a.diagonal()
     if np.any(diag <= 0):
         raise SolveFailure("implicit operator lost positivity")
-    precond = sp.diags(1.0 / diag)
+    inv_diag = 1.0 / diag
     out = np.empty_like(x0)
-    for k in range(4):
-        sol, info = spla.cg(a, rhs[:, k], x0=x0[:, k], M=precond,
-                            rtol=1e-10, atol=0.0, maxiter=10000)
-        if info != 0:
-            raise SolveFailure(f"conjugate gradient failed (info={info})")
-        out[:, k] = sol
+    for k, b in enumerate(np.ascontiguousarray(rhs.T)):
+        out[:, k] = _pcg(a, b, x0[:, k], inv_diag)[0]
+    bdry = mesh.boundary_vertex_mask
     if bdry.any():
         full = mesh.vertices.copy()
         full[~bdry] = out
         return full
     return out
+
+
+def _implicit_system(state: FlowState, dt: float):
+    """(a, rhs, x0) of the semi-implicit step (m - dt W) x = m x_old, m the
+    mixed areas, with the boundary vertices pinned: their rows are dropped
+    and their columns moved to the rhs.  a is on W's pattern; its entries
+    and rhs are those that scipy's CSR and DIA matrices formed, bit for
+    bit."""
+    mesh = state.mesh
+    areas = state.mixed_areas
+    w = state.cot_matrix
+    # (-dt) w = -(dt w), and areas + (-(dt w_ii)) = areas - dt w_ii
+    vals = (-dt) * w.values
+    vals[w.diag, np.arange(len(areas))] += areas
+    a = PaddedMatrix(w.cols, vals, w.diag)
+    # scipy's diagonal product adds into zeros, which turns -0.0 into 0.0
+    rhs = 0.0 + areas[:, None] * mesh.vertices
+    x0 = mesh.vertices
+    bdry = mesh.boundary_vertex_mask
+    if bdry.any():
+        keep = ~bdry
+        # the full product sums each kept row in the same slot order
+        rhs = rhs[keep] - (a @ np.where(bdry[:, None], x0, 0.0))[keep]
+        a = a.principal(keep)
+        x0 = x0[keep]
+    return a, rhs, x0
+
+
+def _pcg(a: PaddedMatrix, b: np.ndarray, x0: np.ndarray,
+         inv_diag: np.ndarray) -> tuple[np.ndarray, int]:
+    """Solve a x = b by conjugate gradients with the Jacobi preconditioner
+    inv_diag (positive), from x0, until |b - a x| < CG_RTOL |b|.  b holds
+    no -0.0.  Returns x and the number of iterations made; raises
+    SolveFailure after CG_MAXITER.
+
+    The iteration is scipy 1.17's `cg` (atol 0) line for line, on
+    contiguous copies of b and x0 as its `make_system` makes, so every
+    iterate is scipy's to the last bit.
+    """
+    x = np.array(x0)
+    bnrm2 = np.linalg.norm(b)
+    atol = CG_RTOL * bnrm2
+    if bnrm2 == 0:
+        return b, 0
+    r = b - a @ x if x.any() else b.copy()
+    rho_prev, p = None, None
+    for iteration in range(CG_MAXITER):
+        if np.linalg.norm(r) < atol:
+            return x, iteration
+        # scipy's diagonal product adds inv_diag * r into zeros; r holds no
+        # -0.0 (b holds none, and x - y is -0.0 only for x = -0.0) and
+        # inv_diag > 0, so that addition changes no bit
+        z = inv_diag * r
+        rho_cur = np.dot(r, z)
+        if iteration > 0:
+            p *= rho_cur / rho_prev
+            p += z
+        else:
+            p = z.copy()
+        q = a @ p
+        alpha = rho_cur / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho_cur
+    raise SolveFailure(f"conjugate gradient failed to converge in "
+                       f"{CG_MAXITER} iterations")
 
 
 def mcf_step(state: FlowState, dt: float,
@@ -260,10 +313,10 @@ def shrinker_radius_by_bisection(make_family, lo: float = 1.0,
                                  hi: float = 2.0) -> float:
     """Root of the signed shrinker defect over [lo, hi], to within 1e-12.
 
-    make_family(r) must return a ParametricSurface whose outward normal is
-    well defined at the probe point; the signed defect <H + X^perp/2, nu>
-    changes sign across the shrinking radius.  ValueError when it does not
-    change sign on [lo, hi].
+    The probe point is the centre of make_family(r).window(), where its
+    outward normal must be well defined; the signed defect
+    <H + X^perp/2, nu> changes sign across the shrinking radius.
+    ValueError when it does not change sign on [lo, hi].
     """
     # imported here: scipy.optimize takes 0.22-0.25 s to import (2-core
     # x86-64), which a module-level import would add to every command
@@ -271,7 +324,8 @@ def shrinker_radius_by_bisection(make_family, lo: float = 1.0,
 
     def signed(r: float) -> float:
         family = make_family(r)
-        jet = family.jet(0.0, 0.1)
+        (u0, u1), (v0, v1) = family.window()
+        jet = family.jet(0.5 * (u0 + u1), 0.5 * (v0 + v1))
         fr = frames(jet)
         h = mean_curvature(jet, fr)
         xperp = normal_projection(fr, jet.x)

@@ -23,10 +23,13 @@ feed the flow diagnostics.
 
 Connectivity lives in a `MeshTopology`, built and validated once per
 triangle array: the orientation check, the boundary, the padded one- and
-two-ring index arrays and the vertex-triangle incidence.  A flow never
-changes connectivity, so `SurfaceMesh.with_vertices` shares the topology of
-its source; only the checks that depend on vertex positions (shapes, index
-range, triangle areas) run again for each new vertex set.
+two-ring index arrays and the pattern of the cotangent operator.  A flow
+never changes connectivity, so `SurfaceMesh.with_vertices` shares the
+topology of its source; only the checks that depend on vertex positions
+(shapes, index range, triangle areas) run again for each new vertex set,
+and the cotangent operator only fills in its values.  Its products, and
+the per-vertex sums, add in the order a CSR product adds, so they equal
+scipy's sparse products bit for bit without importing them.
 
 The triangle geometry (corner cotangents, areas and squared edge lengths)
 is measured once per vertex set, at construction, where the area check
@@ -38,31 +41,125 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DegenerateTriangle, FoldedVertex, NonOrientableMesh
 from .structure import J_UPPER, UPPER
 from .util import format_rows, readonly
 
 
-def _padded_rows(pattern: sp.csr_matrix):
-    """Off-diagonal column indices of each row, zero-padded, with a mask.
+def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-D array in increasing order.  np.unique
+    hashes integer input (numpy 2.4), which measured 7-13x slower than this
+    sort on 15k-120k int64 keys."""
+    keys = np.sort(keys)
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
 
-    Columns come out in increasing order, so the neighbors of a vertex are
-    listed in index order.
-    """
-    pattern.sum_duplicates()
-    pattern.sort_indices()
-    n = pattern.shape[0]
-    rows = np.repeat(np.arange(n), np.diff(pattern.indptr))
-    cols = pattern.indices
-    off = rows != cols
-    rows, cols = rows[off], cols[off]
+
+def _padded_rows(rows: np.ndarray, cols: np.ndarray, n: int):
+    """(row, col) pairs, sorted by row, as n rows: each row's columns in
+    the given order, zero-padded to the longest row, with the mask of real
+    entries; (n, k) each."""
     counts = np.bincount(rows, minlength=n)
     mask = np.arange(counts.max(initial=0)) < counts[:, None]
     idx = np.zeros(mask.shape, dtype=int)
     idx[mask] = cols
-    return readonly(idx), readonly(mask)
+    return idx, mask
+
+
+@dataclass(frozen=True, eq=False)
+class PaddedMatrix:
+    """An n x n sparse matrix stored by slot: row i holds values[s, i] in
+    column cols[s, i] for s = 0 .. k-1, and its diagonal in slot diag[i].
+    A row's real entries are in increasing column order; any slot may be
+    padding instead, which holds the row's own index and value 0.
+
+    A product sums each row from 0.0 in slot order, which is the increasing
+    column order of a CSR matrix-vector product, so the two agree bit for
+    bit; padding and zero entries only add +-0 to such a sum, which changes
+    no bit of it.
+    """
+
+    cols: np.ndarray
+    values: np.ndarray
+    diag: np.ndarray
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """A x for x of shape (n,) or (n, c)."""
+        prod = x.take(self.cols, axis=0)
+        prod *= self.values if x.ndim == 1 else self.values[..., None]
+        return np.add.reduce(prod, axis=0, initial=0.0)
+
+    def diagonal(self) -> np.ndarray:
+        return self.values[self.diag, np.arange(len(self.diag))]
+
+    def principal(self, keep: np.ndarray) -> "PaddedMatrix":
+        """The square submatrix on the rows and columns at the boolean
+        mask keep, numbered in order; entries in dropped columns become
+        padding."""
+        cols, values = self.cols[:, keep], self.values[:, keep]
+        inside = keep[cols]
+        number = np.cumsum(keep) - 1
+        own = np.arange(cols.shape[1])
+        return PaddedMatrix(np.where(inside, number[cols], own),
+                            np.where(inside, values, 0.0), self.diag[keep])
+
+
+class Stencil:
+    """The pattern of the cotangent operator: row i is the one-ring of i
+    and i itself.  The pattern is connectivity, so it is built once per
+    topology; each vertex set only fills in values.
+
+    cols and diag are PaddedMatrix's arrays.  Each directed half-edge
+    (i, j), the edge opposite corner c of triangle t, contributes its weight
+    to the slots of (i, j) and (j, i); `_half_edges` holds those two flat
+    slot positions (in the (k, n) values array) for every (t, c), and
+    `_off_diag` the flat positions of the off-diagonal entries in CSR order
+    (row by row, columns increasing), split into rows at `_starts`.
+    """
+
+    def __init__(self, triangles: np.ndarray, ring_keys: np.ndarray, n: int):
+        own = np.arange(n)
+        keys = _sorted_distinct(np.concatenate([ring_keys, own * (n + 1)]))
+        idx, mask = _padded_rows(*np.divmod(keys, n), n)
+        cols = np.where(mask, idx, own[:, None]).T
+        self.cols = readonly(np.ascontiguousarray(cols))
+        self.diag = readonly(np.argmax(self.cols == own, axis=0))
+        per_row = mask.sum(axis=1)
+        row_start = np.cumsum(per_row) - per_row
+
+        def flat_slot(key):
+            i = key // n
+            return (np.searchsorted(keys, key) - row_start[i]) * n + i
+
+        # the edge opposite corner c runs from corner c + 1 to corner c + 2
+        i = triangles[:, [1, 2, 0]].ravel().astype(np.int64)
+        j = triangles[:, [2, 0, 1]].ravel().astype(np.int64)
+        self._half_edges = readonly(
+            np.concatenate([flat_slot(i * n + j), flat_slot(j * n + i)]))
+        self._off_diag = readonly(flat_slot(ring_keys))
+        counts = np.bincount(ring_keys // n, minlength=n)
+        self._rows = readonly(np.flatnonzero(counts))
+        self._starts = readonly((np.cumsum(counts) - counts)[self._rows])
+
+    def weight_matrix(self, half_edge_weights: np.ndarray) -> PaddedMatrix:
+        """W with w_ij, i != j, the sum of the weights of the half-edges
+        (i, j) and (j, i), and each diagonal entry minus its row's sum.
+
+        half_edge_weights is (m, 3), the weight of the edge opposite each
+        corner.  A sum of two weights is the same in either order, and the
+        row sums are the `np.add.reduceat` over the CSR-ordered entries that
+        scipy's `csr.sum(axis=1)` makes, so W equals the CSR matrix that
+        scipy assembled from the same triplets, entry for entry.
+        """
+        h = half_edge_weights.ravel()
+        k, n = self.cols.shape
+        values = np.bincount(self._half_edges, np.concatenate([h, h]),
+                             minlength=k * n)
+        row_sum = np.add.reduceat(values[self._off_diag], self._starts)
+        values.reshape(k, n)[self.diag[self._rows], self._rows] = -row_sum
+        return PaddedMatrix(self.cols, values.reshape(k, n), self.diag)
 
 
 class MeshTopology:
@@ -76,47 +173,43 @@ class MeshTopology:
     ring1 and ring2 are (idx, mask) pairs of shape (n_vertices, k): row i
     lists the one-ring (two-ring) neighbors of vertex i in increasing index
     order, vertex i excluded, padded with index 0 where mask is False.  The
-    two-ring is the nonzero pattern of A + A^2 for the vertex adjacency A.
+    two-ring is the one-ring together with the one-rings of its vertices.
+    Both come from sorted int64 keys i*n + j, so they are exact.
     ring2_flat is ring2's index array raveled, with each padding slot
     holding the vertex's own index instead: a gather through it followed by
-    subtracting the vertex gives exact zeros in the padding.
-    incidence is the (n_vertices, n_triangles) 0/1 matrix of which vertex
-    is a corner of which triangle; a product with it sums per-triangle
-    values per vertex.
+    subtracting the vertex gives exact zeros in the padding.  stencil is
+    the cotangent operator's pattern.
     """
 
     def __init__(self, triangles: np.ndarray, n_vertices: int):
         t = readonly(np.array(triangles, dtype=int))
         self.triangles = t
-        self.n_vertices = n_vertices
+        self.n_vertices = n = n_vertices
         directed = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-        key = directed[:, 0].astype(np.int64) * n_vertices + directed[:, 1]
-        if len(np.unique(key)) < len(key):
+        key = directed[:, 0].astype(np.int64) * n + directed[:, 1]
+        if len(_sorted_distinct(key)) < len(key):
             raise NonOrientableMesh("a directed edge appears twice; windings "
                                     "are not globally consistent")
-        rev = directed[:, 1].astype(np.int64) * n_vertices + directed[:, 0]
+        rev = directed[:, 1].astype(np.int64) * n + directed[:, 0]
         # boundary edges are the directed edges without a reversed partner
         self.boundary_edges = readonly(directed[~np.isin(key, rev)])
-        mask = np.zeros(n_vertices, dtype=bool)
+        mask = np.zeros(n, dtype=bool)
         mask[self.boundary_edges.ravel()] = True
         self.boundary_mask = readonly(mask)
 
-        adj = sp.csr_matrix(
-            (np.ones(2 * len(directed), dtype=np.int64),
-             (np.concatenate([directed[:, 0], directed[:, 1]]),
-              np.concatenate([directed[:, 1], directed[:, 0]]))),
-            shape=(n_vertices, n_vertices))
-        self.ring1 = _padded_rows(adj)
-        self.ring2 = _padded_rows(adj + adj @ adj)
+        keys1 = _sorted_distinct(np.concatenate([key, rev]))
+        i, j = np.divmod(keys1, n)
+        self.ring1 = tuple(map(readonly, _padded_rows(i, j, n)))
+        idx1, mask1 = self.ring1
+        pairs = i[:, None] * n + idx1[j]
+        pairs = pairs[mask1[j] & (idx1[j] != i[:, None])]
+        self.ring2 = tuple(map(readonly, _padded_rows(
+            *np.divmod(_sorted_distinct(np.concatenate([keys1, pairs])), n),
+            n)))
         idx, mask = self.ring2
         self.ring2_flat = readonly(
-            np.where(mask, idx, np.arange(n_vertices)[:, None]).ravel())
-        inc = sp.csr_matrix(
-            (np.ones(t.size), (t.ravel(), np.repeat(np.arange(len(t)), 3))),
-            shape=(n_vertices, len(t)))
-        for arr in (inc.data, inc.indices, inc.indptr):
-            readonly(arr)
-        self.incidence = inc
+            np.where(mask, idx, np.arange(n)[:, None]).ravel())
+        self.stencil = Stencil(t, keys1, n)
 
 
 @dataclass(eq=False)
@@ -238,24 +331,10 @@ class SurfaceMesh:
         return np.bincount(t.ravel(), weights=contrib.ravel(),
                            minlength=len(self.vertices))
 
-    def cotangent_matrix(self) -> sp.csr_matrix:
-        """Symmetric weight matrix W with (W x)_i = sum_j w_ij (x_j - x_i)."""
-        t = self.triangles
-        cots = self._cots
-        n = len(self.vertices)
-        rows, cols, vals = [], [], []
-        for k in range(3):
-            i, j = t[:, (k + 1) % 3], t[:, (k + 2) % 3]
-            w = 0.5 * cots[:, k]
-            rows.extend([i, j])
-            cols.extend([j, i])
-            vals.extend([w, w])
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        vals = np.concatenate(vals)
-        w = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-        w = w - sp.diags(np.asarray(w.sum(axis=1)).ravel())
-        return w.tocsr()
+    def cotangent_matrix(self) -> PaddedMatrix:
+        """Symmetric weight matrix W with (W x)_i = sum_j w_ij (x_j - x_i),
+        w_ij the sum of 1/2 cot of the angles opposite edge ij."""
+        return self.topology.stencil.weight_matrix(0.5 * self._cots)
 
     def vertex_neighbors(self, rings: int = 1) -> list:
         """Neighbor index arrays per vertex (one- or two-ring, vertex
@@ -266,7 +345,7 @@ class SurfaceMesh:
         return [row[m] for row, m in zip(idx, mask)]
 
 
-def mesh_mean_curvature(mesh: SurfaceMesh, w: sp.csr_matrix | None = None,
+def mesh_mean_curvature(mesh: SurfaceMesh, w: PaddedMatrix | None = None,
                         areas: np.ndarray | None = None):
     """Per-vertex mean curvature vectors from the cotangent Laplacian.
 
@@ -316,6 +395,18 @@ def _largest_column(proj: np.ndarray) -> np.ndarray:
     return col / np.linalg.norm(col, axis=1, keepdims=True)
 
 
+def _vertex_sums(triangles: np.ndarray, values: np.ndarray,
+                 n: int) -> np.ndarray:
+    """Per-vertex sums of per-triangle values, (m,) or (m, c) -> (n,) or
+    (n, c).  np.bincount adds in input order from 0.0, so each vertex adds
+    its triangles' values in increasing triangle order, as a product with
+    the 0/1 vertex-triangle incidence matrix does."""
+    corners = triangles.ravel()
+    per_corner = np.repeat(values.reshape(len(triangles), -1), 3, axis=0)
+    sums = [np.bincount(corners, w, minlength=n) for w in per_corner.T]
+    return np.stack(sums, axis=-1).reshape(n, *values.shape[1:])
+
+
 def mesh_tangent_frames(mesh: SurfaceMesh):
     """Oriented tangent frames (t1, t2), normal legs (m1, m2), phase field.
 
@@ -335,15 +426,16 @@ def mesh_tangent_frames(mesh: SurfaceMesh):
     p, q, r = mesh.corner_vectors()
     a, b = q - p, r - p
     i, j = UPPER
-    inc = mesh.topology.incidence
-    m6 = inc @ (a[:, i] * b[:, j] - a[:, j] * b[:, i])
+    n = len(mesh.vertices)
+    m6 = _vertex_sums(mesh.triangles, a[:, i] * b[:, j] - a[:, j] * b[:, i],
+                      n)
     s = 0.5 * (m6 @ J_UPPER.T)
     s6 = s @ J_UPPER
     t6 = m6 - s6
     # |X|_F = sqrt(2) |upper entries|, and |J_a|_F = 2
     s_norm = 2.0 * np.linalg.norm(s, axis=1)
     t_norm = np.sqrt(2.0) * np.linalg.norm(t6, axis=1)
-    area = inc @ mesh.triangle_areas()
+    area = _vertex_sums(mesh.triangles, mesh.triangle_areas(), n)
     folded = np.minimum(s_norm, t_norm) <= 1e-12 * area
     if folded.any():
         raise FoldedVertex(

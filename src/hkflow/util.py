@@ -32,16 +32,34 @@ def readonly(a: np.ndarray) -> np.ndarray:
 def format_rows(cols, sep: str = ",") -> list[str]:
     """Rows of equal-length float columns, each value as format_float writes it.
 
-    When every value is finite one "%.17g" template formats a whole row;
-    for finite doubles it prints exactly what format_float prints, -0 and
-    subnormals included.  Otherwise every value goes through format_float,
-    which spells NaN and Infinity the JSON way.
+    A column that repeats its values (at most half of them distinct, by
+    bit pattern, so -0 and 0 stay apart) formats each distinct value once
+    with format_float and gathers the strings.  The other columns go
+    through one "%.17g" template for the whole row; for finite doubles it
+    prints exactly what format_float prints, -0 and subnormals included.
+    A column with NaN or Infinity always takes the first route, so they are
+    spelled the JSON way.
     """
-    flat = [np.ravel(np.asarray(c, dtype=float)) for c in cols]
-    if all(np.isfinite(c).all() for c in flat):
-        template = sep.join(["%.17g"] * len(flat))
-        return [template % row for row in zip(*(c.tolist() for c in flat))]
-    return [sep.join(format_float(x) for x in row) for row in zip(*flat)]
+    fields, parts = [], []
+    for c in cols:
+        c = np.ravel(np.asarray(c, dtype=float))
+        bits = c.view(np.int64)
+        order = np.argsort(bits)
+        key = bits[order]
+        first = np.ones(len(key), dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        if 2 * np.count_nonzero(first) > len(c) and np.isfinite(c).all():
+            fields.append("%.17g")
+            parts.append(c.tolist())
+        else:
+            text = np.array([format_float(x) for x in key[first].view(float)],
+                            dtype=object)
+            inverse = np.empty(len(c), dtype=np.intp)
+            inverse[order] = np.cumsum(first) - 1
+            fields.append("%s")
+            parts.append(text[inverse].tolist())
+    template = sep.join(fields)
+    return [template % row for row in zip(*parts)]
 
 
 def write_csv(path, header: str, cols) -> None:

@@ -713,15 +713,31 @@ def test_outputs_match_recorded_fingerprint(tmp_path, monkeypatch, case):
 
 # -- subprocess -------------------------------------------------------------------
 
-def test_module_entry_point(tmp_path):
+def _child_env():
     # the child imports the package from where this process found it, also
     # when only pytest's pythonpath setting put it on sys.path
     src = str(Path(hkflow.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "hkflow.cli", "--out", str(tmp_path / "out"),
          "verify", "--suite", "quaternionic"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+        capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert "quaternionic" in proc.stdout and "PASS" in proc.stdout
     assert (tmp_path / "out" / "verify_report.json").exists()
+
+
+def test_cli_import_loads_no_sparse_or_dense_linear_algebra():
+    """scipy.sparse and scipy.linalg took about 0.29 s of the 0.47 s that
+    `import hkflow.cli` cost (2-core x86-64), paid by every command."""
+    code = "import sys, hkflow.cli; print(*sorted(sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_child_env(), check=True)
+    modules = proc.stdout.split()
+    assert "hkflow.cli" in modules
+    assert [m for m in modules
+            if m.startswith(("scipy.sparse", "scipy.linalg"))] == []

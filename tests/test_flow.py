@@ -4,7 +4,6 @@ import json
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from hkflow.curves import PlaneCurve, run_csf
 from hkflow.errors import (InsufficientHistory, NotBlowingUp, SolveFailure,
@@ -14,7 +13,7 @@ from hkflow.flow import (FlowHistory, FlowState, blowup_point, mcf_step,
                          shrinker_radius_by_bisection, shrinker_residual,
                          shrinker_residual_of_family, translator_residual,
                          type1_monitor)
-from hkflow.mesh import (flat_square, icosphere, mesh_bnorm,
+from hkflow.mesh import (PaddedMatrix, flat_square, icosphere, mesh_bnorm,
                          mesh_mean_curvature, mesh_phase_field, read_off4)
 from hkflow.phase import arc_distance
 from hkflow.surfaces import (Cylinder, GrimReaper, Plane, Sphere, frames,
@@ -51,8 +50,9 @@ def test_semi_implicit_solve_failures():
     # only the upper triangle of the weights: a positive diagonal, but not
     # symmetric, so conjugate gradients runs out of iterations
     w = state.cot_matrix
-    upper = dataclasses.replace(
-        state, cot_matrix=sp.triu(w - sp.diags(w.diagonal())).tocsr())
+    strict = w.cols > np.arange(w.cols.shape[1])
+    upper = dataclasses.replace(state, cot_matrix=PaddedMatrix(
+        w.cols, np.where(strict, w.values, 0.0), w.diag))
     with pytest.raises(SolveFailure, match="conjugate gradient failed"):
         mcf_step(upper, dt=1.0)
 
@@ -212,6 +212,13 @@ def test_shrinker_radius_by_bisection():
     with pytest.raises(ValueError):
         shrinker_radius_by_bisection(
             lambda r: Cylinder(r, half_length=1.0), lo=1.5, hi=2.0)
+
+
+def test_shrinker_radius_of_the_sphere():
+    # the probe is the centre of the window, on the equator; a probe at
+    # u = 0 would sit on the pole, where Sphere's jet is degenerate
+    r = shrinker_radius_by_bisection(Sphere, lo=1.0, hi=3.0)
+    assert abs(r - 2.0) < 1e-8
 
 
 def _reaper_grid(n=33):

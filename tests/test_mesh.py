@@ -1,9 +1,12 @@
 """Triangle meshes in R^4: operators, estimators, OFF round-trip."""
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import cg
 
 from hkflow import mesh as mesh_module
 from hkflow.errors import DegenerateTriangle, FoldedVertex, NonOrientableMesh
+from hkflow.flow import FlowState, _implicit_system, _pcg
 from hkflow.mesh import (SurfaceMesh, flat_square,
                          grid_torus_mesh, icosphere, mesh_bnorm,
                          mesh_mean_curvature, mesh_phase_field,
@@ -128,10 +131,19 @@ def test_mixed_areas_partition_total():
         assert np.all(mesh.mixed_areas() > 0)
 
 
+def _dense(w):
+    """A PaddedMatrix as a dense array; its padding slots add 0."""
+    n = w.cols.shape[1]
+    out = np.zeros((n, n))
+    np.add.at(out, (np.broadcast_to(np.arange(n), w.cols.shape), w.cols),
+              w.values)
+    return out
+
+
 def test_cotangent_matrix_row_sums():
     m = icosphere(2)
-    w = m.cotangent_matrix()
-    assert np.allclose(np.asarray(w.sum(axis=1)).ravel(), 0.0, atol=1e-12)
+    w = _dense(m.cotangent_matrix())
+    assert np.allclose(w.sum(axis=1), 0.0, atol=1e-12)
     assert np.abs(w - w.T).max() < 1e-12
 
 
@@ -183,7 +195,8 @@ def test_with_vertices_shares_readonly_topology():
     assert m2.triangles is m.triangles
     topo = m.topology
     for arr in (topo.triangles, topo.boundary_edges, topo.boundary_mask,
-                *topo.ring1, *topo.ring2):
+                *topo.ring1, *topo.ring2, topo.stencil.cols,
+                topo.stencil.diag):
         assert not arr.flags.writeable
     with pytest.raises(ValueError):
         m2.triangles[0, 0] = 1
@@ -412,7 +425,6 @@ class _Reference:
         return areas
 
     def cotangent_matrix(self):
-        import scipy.sparse as sp
         t = self.t
         cots = self.cotangents()
         n = len(self.v)
@@ -530,8 +542,8 @@ def test_stored_geometry_matches_reference_bits(make):
     for got, want in zip(mesh.corner_vectors(), ref.corner_vectors()):
         _same_bits(got, want)
     w, w_ref = mesh.cotangent_matrix(), ref.cotangent_matrix()
-    for attr in ("data", "indices", "indptr"):
-        _same_bits(getattr(w, attr), getattr(w_ref, attr))
+    # + 0.0 equates -0.0 and 0.0: the CSR route drops its zero entries
+    _same_bits(_dense(w) + 0.0, w_ref.toarray())
     for arr in (mesh.vertices, mesh.triangle_areas(), mesh.cotangents()):
         assert not arr.flags.writeable
 
@@ -539,6 +551,91 @@ def test_stored_geometry_matches_reference_bits(make):
 def test_obtuse_mesh_hits_the_mixed_area_clamp():
     cots = _sheared_square().cotangents()
     assert np.any(cots < 0.0) and np.any(np.all(cots >= 0.0, axis=1))
+
+
+# -- the cotangent operator and the implicit solve against scipy.sparse -------
+
+def _scipy_system(mesh, dt):
+    """The pinned semi-implicit system (m - dt W) x = m x_old as it was
+    formed with scipy.sparse: the CSR operator, the rhs and the start."""
+    m = sp.diags(mesh.mixed_areas())
+    a = (m - dt * _Reference(mesh).cotangent_matrix()).tocsr()
+    rhs = m @ mesh.vertices
+    x0 = mesh.vertices
+    bdry = mesh.boundary_vertex_mask
+    if bdry.any():
+        keep = ~bdry
+        rhs = rhs[keep] - a[keep][:, bdry] @ mesh.vertices[bdry]
+        a = a[keep][:, keep]
+        x0 = x0[keep]
+    return a, rhs, x0
+
+
+@pytest.mark.parametrize("make", GEOMETRY_MESHES, ids=GEOMETRY_IDS)
+def test_cotangent_products_and_row_sums_match_csr_bits(make):
+    """W x for one and for four columns, and the diagonal (minus the row
+    sums), bit for bit against the CSR matrix."""
+    mesh = make()
+    w, w_ref = mesh.cotangent_matrix(), _Reference(mesh).cotangent_matrix()
+    x = mesh.vertices
+    noise = np.random.default_rng(3).standard_normal(len(x))
+    for vec in (x, x[:, 0], x[:, 2], noise):
+        _same_bits(w @ vec, w_ref @ vec)
+    _same_bits(w.diagonal() + 0.0, w_ref.diagonal())
+
+
+@pytest.mark.parametrize("make", GEOMETRY_MESHES, ids=GEOMETRY_IDS)
+def test_vertex_sums_match_incidence_product_bits(make):
+    """The per-vertex sums of the tangent frames (the triangle areas and the
+    (m, 6) winding bivectors) against the product with the CSR
+    vertex-triangle incidence matrix."""
+    mesh = make()
+    t = mesh.triangles
+    n = len(mesh.vertices)
+    inc = sp.csr_matrix((np.ones(t.size), (t.ravel(),
+                                            np.repeat(np.arange(len(t)), 3))),
+                        shape=(n, len(t)))
+    p, q, r = mesh.corner_vectors()
+    bivectors = (np.einsum("mi,mj->mij", q - p, r - p)
+                 .reshape(len(t), 16)[:, [1, 2, 3, 6, 7, 11]])
+    for values in (mesh.triangle_areas(), bivectors):
+        _same_bits(mesh_module._vertex_sums(t, values, n), inc @ values)
+
+
+def _signed_zero_square():
+    # a bump off the plane, and x4 = -0.0 everywhere, as an OFF file with
+    # "-0" coordinates gives
+    m = flat_square(6)
+    v = m.vertices.copy()
+    v[24, 2] = 0.05
+    v[:, 3] = -0.0
+    return m.with_vertices(v)
+
+
+@pytest.mark.parametrize("make", [*GEOMETRY_MESHES, _signed_zero_square],
+                         ids=[*GEOMETRY_IDS, "signed_zeros"])
+def test_implicit_system_and_pcg_match_scipy_bits(make):
+    """The pinned system of a semi-implicit step against the scipy.sparse
+    route, and each coordinate's solve against scipy.sparse.linalg.cg:
+    the same iterate to the last bit after the same number of steps."""
+    mesh = make()
+    dt = 1e-2
+    a, rhs, x0 = _implicit_system(FlowState.measure(mesh, 0.0), dt)
+    a_ref, rhs_ref, x0_ref = _scipy_system(mesh, dt)
+    assert mesh.boundary_vertex_mask.any() == (len(x0) < len(mesh.vertices))
+    _same_bits(_dense(a) + 0.0, a_ref.toarray())
+    _same_bits(rhs, rhs_ref)
+    _same_bits(x0, x0_ref)
+    precond = sp.diags(1.0 / a_ref.diagonal())
+    for k in range(4):
+        steps = []
+        want, info = cg(a_ref, rhs_ref[:, k], x0=x0_ref[:, k], M=precond,
+                        rtol=1e-10, atol=0.0, maxiter=10000,
+                        callback=steps.append)
+        got, iterations = _pcg(a, np.ascontiguousarray(rhs[:, k]), x0[:, k],
+                               1.0 / a.diagonal())
+        assert info == 0 and iterations == len(steps)
+        _same_bits(got, want)
 
 
 def _projectors(t1, t2):

@@ -46,6 +46,20 @@ def test_format_rows_separator_and_shape():
                                           "4,-4", "5,-5"]
 
 
+def test_format_rows_repeated_and_non_finite_columns():
+    """Columns that repeat are formatted once per distinct value; -0 and 0,
+    and NaN and Infinity, keep their own spelling on either route."""
+    rng = np.random.default_rng(5)
+    special = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 0.1])
+    repeated = special[rng.integers(0, len(special), 300)]
+    distinct = rng.standard_normal(300)
+    distinct_nan = distinct.copy()
+    distinct_nan[::7] = np.nan
+    cols = [repeated, distinct, distinct_nan, np.repeat(distinct[:100], 3)]
+    assert format_rows(cols) == _reference(cols)
+    assert format_rows([np.zeros(0)]) == []
+
+
 def test_write_jsonl_keeps_records_made_before_a_failure(tmp_path):
     path = tmp_path / "log.jsonl"
 
