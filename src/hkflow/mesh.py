@@ -22,14 +22,18 @@ factorisation unrolled entry by entry and vectorised over vertices.  These
 feed the flow diagnostics.
 
 Connectivity lives in a `MeshTopology`, built and validated once per
-triangle array: the orientation check, the boundary, the padded one- and
-two-ring index arrays and the pattern of the cotangent operator.  A flow
-never changes connectivity, so `SurfaceMesh.with_vertices` shares the
-topology of its source; only the checks that depend on vertex positions
-(shapes, index range, triangle areas) run again for each new vertex set,
-and the cotangent operator only fills in its values.  Its products, and
-the per-vertex sums, add in the order a CSR product adds, so they equal
-scipy's sparse products bit for bit without importing them.
+triangle array: the orientation check, the boundary and two ring tables.
+Every ring row lists its vertices in increasing order and pads with its
+own vertex, so no mask is stored.  The closed one-ring (the one-ring and
+the vertex itself), stored slot-major, is also the pattern of the
+cotangent operator; the two-ring is stored row-major, padding last, for
+the |B| fit.  A flow never changes connectivity, so
+`SurfaceMesh.with_vertices` shares the topology of its source; only the
+checks that depend on vertex positions (shapes, finiteness, index range,
+triangle areas) run again for each new vertex set, and the cotangent
+operator only fills in its values.  Its products, and the per-vertex
+sums, add in the order a CSR product adds, so they equal scipy's sparse
+products bit for bit without importing them.
 
 The triangle geometry (corner cotangents, areas and squared edge lengths)
 is measured once per vertex set, at construction, where the area check
@@ -57,15 +61,16 @@ def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
     return keys[first]
 
 
-def _padded_rows(rows: np.ndarray, cols: np.ndarray, n: int):
-    """(row, col) pairs, sorted by row, as n rows: each row's columns in
-    the given order, zero-padded to the longest row, with the mask of real
-    entries; (n, k) each."""
-    counts = np.bincount(rows, minlength=n)
-    mask = np.arange(counts.max(initial=0)) < counts[:, None]
-    idx = np.zeros(mask.shape, dtype=int)
-    idx[mask] = cols
-    return idx, mask
+def _ring_table(keys: np.ndarray, n: int) -> np.ndarray:
+    """Sorted int64 keys i*n + j as n rows, (n, k): row i lists its j in
+    increasing order, then repeats i itself up to the longest row's length.
+    A padding slot is one that holds its own row's index, so no mask is
+    stored."""
+    i, j = np.divmod(keys, n)
+    counts = np.bincount(i, minlength=n)
+    rows = np.repeat(np.arange(n), counts.max(initial=0)).reshape(n, -1)
+    rows[np.arange(rows.shape[1]) < counts[:, None]] = j
+    return rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,62 +111,6 @@ class PaddedMatrix:
                             np.where(inside, values, 0.0), self.diag[keep])
 
 
-class Stencil:
-    """The pattern of the cotangent operator: row i is the one-ring of i
-    and i itself.  The pattern is connectivity, so it is built once per
-    topology; each vertex set only fills in values.
-
-    cols and diag are PaddedMatrix's arrays.  Each directed half-edge
-    (i, j), the edge opposite corner c of triangle t, contributes its weight
-    to the slots of (i, j) and (j, i); `_half_edges` holds those two flat
-    slot positions (in the (k, n) values array) for every (t, c), and
-    `_off_diag` the flat positions of the off-diagonal entries in CSR order
-    (row by row, columns increasing), split into rows at `_starts`.
-    """
-
-    def __init__(self, triangles: np.ndarray, ring_keys: np.ndarray, n: int):
-        own = np.arange(n)
-        keys = _sorted_distinct(np.concatenate([ring_keys, own * (n + 1)]))
-        idx, mask = _padded_rows(*np.divmod(keys, n), n)
-        cols = np.where(mask, idx, own[:, None]).T
-        self.cols = readonly(np.ascontiguousarray(cols))
-        self.diag = readonly(np.argmax(self.cols == own, axis=0))
-        per_row = mask.sum(axis=1)
-        row_start = np.cumsum(per_row) - per_row
-
-        def flat_slot(key):
-            i = key // n
-            return (np.searchsorted(keys, key) - row_start[i]) * n + i
-
-        # the edge opposite corner c runs from corner c + 1 to corner c + 2
-        i = triangles[:, [1, 2, 0]].ravel().astype(np.int64)
-        j = triangles[:, [2, 0, 1]].ravel().astype(np.int64)
-        self._half_edges = readonly(
-            np.concatenate([flat_slot(i * n + j), flat_slot(j * n + i)]))
-        self._off_diag = readonly(flat_slot(ring_keys))
-        counts = np.bincount(ring_keys // n, minlength=n)
-        self._rows = readonly(np.flatnonzero(counts))
-        self._starts = readonly((np.cumsum(counts) - counts)[self._rows])
-
-    def weight_matrix(self, half_edge_weights: np.ndarray) -> PaddedMatrix:
-        """W with w_ij, i != j, the sum of the weights of the half-edges
-        (i, j) and (j, i), and each diagonal entry minus its row's sum.
-
-        half_edge_weights is (m, 3), the weight of the edge opposite each
-        corner.  A sum of two weights is the same in either order, and the
-        row sums are the `np.add.reduceat` over the CSR-ordered entries that
-        scipy's `csr.sum(axis=1)` makes, so W equals the CSR matrix that
-        scipy assembled from the same triplets, entry for entry.
-        """
-        h = half_edge_weights.ravel()
-        k, n = self.cols.shape
-        values = np.bincount(self._half_edges, np.concatenate([h, h]),
-                             minlength=k * n)
-        row_sum = np.add.reduceat(values[self._off_diag], self._starts)
-        values.reshape(k, n)[self.diag[self._rows], self._rows] = -row_sum
-        return PaddedMatrix(self.cols, values.reshape(k, n), self.diag)
-
-
 class MeshTopology:
     """Validated connectivity of a triangle array over n_vertices vertices.
 
@@ -170,15 +119,22 @@ class MeshTopology:
     out edges shared by more than two triangles).  Every array is
     read-only: meshes that share a topology may rely on it not changing.
 
-    ring1 and ring2 are (idx, mask) pairs of shape (n_vertices, k): row i
-    lists the one-ring (two-ring) neighbors of vertex i in increasing index
-    order, vertex i excluded, padded with index 0 where mask is False.  The
-    two-ring is the one-ring together with the one-rings of its vertices.
-    Both come from sorted int64 keys i*n + j, so they are exact.
-    ring2_flat is ring2's index array raveled, with each padding slot
-    holding the vertex's own index instead: a gather through it followed by
-    subtracting the vertex gives exact zeros in the padding.  stencil is
-    the cotangent operator's pattern.
+    Both ring tables come from sorted int64 keys i*n + j, so they are
+    exact.  A row lists its ring in increasing order and is padded with its
+    own vertex.  Each table is laid out as its reader gathers, and its order
+    is fixed by the bits of the sums over it:
+
+    - closed_ring, (k, n): column i is the one-ring of i and i itself, in
+      its sorted slot diag[i].  It is the cotangent operator's pattern
+      (PaddedMatrix's cols and diag), in the CSR order its products add in;
+    - two_ring, (n, k): row i is the two-ring of i, i excluded, padding
+      last, the order in which the |B| fit sums its ring moments.
+
+    `weight_matrix` fills in the operator's values.  `_half_edges` holds,
+    for the edge (i, j) opposite each corner c of each triangle t, the flat
+    slots of (i, j) and (j, i) in the (k, n) values array; `_off_diag`
+    holds the flat slots of the off-diagonal entries in CSR order, split
+    into rows at `_starts`.
     """
 
     def __init__(self, triangles: np.ndarray, n_vertices: int):
@@ -197,33 +153,66 @@ class MeshTopology:
         mask[self.boundary_edges.ravel()] = True
         self.boundary_mask = readonly(mask)
 
-        keys1 = _sorted_distinct(np.concatenate([key, rev]))
-        i, j = np.divmod(keys1, n)
-        self.ring1 = tuple(map(readonly, _padded_rows(i, j, n)))
-        idx1, mask1 = self.ring1
-        pairs = i[:, None] * n + idx1[j]
-        pairs = pairs[mask1[j] & (idx1[j] != i[:, None])]
-        self.ring2 = tuple(map(readonly, _padded_rows(
-            *np.divmod(_sorted_distinct(np.concatenate([keys1, pairs])), n),
-            n)))
-        idx, mask = self.ring2
-        self.ring2_flat = readonly(
-            np.where(mask, idx, np.arange(n)[:, None]).ravel())
-        self.stencil = Stencil(t, keys1, n)
+        own = np.arange(n)
+        closed = _sorted_distinct(np.concatenate([key, rev, own * (n + 1)]))
+        rows = _ring_table(closed, n)
+        self.closed_ring = readonly(np.ascontiguousarray(rows.T))
+        # the closed rings of the closed ring make the closed two-ring
+        reach = rows[rows]
+        far = reach != own[:, None, None]
+        self.two_ring = readonly(_ring_table(
+            _sorted_distinct((own[:, None, None] * n + reach)[far]), n))
+
+        start = np.searchsorted(closed, own * n)
+        self.diag = readonly(np.searchsorted(closed, own * (n + 1)) - start)
+
+        def flat_slot(key):
+            i = key // n
+            return (np.searchsorted(closed, key) - start[i]) * n + i
+
+        # the edge opposite corner c runs from corner c + 1 to corner c + 2
+        i = t[:, [1, 2, 0]].ravel().astype(np.int64)
+        j = t[:, [2, 0, 1]].ravel().astype(np.int64)
+        self._half_edges = readonly(
+            np.concatenate([flat_slot(i * n + j), flat_slot(j * n + i)]))
+        off_diag = closed[closed // n != closed % n]
+        self._off_diag = readonly(flat_slot(off_diag))
+        counts = np.bincount(off_diag // n, minlength=n)
+        self._rows = readonly(np.flatnonzero(counts))
+        self._starts = readonly((np.cumsum(counts) - counts)[self._rows])
+
+    def weight_matrix(self, half_edge_weights: np.ndarray) -> PaddedMatrix:
+        """W with w_ij, i != j, the sum of the weights of the half-edges
+        (i, j) and (j, i), and each diagonal entry minus its row's sum.
+
+        half_edge_weights is (m, 3), the weight of the edge opposite each
+        corner.  A sum of two weights is the same in either order, and the
+        row sums are the `np.add.reduceat` over the CSR-ordered entries that
+        scipy's `csr.sum(axis=1)` makes, so W equals the CSR matrix that
+        scipy assembled from the same triplets, entry for entry.
+        """
+        h = half_edge_weights.ravel()
+        k, n = self.closed_ring.shape
+        values = np.bincount(self._half_edges, np.concatenate([h, h]),
+                             minlength=k * n)
+        row_sum = np.add.reduceat(values[self._off_diag], self._starts)
+        values.reshape(k, n)[self.diag[self._rows], self._rows] = -row_sum
+        return PaddedMatrix(self.closed_ring, values.reshape(k, n), self.diag)
 
 
 @dataclass(eq=False)
 class SurfaceMesh:
     """Oriented triangle mesh with vertices in R^4.
 
-    Every construction checks the vertex and triangle shapes, the index
-    range and that every triangle area exceeds 1e-14 (`DegenerateTriangle`
-    otherwise).  Without a `topology`, one is built from the triangles,
-    which runs the orientation check (`NonOrientableMesh`); with one, as
-    `with_vertices` passes, the triangles must be its own array and the
-    connectivity is not validated again.  `vertices` is a read-only copy of
-    the input and `triangles` is read-only, so the triangle geometry
-    measured at construction stays valid.
+    Every construction checks the vertex and triangle shapes, that every
+    vertex is finite, the index range and that every triangle area exceeds
+    1e-14 (`DegenerateTriangle` otherwise).  Without a `topology`, one is
+    built from the triangles, which runs the orientation check
+    (`NonOrientableMesh`); with one, as `with_vertices` passes, the
+    triangles must be its own array and the connectivity is not validated
+    again.  `vertices` is a read-only copy of the input and `triangles` is
+    read-only, so the triangle geometry measured at construction stays
+    valid.
     """
 
     vertices: np.ndarray
@@ -235,6 +224,8 @@ class SurfaceMesh:
         t = np.asarray(self.triangles, dtype=int)
         if v.ndim != 2 or v.shape[1] != 4:
             raise ValueError(f"vertices must be (n, 4), got {v.shape}")
+        if not np.isfinite(v).all():
+            raise ValueError("vertices must be finite")
         if t.ndim != 2 or t.shape[1] != 3:
             raise ValueError(f"triangles must be (m, 3), got {t.shape}")
         if t.min(initial=0) < 0 or t.max(initial=-1) >= len(v):
@@ -334,15 +325,16 @@ class SurfaceMesh:
     def cotangent_matrix(self) -> PaddedMatrix:
         """Symmetric weight matrix W with (W x)_i = sum_j w_ij (x_j - x_i),
         w_ij the sum of 1/2 cot of the angles opposite edge ij."""
-        return self.topology.stencil.weight_matrix(0.5 * self._cots)
+        return self.topology.weight_matrix(0.5 * self._cots)
 
     def vertex_neighbors(self, rings: int = 1) -> list:
         """Neighbor index arrays per vertex (one- or two-ring, vertex
         excluded), in increasing order, read off the topology's rings."""
         if rings not in (1, 2):
             raise ValueError(f"rings must be 1 or 2, got {rings}")
-        idx, mask = self.topology.ring1 if rings == 1 else self.topology.ring2
-        return [row[m] for row, m in zip(idx, mask)]
+        topo = self.topology
+        rows = topo.closed_ring.T if rings == 1 else topo.two_ring
+        return [row[row != i] for i, row in enumerate(rows)]
 
 
 def mesh_mean_curvature(mesh: SurfaceMesh, w: PaddedMatrix | None = None,
@@ -369,12 +361,11 @@ def mesh_mean_curvature(mesh: SurfaceMesh, w: PaddedMatrix | None = None,
 
 def two_ring_offsets(mesh: SurfaceMesh) -> np.ndarray:
     """Offsets x_j - x_i from each vertex i to its padded two-ring, shape
-    (n, k, 4).  The padding slots (mask False in topology.ring2) gather the
-    vertex itself, so their offsets are exactly 0 and sums over the ring
-    need no mask."""
+    (n, k, 4).  The padding slots of topology.two_ring hold the vertex
+    itself, so their offsets are exactly 0 and sums over the ring need no
+    mask."""
     v = mesh.vertices
-    n, k = mesh.topology.ring2[0].shape
-    d = v.take(mesh.topology.ring2_flat, axis=0).reshape(n, k, 4)
+    d = v.take(mesh.topology.two_ring, axis=0)
     d -= v[:, None, :]
     return d
 
@@ -536,7 +527,8 @@ def mesh_bnorm(mesh: SurfaceMesh, frames=None) -> np.ndarray:
     m12, m03 = moment(uv, v), moment(vv, v)
     m40, m31, m22 = moment(uu, uu), moment(uu, uv), moment(uu, vv)
     m13, m04 = moment(uv, vv), moment(vv, vv)
-    count = mesh.topology.ring2[1].sum(axis=1)
+    count = np.count_nonzero(mesh.topology.two_ring != np.arange(n)[:, None],
+                             axis=1)
     ok = count >= 6
     ok &= ~mesh.boundary_vertex_mask
     # 1 / rho^2; the floor keeps rho^-4 finite
@@ -677,7 +669,11 @@ def read_off4(path) -> SurfaceMesh:
     rows = [r for r in rows if r]
     if not rows or rows[0] != "OFF":
         raise ValueError("not an OFF file (missing header)")
-    counts = rows[1].split()
+    counts = rows[1].split()[:2] if len(rows) > 1 else []
+    if len(counts) < 2 or not all(c.isdecimal() for c in counts):
+        raise ValueError("the counts line after the OFF header must start "
+                         "with the vertex and face counts, two non-negative "
+                         "integers")
     nv, nf = int(counts[0]), int(counts[1])
     if len(rows) < 2 + nv + nf:
         raise ValueError("truncated OFF file")

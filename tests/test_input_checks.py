@@ -3,16 +3,29 @@ import numpy as np
 import pytest
 
 from hkflow.errors import NonRotation
-from hkflow.mesh import flat_square, grid_torus_mesh
+from hkflow.mesh import flat_square, grid_torus_mesh, icosphere
 from hkflow.structure import StructureTriple
 from hkflow.surfaces import Cylinder, QuadraticGraph, SurfaceJet
 from hkflow.util import check_rotation
 
 _ROW = np.zeros(4)
 
+
+def _icosphere_with(value):
+    """icosphere(1) with one coordinate of one vertex set to value."""
+    mesh = icosphere(1)
+    v = mesh.vertices.copy()
+    v[3, 1] = value
+    return mesh.with_vertices(v)
+
+
 CASES = {
     "vertex-neighbors-rings-3": (lambda: flat_square(2).vertex_neighbors(3),
                                  ValueError, "rings must be 1 or 2"),
+    "mesh-vertex-nan": (lambda: _icosphere_with(np.nan), ValueError,
+                        "vertices must be finite"),
+    "mesh-vertex-inf": (lambda: _icosphere_with(np.inf), ValueError,
+                        "vertices must be finite"),
     "grid-torus-points-not-4": (lambda: grid_torus_mesh(np.zeros((4, 4, 3))),
                                 ValueError, r"\(nx, ny, 4\)"),
     "structure-triple-shape": (lambda: StructureTriple(np.zeros((2, 4, 4))),

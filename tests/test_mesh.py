@@ -174,17 +174,44 @@ def _clifford_torus(nx=10, ny=7):
     return grid_torus_mesh(pts / np.sqrt(2.0))
 
 
+def _bipyramid(sides=12):
+    """Closed bipyramid over a perturbed sides-gon: each apex has valence
+    sides, so its operator row holds sides + 1 entries, past the 8 at which
+    numpy's reductions change their grouping."""
+    a = 2 * np.pi * np.arange(sides) / sides
+    v = np.zeros((sides + 2, 4))
+    v[:sides, 0] = (1.0 + 0.1 * np.cos(5 * a)) * np.cos(a)
+    v[:sides, 1] = (1.0 + 0.1 * np.cos(5 * a)) * np.sin(a)
+    v[:sides, 2] = 0.1 * np.sin(3 * a)
+    v[:sides, 3] = 0.05 * np.cos(2 * a)
+    v[sides:, 2] = [1.0, -1.0]
+    k = np.arange(sides)
+    nxt = (k + 1) % sides
+    tris = np.concatenate([np.stack([k, nxt, np.full(sides, sides)], axis=1),
+                           np.stack([nxt, k, np.full(sides, sides + 1)],
+                                    axis=1)])
+    return SurfaceMesh(v, tris)
+
+
 @pytest.mark.parametrize("make", [lambda: icosphere(2),
-                                  lambda: flat_square(6), _clifford_torus],
-                         ids=["icosphere", "flat_square", "torus"])
+                                  lambda: flat_square(6), _clifford_torus,
+                                  _bipyramid],
+                         ids=["icosphere", "flat_square", "torus",
+                              "bipyramid"])
 def test_rings_match_set_reference(make):
+    """Each ring table row by row: the ring in increasing order, padded to
+    the longest row with the vertex itself; the closed one-ring holds the
+    vertex in its sorted slot diag."""
     mesh = make()
-    refs = _rings_by_sets(mesh.triangles, len(mesh.vertices))
-    for rings, (idx, mask), ref in zip((1, 2), (mesh.topology.ring1,
-                                                mesh.topology.ring2), refs):
-        assert mask.shape == (len(ref), max(len(r) for r in ref))
-        assert [idx[i][mask[i]].tolist() for i in range(len(ref))] == ref
-        assert np.all(idx[~mask] == 0)
+    one, two = _rings_by_sets(mesh.triangles, len(mesh.vertices))
+    closed = [sorted(ring + [i]) for i, ring in enumerate(one)]
+    topo = mesh.topology
+    for table, ref in ((topo.closed_ring.T, closed), (topo.two_ring, two)):
+        k = max(len(r) for r in ref)
+        assert table.tolist() == [r + [i] * (k - len(r))
+                                  for i, r in enumerate(ref)]
+    assert topo.diag.tolist() == [r.index(i) for i, r in enumerate(closed)]
+    for rings, ref in zip((1, 2), (one, two)):
         assert [r.tolist() for r in mesh.vertex_neighbors(rings)] == ref
 
 
@@ -195,8 +222,7 @@ def test_with_vertices_shares_readonly_topology():
     assert m2.triangles is m.triangles
     topo = m.topology
     for arr in (topo.triangles, topo.boundary_edges, topo.boundary_mask,
-                *topo.ring1, *topo.ring2, topo.stencil.cols,
-                topo.stencil.diag):
+                topo.closed_ring, topo.diag, topo.two_ring):
         assert not arr.flags.writeable
     with pytest.raises(ValueError):
         m2.triangles[0, 0] = 1
@@ -316,7 +342,11 @@ def test_off4_rejects_wrong_dimension(tmp_path):
      "face row 0 is not a triangle"),
     ("OFF\n3 1 0\n0 0 0 0\n1 0 0 0\n0 1 0 0\n3 0 1\n",
      "face row 0 is not a triangle"),
-], ids=["empty", "other-header", "truncated", "quad", "short-face"])
+    ("OFF\n", "counts line"),
+    ("OFF\n3\n", "counts line"),
+    ("OFF\n-1 0 0\n", "counts line"),
+], ids=["empty", "other-header", "truncated", "quad", "short-face",
+        "no-counts", "one-count", "negative-count"])
 def test_off4_rejects_malformed_files(tmp_path, text, message):
     path = tmp_path / "bad.off"
     path.write_text(text)
@@ -357,6 +387,14 @@ def _same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     assert a.dtype == b.dtype and a.shape == b.shape
     assert a.tobytes() == b.tobytes()
+
+
+def _masked_two_ring(mesh):
+    """The two-ring as (idx, mask): padded with index 0 where mask is
+    False, the slots where topology.two_ring holds the vertex itself."""
+    ring = mesh.topology.two_ring
+    mask = ring != np.arange(len(ring))[:, None]
+    return np.where(mask, ring, 0), mask
 
 
 class _Reference:
@@ -443,7 +481,7 @@ class _Reference:
         return w.tocsr()
 
     def tangent_frames(self, mesh, s):
-        idx, mask = mesh.topology.ring2
+        idx, mask = _masked_two_ring(mesh)
         d = mesh.vertices[idx] - mesh.vertices[:, None, :]
         d = d * mask[..., None]
         cov = np.einsum("nki,nkj->nij", d, d)
@@ -478,7 +516,7 @@ class _Reference:
     def bnorm(self, mesh, frames):
         """The two-ring fit as per-axis einsums and one solve per normal,
         on offsets padded with x_0 - x_i and masked where they are used."""
-        idx, mask = mesh.topology.ring2
+        idx, mask = _masked_two_ring(mesh)
         d = mesh.vertices[idx] - mesh.vertices[:, None, :]
         t1, t2, m1, m2, _lam = frames
         u = np.einsum("nki,ni->nk", d, t1)
@@ -528,9 +566,12 @@ def _sheared_square():
 GEOMETRY_MESHES = [_perturbed_icosphere, lambda: flat_square(12),
                    _sheared_square, lambda: _clifford_torus(24, 13)]
 GEOMETRY_IDS = ["perturbed_icosphere", "flat_square", "obtuse", "torus"]
+# with rows past 8 entries, for the tests of sums in a fixed order
+WIDE_MESHES = [*GEOMETRY_MESHES, _bipyramid]
+WIDE_IDS = [*GEOMETRY_IDS, "bipyramid"]
 
 
-@pytest.mark.parametrize("make", GEOMETRY_MESHES, ids=GEOMETRY_IDS)
+@pytest.mark.parametrize("make", WIDE_MESHES, ids=WIDE_IDS)
 def test_stored_geometry_matches_reference_bits(make):
     mesh = make()
     ref = _Reference(mesh)
@@ -571,7 +612,7 @@ def _scipy_system(mesh, dt):
     return a, rhs, x0
 
 
-@pytest.mark.parametrize("make", GEOMETRY_MESHES, ids=GEOMETRY_IDS)
+@pytest.mark.parametrize("make", WIDE_MESHES, ids=WIDE_IDS)
 def test_cotangent_products_and_row_sums_match_csr_bits(make):
     """W x for one and for four columns, and the diagonal (minus the row
     sums), bit for bit against the CSR matrix."""
@@ -584,7 +625,7 @@ def test_cotangent_products_and_row_sums_match_csr_bits(make):
     _same_bits(w.diagonal() + 0.0, w_ref.diagonal())
 
 
-@pytest.mark.parametrize("make", GEOMETRY_MESHES, ids=GEOMETRY_IDS)
+@pytest.mark.parametrize("make", WIDE_MESHES, ids=WIDE_IDS)
 def test_vertex_sums_match_incidence_product_bits(make):
     """The per-vertex sums of the tangent frames (the triangle areas and the
     (m, 6) winding bivectors) against the product with the CSR
@@ -612,8 +653,8 @@ def _signed_zero_square():
     return m.with_vertices(v)
 
 
-@pytest.mark.parametrize("make", [*GEOMETRY_MESHES, _signed_zero_square],
-                         ids=[*GEOMETRY_IDS, "signed_zeros"])
+@pytest.mark.parametrize("make", [*WIDE_MESHES, _signed_zero_square],
+                         ids=[*WIDE_IDS, "signed_zeros"])
 def test_implicit_system_and_pcg_match_scipy_bits(make):
     """The pinned system of a semi-implicit step against the scipy.sparse
     route, and each coordinate's solve against scipy.sparse.linalg.cg:
@@ -679,10 +720,10 @@ def test_bnorm_matches_reference_fit_to_rounding(make):
     assert np.all(np.abs(got[fin & ~pos] - want[fin & ~pos]) <= 1e-13)
 
 
-@pytest.mark.parametrize("make", GEOMETRY_MESHES, ids=GEOMETRY_IDS)
+@pytest.mark.parametrize("make", WIDE_MESHES, ids=WIDE_IDS)
 def test_two_ring_offsets_padding_is_zero(make):
     mesh = make()
-    idx, mask = mesh.topology.ring2
+    idx, mask = _masked_two_ring(mesh)
     d = two_ring_offsets(mesh)
     assert np.all(d[~mask] == 0.0)
     _same_bits(d[mask], (mesh.vertices[idx] - mesh.vertices[:, None, :])[mask])
