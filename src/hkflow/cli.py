@@ -105,7 +105,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def load_config(path: str | None) -> dict:
-    """Flat INI -> nested dict of typed values, defaults filled in."""
+    """Flat INI -> nested dict of typed values, defaults filled in.
+
+    Every config is checked whole, whatever command reads it: [flow] dt and
+    [analyze] v0 must parse (they stay text, as written) and [flow] t_end
+    must not be negative; t_end = 0 asks for the initial state alone.  A
+    scheme name is checked by the flow that runs it."""
     cfg = {sec: {k: d for k, (_, d) in keys.items()}
            for sec, keys in _SCHEMA.items()}
     if path is None:
@@ -135,6 +140,10 @@ def load_config(path: str | None) -> dict:
                 raise ConfigError(f"[{sec}] {key} must be finite")
             if (sec, key) in _COUNT_KEYS and cfg[sec][key] < 1:
                 raise ConfigError(f"[{sec}] {key} must be at least 1")
+    if cfg["flow"]["t_end"] < 0:
+        raise ConfigError("[flow] t_end must not be negative")
+    _parse_dt(cfg["flow"]["dt"])
+    _parse_v0(cfg["analyze"]["v0"])
     return cfg
 
 

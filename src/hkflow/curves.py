@@ -23,13 +23,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateDerivative, OriginCollision, PointOnCurve,
-                     StabilityViolation)
+from .errors import (DegenerateDerivative, GeometryError, OriginCollision,
+                     PointOnCurve, StabilityViolation)
 from .flow import FlowHistory, march
 from .mesh import grid_torus_mesh
 from .phase import containment_margin
 from .surfaces import ParametricSurface
 from .util import readonly, write_csv
+
+
+# The supported curve diameters.  The lift's |B| divides by |gamma|^2
+# |gamma'|, the third power of the scale and the highest the flow or the
+# lift forms; this range keeps it a normal double, below 1e300 and above
+# 1e-302.
+DIAMETER_RANGE = (1e-100, 1e100)
 
 
 def _grid(n: int) -> np.ndarray:
@@ -41,11 +48,11 @@ def _grid(n: int) -> np.ndarray:
 class PlaneCurve:
     """Closed curve sampled at x_j = 2 pi j / N, as complex positions.
 
-    Invariants: N >= 16 finite samples, consecutive samples separated
-    (immersed polyline), and the origin stays off the image; the flow
-    equation is singular there.
-    The samples are stored read-only, so the diameter and the smallest gap
-    measured once at construction stay valid.
+    Invariants: N >= 16 finite samples, a diameter in DIAMETER_RANGE,
+    consecutive samples separated (immersed polyline), and the origin stays
+    off the image; the flow equation is singular there.
+    The samples are stored read-only, so the diameter, the smallest gap and
+    the first two derivatives measured once at construction stay valid.
     """
 
     samples: np.ndarray
@@ -59,9 +66,14 @@ class PlaneCurve:
         # np.diff(z, append=z[:1]) to the bit, without their wrappers
         zr, zi = z.real, z.imag
         d = float(np.hypot(zr.max() - zr.min(), zi.max() - zi.min()))
-        # the extremes, and so d, are finite exactly when every sample is
+        # the extremes, and so d, are finite when every sample is (short of
+        # an overflow far outside DIAMETER_RANGE)
         if not math.isfinite(d):
             raise ValueError("curve samples must be finite")
+        lo, hi = DIAMETER_RANGE
+        if not lo <= d <= hi:
+            raise ValueError(f"curve diameter {d:.3g} is outside the "
+                             f"supported range [{lo:g}, {hi:g}]")
         h = float(np.abs(np.concatenate((z[1:], z[:1])) - z).min())
         if h <= 1e-10 * d:
             raise ValueError("curve is not immersed at sample resolution")
@@ -69,6 +81,7 @@ class PlaneCurve:
             raise OriginCollision("curve passes through the origin")
         self._diameter = d
         self._min_spacing = h
+        self._derivatives = readonly(_first_two_derivatives(z))
 
     @property
     def n(self) -> int:
@@ -83,6 +96,10 @@ class PlaneCurve:
 
     def min_spacing(self) -> float:
         return self._min_spacing
+
+    def derivatives(self) -> np.ndarray:
+        """gamma' and gamma'' at the samples, as read-only (2, n) rows."""
+        return self._derivatives
 
     @classmethod
     def circle(cls, radius: float = 1.0, center: complex = 0.0,
@@ -134,11 +151,11 @@ def spectral_derivative(values: np.ndarray, order: int = 1) -> np.ndarray:
                        * _derivative_factor(len(values), order))
 
 
-def _first_two_derivatives(samples: np.ndarray):
-    """spectral_derivative orders 1 and 2 from one forward transform and one
-    stacked inverse transform; each row equals its own ifft to the bit."""
-    d = np.fft.ifft(np.fft.fft(samples) * _derivative_stack(len(samples)))
-    return d[0], d[1]
+def _first_two_derivatives(samples: np.ndarray) -> np.ndarray:
+    """spectral_derivative orders 1 and 2 as (2, n) rows, from one forward
+    transform and one stacked inverse transform; each row equals its own
+    ifft to the bit."""
+    return np.fft.ifft(np.fft.fft(samples) * _derivative_stack(len(samples)))
 
 
 def _require_speed(g1: np.ndarray) -> None:
@@ -147,9 +164,10 @@ def _require_speed(g1: np.ndarray) -> None:
         raise DegenerateDerivative("gamma' vanishes at sample resolution")
 
 
-def _curvature_frame(g1: np.ndarray, g2: np.ndarray):
+def _curvature_frame(d: np.ndarray):
     """|gamma'|^2, the unit normal -i gamma' / |gamma'| and the curvature
-    vector of curvature_vector, from gamma' and gamma''."""
+    vector of curvature_vector, from the rows gamma' and gamma''."""
+    g1, g2 = d
     speed2 = np.abs(g1) ** 2
     radial = np.real(np.conj(g1) * g2) / speed2
     kap = (g2 - g1 * radial) / speed2
@@ -164,19 +182,18 @@ def curvature_vector(curve: PlaneCurve) -> np.ndarray:
                 / |gamma'|^2;
     a counterclockwise circle of radius R gives -gamma / R^2.
     """
-    g1, g2 = _first_two_derivatives(curve.samples)
-    _require_speed(g1)
-    return _curvature_frame(g1, g2)[2]
+    d = curve.derivatives()
+    _require_speed(d[0])
+    return _curvature_frame(d)[2]
 
 
 def _flow_rhs(samples: np.ndarray) -> np.ndarray:
-    return _velocity(samples, *_first_two_derivatives(samples))
+    return _velocity(samples, _first_two_derivatives(samples))
 
 
-def _velocity(samples: np.ndarray, g1: np.ndarray,
-              g2: np.ndarray) -> np.ndarray:
+def _velocity(samples: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Flow velocity from the samples and their first two derivatives."""
-    _, nrm, kap = _curvature_frame(g1, g2)
+    _, nrm, kap = _curvature_frame(d)
     gperp = np.real(samples * np.conj(nrm)) * nrm
     return kap - gperp / np.abs(samples) ** 2
 
@@ -209,7 +226,8 @@ def csf_step(curve: PlaneCurve, dt: float, scheme: str = "rk4") -> PlaneCurve:
     rk4 is the default explicit integrator under the parabolic step bound
     dt <= STEP_BOUND * (min spacing)^2; the semi-implicit scheme treats the
     dominant diffusion coefficient implicitly in Fourier space (first order,
-    but unconditionally stable) for stiff late-stage runs.
+    but unconditionally stable) for stiff late-stage runs.  A new curve
+    that PlaneCurve rejects is a GeometryError.
     """
     z = curve.samples
     guard = 1e-3 * curve.diameter()
@@ -218,16 +236,16 @@ def csf_step(curve: PlaneCurve, dt: float, scheme: str = "rk4") -> PlaneCurve:
         if dt > bound:
             raise StabilityViolation(
                 f"dt={dt:g} exceeds {STEP_BOUND:g}*spacing^2={bound:g}")
-        k1 = _flow_rhs(z)
+        k1 = _velocity(z, curve.derivatives())
         k2 = _flow_rhs(z + 0.5 * dt * k1)
         k3 = _flow_rhs(z + 0.5 * dt * k2)
         k4 = _flow_rhs(z + dt * k3)
         z_new = z + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
     elif scheme == "semi-implicit":
-        g1, g2 = _first_two_derivatives(z)
-        a = float(np.max(1.0 / np.abs(g1) ** 2))
+        d = curve.derivatives()
+        a = float(np.max(1.0 / np.abs(d[0]) ** 2))
         k = _spectral_modes(curve.n)
-        explicit = _velocity(z, g1, g2) - a * g2
+        explicit = _velocity(z, d) - a * d[1]
         zhat = np.fft.fft(z + dt * explicit)
         zhat /= 1.0 + dt * a * k * k
         z_new = np.fft.ifft(zhat)
@@ -237,7 +255,11 @@ def csf_step(curve: PlaneCurve, dt: float, scheme: str = "rk4") -> PlaneCurve:
     z_new = _spectral_filter(z_new)
     if np.abs(z_new).min() < guard:
         raise OriginCollision("curve entered the origin guard band")
-    return PlaneCurve(z_new)
+    try:
+        return PlaneCurve(z_new)
+    except ValueError as exc:
+        raise GeometryError(
+            f"the step left the supported curves: {exc}") from exc
 
 
 @dataclass(eq=False)
@@ -305,7 +327,7 @@ def diagnostics(curve: PlaneCurve) -> CurveDiagnostics:
     ind_gamma - total_turning equals the winding of gamma * gamma' about 0
     and vanishes exactly for zero-Maslov tori.
     """
-    g1, g2 = _first_two_derivatives(curve.samples)
+    g1, g2 = curve.derivatives()
     _require_speed(g1)
     ind_gamma = _polyline_winding(curve.samples)
     turning = -float(np.mean(np.imag(g2 / g1)))
@@ -412,44 +434,35 @@ def torus_bnorm2(curve: PlaneCurve) -> np.ndarray:
     kappa_signed, -<gamma, n>/|gamma|^2 (first normal) and the off-diagonal
     -Im(conj(gamma) gamma')/(|gamma|^2 |gamma'|) (second normal).
     """
-    z = curve.samples
-    return _torus_bnorm2(z, *_first_two_derivatives(z))
-
-
-def _torus_bnorm2(z, g1, g2) -> np.ndarray:
-    speed2, nrm, kap = _curvature_frame(g1, g2)
+    z, d = curve.samples, curve.derivatives()
+    speed2, nrm, kap = _curvature_frame(d)
     k_signed = np.real(kap * np.conj(nrm))
     radial = np.real(z * np.conj(nrm)) / np.abs(z) ** 2
-    mu = -np.imag(np.conj(z) * g1) / (np.abs(z) ** 2 * np.sqrt(speed2))
+    mu = -np.imag(np.conj(z) * d[0]) / (np.abs(z) ** 2 * np.sqrt(speed2))
     return k_signed ** 2 + radial ** 2 + 2 * mu ** 2
 
 
 def torus_area(curve: PlaneCurve) -> float:
     """Exact-to-quadrature area of the lift: 2 pi * integral |gamma||gamma'|."""
-    return _torus_area(curve.samples, spectral_derivative(curve.samples, 1))
-
-
-def _torus_area(z, g1) -> float:
+    z, g1 = curve.samples, curve.derivatives()[0]
     return float(2 * np.pi * np.mean(np.abs(z) * np.abs(g1)) * 2 * np.pi)
 
 
-def _torus_margin(z, g1) -> float:
+def _torus_margin(curve: PlaneCurve) -> float:
     """Containment margin of the lift's phase (0, Re w, Im w), where
     w = gamma gamma' / |gamma gamma'| is constant along each circle."""
-    w = z * g1
+    w = curve.samples * curve.derivatives()[0]
     w = w / np.abs(w)
-    lams = np.stack([np.zeros(len(z)), w.real, w.imag], axis=-1)
+    lams = np.stack([np.zeros(curve.n), w.real, w.imag], axis=-1)
     return containment_margin(lams).margin
 
 
 def snapshot_record(t: float, curve: PlaneCurve) -> dict:
     """History record of a snapshot: t and the lifted torus's max|B|, area
-    and phase margin, from one transform of the samples."""
-    z = curve.samples
-    g1, g2 = _first_two_derivatives(z)
+    and phase margin, from the curve's derivatives."""
     return {"t": float(t),
-            "max_B": float(np.sqrt(np.max(_torus_bnorm2(z, g1, g2)))),
-            "area": _torus_area(z, g1), "margin": _torus_margin(z, g1)}
+            "max_B": float(np.sqrt(np.max(torus_bnorm2(curve)))),
+            "area": torus_area(curve), "margin": _torus_margin(curve)}
 
 
 def b_norm_history(result: CurveFlowResult) -> FlowHistory:

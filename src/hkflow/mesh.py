@@ -42,13 +42,22 @@ metric operator reads it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateTriangle, FoldedVertex, NonOrientableMesh
+from .errors import (DegenerateTriangle, FoldedVertex, NonOrientableMesh,
+                     SolveFailure)
 from .structure import J_UPPER, UPPER
 from .util import format_rows, readonly
+
+
+# The largest coordinate magnitude a mesh may have.  The implicit step's
+# conjugate gradient forms dot products of area-weighted coordinates, the
+# sixth power of the scale and the highest a flow forms, so this bound keeps
+# them below 1e300.
+MAX_COORDINATE = 1e50
 
 
 def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
@@ -114,10 +123,11 @@ class PaddedMatrix:
 class MeshTopology:
     """Validated connectivity of a triangle array over n_vertices vertices.
 
-    Construction checks that the triangle windings are globally consistent
-    (each interior edge traversed once in each direction, which also rules
-    out edges shared by more than two triangles).  Every array is
-    read-only: meshes that share a topology may rely on it not changing.
+    Construction checks that every vertex belongs to a triangle and that
+    the triangle windings are globally consistent (each interior edge
+    traversed once in each direction, which also rules out edges shared by
+    more than two triangles).  Every array is read-only: meshes that share
+    a topology may rely on it not changing.
 
     Both ring tables come from sorted int64 keys i*n + j, so they are
     exact.  A row lists its ring in increasing order and is padded with its
@@ -141,6 +151,10 @@ class MeshTopology:
         t = readonly(np.array(triangles, dtype=int))
         self.triangles = t
         self.n_vertices = n = n_vertices
+        used = np.bincount(t.ravel(), minlength=n) > 0
+        if not used.all():
+            raise ValueError(f"vertex {int(np.argmin(used))} belongs to no "
+                             f"triangle")
         directed = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
         key = directed[:, 0].astype(np.int64) * n + directed[:, 1]
         if len(_sorted_distinct(key)) < len(key):
@@ -205,12 +219,12 @@ class SurfaceMesh:
     """Oriented triangle mesh with vertices in R^4.
 
     Every construction checks the vertex and triangle shapes, that every
-    vertex is finite, the index range and that every triangle area exceeds
-    1e-14 (`DegenerateTriangle` otherwise).  Without a `topology`, one is
-    built from the triangles, which runs the orientation check
-    (`NonOrientableMesh`); with one, as `with_vertices` passes, the
-    triangles must be its own array and the connectivity is not validated
-    again.  `vertices` is a read-only copy of the input and `triangles` is
+    coordinate is finite and at most MAX_COORDINATE in magnitude, the index
+    range and that every triangle area exceeds 1e-14 (`DegenerateTriangle`
+    otherwise).  Without a `topology`, one is built from the triangles,
+    which runs the vertex-use and orientation checks (`NonOrientableMesh`);
+    with one, as `with_vertices` passes, the triangles must be its own
+    array and the connectivity is not validated again.  `vertices` is a read-only copy of the input and `triangles` is
     read-only, so the triangle geometry measured at construction stays
     valid.
     """
@@ -224,8 +238,13 @@ class SurfaceMesh:
         t = np.asarray(self.triangles, dtype=int)
         if v.ndim != 2 or v.shape[1] != 4:
             raise ValueError(f"vertices must be (n, 4), got {v.shape}")
-        if not np.isfinite(v).all():
+        # the largest magnitude is finite exactly when every coordinate is
+        extent = float(np.abs(v).max(initial=0.0))
+        if not math.isfinite(extent):
             raise ValueError("vertices must be finite")
+        if extent > MAX_COORDINATE:
+            raise ValueError(f"vertex coordinate {extent:.3g} exceeds the "
+                             f"supported {MAX_COORDINATE:g}")
         if t.ndim != 2 or t.shape[1] != 3:
             raise ValueError(f"triangles must be (m, 3), got {t.shape}")
         if t.min(initial=0) < 0 or t.max(initial=-1) >= len(v):
@@ -470,14 +489,14 @@ def _spd_solve(gram, rhs) -> np.ndarray:
     The factorisation and both substitutions are unrolled over the entries
     and vectorised over the n systems, so no per-matrix LAPACK call is
     made.  If any pivot is not positive, the whole batch is factored again
-    with gram + 1e-12 I; if that fails too, np.linalg.LinAlgError is raised.
+    with gram + 1e-12 I; if that fails too, SolveFailure is raised.
     """
     size = len(gram)
     low = _cholesky(gram, 0.0)
     if low is None:
         low = _cholesky(gram, 1e-12)
     if low is None:
-        raise np.linalg.LinAlgError(
+        raise SolveFailure(
             "Gram matrices not positive definite even with a 1e-12 ridge")
     y = []
     for i in range(size):
@@ -662,7 +681,8 @@ def read_off4(path) -> SurfaceMesh:
     """Read the 4-coordinate OFF dialect written by write_off4.
 
     Vertex rows with a coordinate count other than four are rejected; this
-    dialect is not interchangeable with 3-coordinate OFF files.
+    dialect is not interchangeable with 3-coordinate OFF files.  The file
+    must hold exactly the rows its counts line declares, no fewer or more.
     """
     with open(path) as fh:
         rows = [ln.split("#")[0].strip() for ln in fh]
@@ -677,6 +697,9 @@ def read_off4(path) -> SurfaceMesh:
     nv, nf = int(counts[0]), int(counts[1])
     if len(rows) < 2 + nv + nf:
         raise ValueError("truncated OFF file")
+    if len(rows) > 2 + nv + nf:
+        raise ValueError(f"rows past the {nv} vertices and {nf} faces of "
+                         f"the counts line")
     verts = np.empty((nv, 4))
     for i in range(nv):
         parts = rows[2 + i].split()

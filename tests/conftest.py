@@ -1,10 +1,18 @@
 """Shared fixtures: the expensive flow trajectories are session-scoped."""
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from hkflow.curves import PlaneCurve, run_csf
 from hkflow.flow import run_mcf
 from hkflow.mesh import icosphere
+
+# Property tests draw the same examples on every run: derandomized, with no
+# example database, and no per-example deadline on a shared machine.  Each
+# test keeps its own max_examples.
+settings.register_profile("hkflow", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("hkflow")
 
 
 @pytest.fixture(scope="session")

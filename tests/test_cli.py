@@ -268,6 +268,15 @@ CONFIG_ERRORS = {
     "mesh-radius-nan": ("[mesh]\nradius = nan\n", "flow-mesh", ""),
     "curve-dt-nan": ("[flow]\ndt = nan\n", "flow-curve", ""),
     "mesh-dt-inf": ("[flow]\ndt = inf\n", "flow-mesh", ""),
+    # a negative t_end asks for no run; t_end = 0 asks for the initial state
+    "curve-t-end-negative": ("[flow]\nt_end = -1\n", "flow-curve", ""),
+    "mesh-t-end-negative": ("[flow]\nt_end = -1\n", "flow-mesh", ""),
+    # dt and v0 are checked whole at load, also by commands that never read
+    # them
+    "verify-dt-not-a-number": ("[flow]\ndt = fast\n",
+                               "verify --suite quaternionic", ""),
+    "phase-v0-not-numeric": ("[analyze]\nv0 = 0,0,one,0\n",
+                             "phase --surface plane", ""),
     # det-gauss samples its own families, so --surface would skip it
     "verify-identity-not-run": ("", "verify --suite det-gauss --surface "
                                 "cylinder", ""),

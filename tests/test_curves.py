@@ -2,13 +2,13 @@
 import numpy as np
 import pytest
 
-from hkflow.curves import (CurveFlowResult, PlaneCurve, TorusFromCurve,
-                           b_norm_history, csf_step, curvature_vector,
-                           diagnostics, embed_torus, run_csf,
+from hkflow.curves import (DIAMETER_RANGE, CurveFlowResult, PlaneCurve,
+                           TorusFromCurve, b_norm_history, csf_step,
+                           curvature_vector, diagnostics, embed_torus, run_csf,
                            spectral_derivative, torus_area, torus_bnorm2,
                            winding_number, write_curve_csv)
-from hkflow.errors import (DegenerateDerivative, OriginCollision, PointOnCurve,
-                           StabilityViolation)
+from hkflow.errors import (DegenerateDerivative, GeometryError,
+                           OriginCollision, PointOnCurve, StabilityViolation)
 from hkflow.flow import type1_monitor
 from hkflow.surfaces import frames, mean_curvature
 
@@ -38,6 +38,21 @@ def test_curve_rejects_non_finite_samples(bad):
     z[5] = bad
     with pytest.raises(ValueError, match="^curve samples must be finite$"):
         PlaneCurve(z)
+
+
+def test_curve_rejects_a_diameter_outside_the_supported_range():
+    lo, hi = DIAMETER_RANGE
+    for radius in (0.3 * lo, 0.4 * hi):
+        with pytest.raises(ValueError, match="outside the supported range"):
+            PlaneCurve.circle(radius, n=32)
+
+
+def test_step_out_of_the_supported_range_is_a_geometry_error():
+    """A step to a curve PlaneCurve rejects raises a GeometryError, which a
+    caller can tell from a bad input's ValueError."""
+    radius = 0.36 * DIAMETER_RANGE[0]   # diameter 2 sqrt(2) radius
+    with pytest.raises(GeometryError, match="outside the supported range"):
+        run_csf(PlaneCurve.circle(radius, n=32), t_end=0.1 * radius ** 2)
 
 
 def test_spectral_derivative_modes():
@@ -195,7 +210,8 @@ def test_perturbed_circle_runs_and_blows_up():
 
 def test_b_norm_history_one_transform_per_snapshot(monkeypatch):
     """max|B|, area and margin of every snapshot equal the separate
-    per-quantity transforms bit for bit, from one forward FFT each."""
+    per-quantity transforms bit for bit, and read the derivatives each
+    curve measured at construction: no forward FFT at all."""
     from hkflow.phase import containment_margin
 
     res = run_csf(_limacon(64), t_end=2e-3, dt=5e-4)
@@ -204,7 +220,7 @@ def test_b_norm_history_one_transform_per_snapshot(monkeypatch):
     monkeypatch.setattr(np.fft, "fft", lambda a: calls.append(1) or fft(a))
     hist = b_norm_history(res)
     monkeypatch.undo()
-    assert len(calls) == len(res.curves)
+    assert len(calls) == 0
     for k, c in enumerate(res.curves):
         z = c.samples
         w = z * spectral_derivative(z, 1)
@@ -412,8 +428,9 @@ def _count_transforms(monkeypatch):
 
 
 def test_rk4_step_makes_ten_transforms(monkeypatch):
-    """Four stages of one forward and one stacked inverse transform, plus
-    the filter's pair."""
+    """Three stages of one forward and one stacked inverse transform, the
+    filter's pair, and the new curve's derivative pair; the first stage
+    reads the derivatives the curve measured at construction."""
     c = PlaneCurve.circle(1.0, n=256)
     calls = _count_transforms(monkeypatch)
     csf_step(c, 0.1 * c.min_spacing() ** 2, "rk4")
@@ -421,10 +438,33 @@ def test_rk4_step_makes_ten_transforms(monkeypatch):
 
 
 def test_b_norm_history_snapshot_makes_two_transforms(monkeypatch):
+    """A snapshot record reads the derivatives its curve measured at
+    construction, so it makes no transform."""
     res = run_csf(_limacon(64), t_end=1e-3, dt=5e-4)
     calls = _count_transforms(monkeypatch)
     b_norm_history(res)
-    assert len(calls) == 2 * len(res.curves)
+    assert len(calls) == 0
+
+
+def test_plane_curve_construction_makes_one_transform_pair(monkeypatch):
+    z = _limacon(64).samples
+    calls = _count_transforms(monkeypatch)
+    PlaneCurve(z)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("n", [16, 17, 64, 255, 256, 512])
+def test_derivatives_are_readonly_spectral_derivatives(n):
+    """derivatives() is read-only and holds spectral_derivative orders 1
+    and 2 bit for bit, signs of zero included."""
+    z = np.random.default_rng(n).standard_normal((n, 2)) @ [1, 1j]
+    d = PlaneCurve(z).derivatives()
+    assert d.shape == (2, n) and not d.flags.writeable
+    for got, order in ((d[0], 1), (d[1], 2)):
+        expect = spectral_derivative(z, order)
+        assert np.array_equal(got, expect)
+        assert np.array_equal(np.signbit(got.view(float)),
+                              np.signbit(expect.view(float)))
 
 
 def _random_curve_samples(rng, n):

@@ -3,12 +3,19 @@ import numpy as np
 import pytest
 
 from hkflow.errors import NonRotation
-from hkflow.mesh import flat_square, grid_torus_mesh, icosphere
+from hkflow.mesh import SurfaceMesh, flat_square, grid_torus_mesh, icosphere
 from hkflow.structure import StructureTriple
 from hkflow.surfaces import Cylinder, QuadraticGraph, SurfaceJet
 from hkflow.util import check_rotation
 
 _ROW = np.zeros(4)
+
+
+def _icosphere_with_extra_vertex():
+    """icosphere(1) and one vertex that no triangle uses."""
+    mesh = icosphere(1)
+    return SurfaceMesh(np.vstack([mesh.vertices, [[0.0, 0.0, 0.0, 2.0]]]),
+                       mesh.triangles)
 
 
 def _icosphere_with(value):
@@ -26,6 +33,11 @@ CASES = {
                         "vertices must be finite"),
     "mesh-vertex-inf": (lambda: _icosphere_with(np.inf), ValueError,
                         "vertices must be finite"),
+    "mesh-vertex-in-no-triangle": (_icosphere_with_extra_vertex, ValueError,
+                                   "^vertex 42 belongs to no triangle$"),
+    # the implicit step's dot products grow as the sixth power of the scale
+    "mesh-vertex-beyond-1e50": (lambda: _icosphere_with(1e51), ValueError,
+                                "exceeds the supported 1e\\+50"),
     "grid-torus-points-not-4": (lambda: grid_torus_mesh(np.zeros((4, 4, 3))),
                                 ValueError, r"\(nx, ny, 4\)"),
     "structure-triple-shape": (lambda: StructureTriple(np.zeros((2, 4, 4))),

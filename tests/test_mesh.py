@@ -5,7 +5,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import cg
 
 from hkflow import mesh as mesh_module
-from hkflow.errors import DegenerateTriangle, FoldedVertex, NonOrientableMesh
+from hkflow.errors import (DegenerateTriangle, FoldedVertex, NonOrientableMesh,
+                           SolveFailure)
 from hkflow.flow import FlowState, _implicit_system, _pcg
 from hkflow.mesh import (SurfaceMesh, flat_square,
                          grid_torus_mesh, icosphere, mesh_bnorm,
@@ -345,8 +346,10 @@ def test_off4_rejects_wrong_dimension(tmp_path):
     ("OFF\n", "counts line"),
     ("OFF\n3\n", "counts line"),
     ("OFF\n-1 0 0\n", "counts line"),
+    ("OFF\n3 1 0\n0 0 0 0\n1 0 0 0\n0 1 0 0\n3 0 1 2\n3 0 2 1\n",
+     "rows past the 3 vertices and 1 faces of the counts line"),
 ], ids=["empty", "other-header", "truncated", "quad", "short-face",
-        "no-counts", "one-count", "negative-count"])
+        "no-counts", "one-count", "negative-count", "rows-past-counts"])
 def test_off4_rejects_malformed_files(tmp_path, text, message):
     path = tmp_path / "bad.off"
     path.write_text(text)
@@ -779,14 +782,14 @@ def test_bnorm_makes_one_solve_per_state(monkeypatch):
 def test_bnorm_solve_fallback_adds_ridge(monkeypatch):
     """A batch holding an exactly singular Gram is factored again with
     gram + 1e-12 I; NaN rows stay as they were, and a batch that fails
-    even with the ridge raises LinAlgError."""
+    even with the ridge raises SolveFailure."""
     rng = np.random.default_rng(3)
     spd = _spd_batch(rng, 6)
     spd[2, 4, :] = spd[2, :, 4] = 0.0
     b = rng.standard_normal((6, 5, 2))
     _assert_close_per_system(_batched_spd_solve(spd, b),
                              _SOLVE(spd + 1e-12 * np.eye(5), b), 1e-12)
-    with pytest.raises(np.linalg.LinAlgError):
+    with pytest.raises(SolveFailure, match="even with a 1e-12 ridge"):
         _batched_spd_solve(-spd, b)
 
     # with t2 = e4 at one interior vertex, v = 0 on its whole two-ring (the
