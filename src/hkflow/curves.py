@@ -28,8 +28,8 @@ from .errors import (DegenerateDerivative, GeometryError, OriginCollision,
 from .flow import FlowHistory, march
 from .mesh import grid_torus_mesh
 from .phase import containment_margin
-from .surfaces import ParametricSurface
-from .util import readonly, write_csv
+from .surfaces import ParametricSurface, map_blocks
+from .util import BLOCK, readonly, write_csv
 
 
 # The supported curve diameters.  The lift's |B| divides by |gamma|^2
@@ -339,7 +339,7 @@ def diagnostics(curve: PlaneCurve) -> CurveDiagnostics:
 # Lift to the Lagrangian torus
 # ---------------------------------------------------------------------------
 
-JET_BLOCK = 2048   # points per block of TorusFromCurve._gamma_jets
+JET_BLOCK = BLOCK   # points per block of TorusFromCurve._gamma_jets
 
 
 class TorusFromCurve(ParametricSurface):
@@ -381,15 +381,8 @@ class TorusFromCurve(ParametricSurface):
         uniq, inverse = np.unique(u, return_inverse=True)
         if 1 < uniq.size < u.size:
             return tuple(g[inverse].reshape(u.shape)
-                         for g in self._blocked_jets(uniq))
-        return self._blocked_jets(u)
-
-    def _blocked_jets(self, u):
-        if u.size <= JET_BLOCK:
-            return self._block_jets(u)
-        blocks = np.array_split(u.reshape(-1), -(-u.size // JET_BLOCK))
-        return tuple(np.concatenate(parts).reshape(u.shape)
-                     for parts in zip(*map(self._block_jets, blocks)))
+                         for g in map_blocks(self._block_jets, uniq))
+        return map_blocks(self._block_jets, u)
 
     def _block_jets(self, u):
         e = 1j * u[..., None] * self._k

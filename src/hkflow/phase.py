@@ -24,8 +24,8 @@ import numpy as np
 from .errors import (IdentityViolation, NonClosedSurface, NonNormalInput,
                      OnForbiddenSet)
 from .structure import apply_j
-from .surfaces import (FrameData, ParametricSurface, frames, mean_curvature,
-                       midpoint_grid, second_fundamental_form)
+from .surfaces import (FrameData, ParametricSurface, frames, grid_geometry,
+                       mean_curvature, midpoint_grid, second_fundamental_form)
 from .util import format_float, write_csv
 
 FD_STEP = 1e-4   # step of the dJ and tension stencils, times family.scale
@@ -125,29 +125,29 @@ def phase_differential(family: ParametricSurface, u, v) -> PhaseSample:
     dj_b = _dj_shape_operator(fr, sff)
     dj_a = _stencil_gradient(family, u, v, fr, h, lambda j: frames(j).lam)
     gap = _check_routes(dj_a, dj_b, h, "dJ routes", family.name)
-    return _sample_from_dj(fr.lam, dj_a, gap)
+    return PhaseSample(*_dj_fields(fr.lam, dj_a), route_gap=gap)
 
 
-def _sample_from_dj(lam, dj, gap: float) -> PhaseSample:
+def _dj_fields(lam, dj):
+    """The PhaseSample fields lam, dj, e_del, e_delbar, detdj, in order."""
     cross = np.cross(dj[..., 0, :], dj[..., 1, :])
     detdj = np.einsum("...a,...a->...", lam, cross)
     nrm2 = np.sum(dj * dj, axis=(-2, -1))
     e_del = np.maximum(0.25 * nrm2 + 0.5 * detdj, 0.0)
     e_delbar = np.maximum(0.25 * nrm2 - 0.5 * detdj, 0.0)
-    return PhaseSample(lam=lam, dj=dj, e_del=e_del, e_delbar=e_delbar,
-                       detdj=detdj, route_gap=gap)
+    return lam, dj, e_del, e_delbar, detdj
 
 
 def phase_sample_exact(family: ParametricSurface, u, v) -> PhaseSample:
     """PhaseSample from the shape-operator route alone (no FD stencil).
 
     Used where stencils are unavailable or quadrature wants exact values;
-    route_gap is reported as 0 since only one route runs.
+    route_gap is reported as 0 since only one route runs.  A grid is
+    evaluated one block of points at a time (grid_geometry).
     """
-    jet = family.jet(u, v)
-    fr = frames(jet)
-    sff = second_fundamental_form(jet, fr)
-    return _sample_from_dj(fr.lam, _dj_shape_operator(fr, sff), 0.0)
+    fields = grid_geometry(family, u, v, lambda fr, sff: _dj_fields(
+        fr.lam, _dj_shape_operator(fr, sff)))
+    return PhaseSample(*fields, route_gap=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -262,27 +262,28 @@ def tension(family: ParametricSurface, u, v) -> np.ndarray:
 # Degree
 # ---------------------------------------------------------------------------
 
-def _closed_grid(family: ParametricSurface, n: int):
-    """Frames, sff, area element dmu and cell sides (du, dv) on the n x n
-    midpoint grid of a closed family.
+def _closed_integrals(family: ParametricSurface, n: int, fields):
+    """Integrals of fields(fr, sff) dmu over a closed family, by the tensor
+    midpoint rule on the n x n grid of its domain.
 
     Midpoint quadrature is spectrally accurate for the periodic directions
-    of closed parametrizations and keeps the grid off boundary poles.
+    of closed parametrizations and keeps the grid off boundary poles.  The
+    fields and dmu are filled into (n, n) arrays block by block
+    (grid_geometry), and each sum runs over the whole array.
     """
     if not family.closed:
         raise NonClosedSurface(f"{family.name} is not closed")
     ug, vg, du, dv = midpoint_grid(family.domain, n)
-    jet = family.jet(ug, vg)
-    fr = frames(jet)
-    sff = second_fundamental_form(jet, fr)
-    return fr, sff, np.sqrt(np.linalg.det(fr.g)), du, dv
+    *values, dmu = grid_geometry(family, ug, vg, lambda fr, sff: (
+        *fields(fr, sff), np.sqrt(np.linalg.det(fr.g))))
+    return [np.sum(f * dmu) * du * dv for f in values]
 
 
 def degree(family: ParametricSurface, n: int = 64) -> float:
     """(1/4pi) integral of det dJ, by the tensor midpoint rule on n x n."""
-    fr, sff, dmu, du, dv = _closed_grid(family, n)
-    detdj = _sample_from_dj(fr.lam, _dj_shape_operator(fr, sff), 0.0).detdj
-    return float(np.sum(detdj * dmu) * du * dv / (4 * np.pi))
+    (total,) = _closed_integrals(family, n, lambda fr, sff: _dj_fields(
+        fr.lam, _dj_shape_operator(fr, sff))[-1:])
+    return float(total / (4 * np.pi))
 
 
 def euler_numbers(family: ParametricSurface, n: int = 64):
@@ -292,11 +293,9 @@ def euler_numbers(family: ParametricSurface, n: int = 64):
     independent of the degree quadrature, so the two sides of
     2 deg = chi_T + chi_N are genuinely distinct computations.
     """
-    _, sff, dmu, du, dv = _closed_grid(family, n)
-    kappa, kperp = gauss_normal_curvatures(sff)
-    chi_t = float(np.sum(kappa * dmu) * du * dv / (2 * np.pi))
-    chi_n = float(np.sum(kperp * dmu) * du * dv / (2 * np.pi))
-    return chi_t, chi_n
+    total_k, total_kperp = _closed_integrals(
+        family, n, lambda fr, sff: gauss_normal_curvatures(sff))
+    return float(total_k / (2 * np.pi)), float(total_kperp / (2 * np.pi))
 
 
 # ---------------------------------------------------------------------------

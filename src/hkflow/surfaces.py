@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import DegenerateJet, StencilOutOfDomain
 from .structure import apply_j
+from .util import BLOCK
 
 
 @dataclass(eq=False)
@@ -167,6 +168,47 @@ def midpoint_grid(domain, n: int):
     ug, vg = np.meshgrid(u0 + (np.arange(n) + 0.5) * du,
                          v0 + (np.arange(n) + 0.5) * dv, indexing="ij")
     return ug, vg, du, dv
+
+
+def map_blocks(fn, *arrays):
+    """fn(*arrays), a tuple of per-point arrays, over the broadcast arrays.
+
+    Up to BLOCK points, fn runs once on them.  More are flattened in C order
+    and cut into near-equal runs of at most BLOCK points, as np.array_split
+    cuts them; each run's results are written into arrays of the full shape,
+    allocated at the first run.  Memory is one block of fn's intermediates
+    plus the outputs.  A pointwise fn whose kernels round each point alike
+    at any length gives the bits of one call; the tests hold every built-in
+    family to that.
+    """
+    arrays = np.broadcast_arrays(*arrays)
+    size = arrays[0].size
+    if size <= BLOCK:
+        return fn(*arrays)
+    flat = [a.reshape(-1) for a in arrays]
+    k = -(-size // BLOCK)
+    q, r = divmod(size, k)
+    out = None
+    for i in range(k):
+        a = i * q + min(i, r)
+        b = a + q + (i < r)
+        got = fn(*(f[a:b] for f in flat))
+        if out is None:
+            out = tuple(np.empty((size,) + g.shape[1:], g.dtype) for g in got)
+        for o, g in zip(out, got):
+            o[a:b] = g
+    return tuple(o.reshape(arrays[0].shape + o.shape[1:]) for o in out)
+
+
+def grid_geometry(family: ParametricSurface, u, v, fields):
+    """fields(fr, sff), a tuple of per-point arrays, at the points (u, v):
+    jet, frames and second fundamental form one block at a time
+    (map_blocks), so no grid-sized intermediate is ever held."""
+    def block(u, v):
+        jet = family.jet(u, v)
+        fr = frames(jet)
+        return fields(fr, second_fundamental_form(jet, fr))
+    return map_blocks(block, u, v)
 
 
 # ---------------------------------------------------------------------------

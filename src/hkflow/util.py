@@ -11,6 +11,10 @@ import numpy as np
 
 from .errors import NonRotation
 
+#: Points per block of a grid computation (surfaces.map_blocks) and rows per
+#: block of a CSV (write_csv): the one bound on memory that grows with a grid.
+BLOCK = 2048
+
 
 def format_float(x) -> str:
     """Render a double with 17 significant digits (round-trip exact)."""
@@ -63,9 +67,19 @@ def format_rows(cols, sep: str = ",") -> list[str]:
 
 
 def write_csv(path, header: str, cols) -> None:
-    """Write a header line, then the columns as comma-separated rows."""
+    """Write a header line, then the columns as comma-separated rows.
+
+    The rows are formatted and written BLOCK at a time, so the text of one
+    block is held, not the file's.  format_rows may route a column
+    differently from block to block; both routes print the same string.
+    """
+    flat = [np.reshape(np.asarray(c, dtype=float), -1) for c in cols]
+    size = min(map(len, flat), default=0)
     with open(path, "w") as fh:
-        fh.write("\n".join([header, *format_rows(cols)]) + "\n")
+        fh.write(header + "\n")
+        for start in range(0, size, BLOCK):
+            rows = format_rows([c[start:start + BLOCK] for c in flat])
+            fh.write("\n".join(rows) + "\n")
 
 
 def json_dumps(obj, indent: int = 0) -> str:
