@@ -19,7 +19,7 @@ print(f"icosphere(3): {len(mesh.vertices)} vertices, "
       f"{len(mesh.triangles)} triangles, area {mesh.area():.6f} "
       f"(4 pi = {4 * np.pi:.6f})")
 
-hist = run_mcf(mesh, dt=1e-3, t_end=0.15, scheme="semi-implicit")
+hist = run_mcf(mesh, dt=1e-3, t_end=0.15)
 print(f"\nflow to t = {hist.t[-1]:.3f}, truncated = {hist.truncated}")
 # the area radius sqrt(area / 4 pi) of a round sphere is its radius
 print(f"{'t':>7} {'area r':>9} {'sqrt(1-4t)':>11} {'area ratio':>11} {'1-4t':>7}")

@@ -36,8 +36,8 @@ from .errors import GeometryError, InsufficientHistory, NotBlowingUp
 from .flow import (MCF_SCHEMES, FlowHistory, run_mcf, translator_residual,
                    type1_monitor)
 from .mesh import flat_square, icosphere
-from .phase import (ENERGY_TOL, containment_margin, coupling_residual, degree,
-                    euler_numbers, gauss_normal_curvatures, phase_differential,
+from .phase import (ENERGY_TOL, coupling_residual, degree, euler_numbers,
+                    gauss_normal_curvatures, phase_differential,
                     phase_sample_exact, write_phase_field_csv)
 from .structure import QUATERNIONIC_TOL, standard_structure
 from .surfaces import (Cylinder, GrimReaper, Plane, QuadraticGraph, Sphere,
@@ -159,16 +159,13 @@ def _parse_dt(raw) -> float | None:
     return dt
 
 
-def _scheme(cfg, schemes) -> dict:
-    """[flow] scheme as keyword arguments of a flow: none for 'auto', which
-    leaves the flow its own default."""
-    name = cfg["flow"]["scheme"]
-    if name == "auto":
-        return {}
-    if name not in schemes:
-        raise ConfigError(f"unknown [flow] scheme {name!r}; choose from "
-                          f"{('auto',) + schemes}")
-    return {"scheme": name}
+def _check_scheme(cfg, schemes) -> None:
+    """[flow] scheme must be 'auto' or one of the flow's schemes; a flow
+    has one integrator, which either name selects."""
+    choices = ("auto",) + schemes
+    if cfg["flow"]["scheme"] not in choices:
+        raise ConfigError(f"unknown [flow] scheme {cfg['flow']['scheme']!r}; "
+                          f"choose from {choices}")
 
 
 def _parse_v0(raw: str):
@@ -264,8 +261,9 @@ def _phase_block(s, fr) -> float:
 
 def _family_residuals(s, samples, full: bool) -> dict:
     """Max phase-block residual over the (family, u, v) in samples and, when
-    full, the max coupling and energy residuals, from one geometry pass per
-    family."""
+    full, the max coupling and energy residuals.  Each family takes one
+    jet -> frames -> sff pass here, and when full a second one inside
+    phase_differential, which also evaluates its stencil jets."""
     res = {}
     for fam, u, v in samples:
         jet = fam.jet(u, v)
@@ -400,11 +398,11 @@ def _type1_fields(hist: FlowHistory) -> dict:
 
 
 def cmd_flow_curve(cfg, args, out: Path) -> int:
-    scheme = _scheme(cfg, CSF_SCHEMES)
+    _check_scheme(cfg, CSF_SCHEMES)
     curve = _build_curve(cfg)
     fl = cfg["flow"]
     snaps = csf_march(curve, fl["t_end"], _parse_dt(fl["dt"]),
-                      snapshot_every=fl["snapshot_every"], **scheme)
+                      snapshot_every=fl["snapshot_every"])
     snapdir = out / "snapshots"
     snapdir.mkdir(exist_ok=True)
 
@@ -439,7 +437,7 @@ def _build_mesh(cfg):
 
 
 def cmd_flow_mesh(cfg, args, out: Path) -> int:
-    scheme = _scheme(cfg, MCF_SCHEMES)
+    _check_scheme(cfg, MCF_SCHEMES)
     mesh = _build_mesh(cfg)
     fl = cfg["flow"]
     ckdir = None
@@ -449,7 +447,7 @@ def cmd_flow_mesh(cfg, args, out: Path) -> int:
     hist = run_mcf(mesh, dt=_parse_dt(fl["dt"]), t_end=fl["t_end"],
                    log_path=out / "history.jsonl",
                    checkpoint_every=fl["checkpoint_every"],
-                   checkpoint_dir=ckdir, **scheme)
+                   checkpoint_dir=ckdir)
     summary = {
         "t_final": float(hist.t[-1]),
         "steps": int(len(hist.t) - 1),
@@ -566,8 +564,7 @@ def cmd_phase(cfg, args, out: Path) -> int:
     rng = np.random.default_rng(cfg["scenario"]["seed"])
     fam = _make_surface(cfg, rng, args.surface)
     csv_path = out / "phase_field.csv"
-    sample = write_phase_field_csv(csv_path, fam, n=cfg["surface"]["n"])
-    contain = containment_margin(sample.lam)
+    _, contain = write_phase_field_csv(csv_path, fam, n=cfg["surface"]["n"])
     report = {
         "family": fam.name,
         "n": cfg["surface"]["n"],

@@ -29,7 +29,7 @@ from .flow import FlowHistory, march
 from .mesh import grid_torus_mesh
 from .phase import containment_margin
 from .surfaces import ParametricSurface, map_blocks
-from .util import BLOCK, readonly, write_csv
+from .util import readonly, write_csv
 
 
 # The supported curve diameters.  The lift's |B| divides by |gamma|^2
@@ -211,7 +211,7 @@ def _spectral_filter(values: np.ndarray) -> np.ndarray:
 
 
 STEP_BOUND = 0.2   # c in the parabolic step bound dt <= c * spacing^2
-CSF_SCHEMES = ("rk4", "semi-implicit")
+CSF_SCHEMES = ("rk4",)   # the integrators csf_step has
 
 
 def _step_bound(curve: PlaneCurve) -> float:
@@ -220,40 +220,22 @@ def _step_bound(curve: PlaneCurve) -> float:
     return STEP_BOUND * h * h
 
 
-def csf_step(curve: PlaneCurve, dt: float, scheme: str = "rk4") -> PlaneCurve:
-    """One step of the reduced torus flow.
-
-    rk4 is the default explicit integrator under the parabolic step bound
-    dt <= STEP_BOUND * (min spacing)^2; the semi-implicit scheme treats the
-    dominant diffusion coefficient implicitly in Fourier space (first order,
-    but unconditionally stable) for stiff late-stage runs.  A new curve
-    that PlaneCurve rejects is a GeometryError.
+def csf_step(curve: PlaneCurve, dt: float) -> PlaneCurve:
+    """One rk4 step of the reduced torus flow, under the parabolic step
+    bound dt <= STEP_BOUND * (min spacing)^2.  A new curve that PlaneCurve
+    rejects is a GeometryError.
     """
+    bound = _step_bound(curve)
+    if dt > bound:
+        raise StabilityViolation(
+            f"dt={dt:g} exceeds {STEP_BOUND:g}*spacing^2={bound:g}")
     z = curve.samples
-    guard = 1e-3 * curve.diameter()
-    if scheme == "rk4":
-        bound = _step_bound(curve)
-        if dt > bound:
-            raise StabilityViolation(
-                f"dt={dt:g} exceeds {STEP_BOUND:g}*spacing^2={bound:g}")
-        k1 = _velocity(z, curve.derivatives())
-        k2 = _flow_rhs(z + 0.5 * dt * k1)
-        k3 = _flow_rhs(z + 0.5 * dt * k2)
-        k4 = _flow_rhs(z + dt * k3)
-        z_new = z + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    elif scheme == "semi-implicit":
-        d = curve.derivatives()
-        a = float(np.max(1.0 / np.abs(d[0]) ** 2))
-        k = _spectral_modes(curve.n)
-        explicit = _velocity(z, d) - a * d[1]
-        zhat = np.fft.fft(z + dt * explicit)
-        zhat /= 1.0 + dt * a * k * k
-        z_new = np.fft.ifft(zhat)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}; choose from "
-                         f"{CSF_SCHEMES}")
-    z_new = _spectral_filter(z_new)
-    if np.abs(z_new).min() < guard:
+    k1 = _velocity(z, curve.derivatives())
+    k2 = _flow_rhs(z + 0.5 * dt * k1)
+    k3 = _flow_rhs(z + 0.5 * dt * k2)
+    k4 = _flow_rhs(z + dt * k3)
+    z_new = _spectral_filter(z + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
+    if np.abs(z_new).min() < 1e-3 * curve.diameter():
         raise OriginCollision("curve entered the origin guard band")
     try:
         return PlaneCurve(z_new)
@@ -273,19 +255,18 @@ class CurveFlowResult:
 
 
 def csf_march(curve: PlaneCurve, t_end: float, dt: float | None = None,
-              scheme: str = "rk4", snapshot_every: int = 1):
+              snapshot_every: int = 1):
     """flow.march of the reduced flow, by the parabolic step bound when dt
     is None; it also ends when the curve reaches the origin guard band."""
-    return march(curve, lambda c, h: csf_step(c, h, scheme), t_end, dt,
-                 snapshot_every, bound=_step_bound, stops=OriginCollision)
+    return march(curve, csf_step, t_end, dt, snapshot_every,
+                 bound=_step_bound, stops=OriginCollision)
 
 
 def run_csf(curve: PlaneCurve, t_end: float, dt: float | None = None,
-            scheme: str = "rk4", snapshot_every: int = 1) -> CurveFlowResult:
+            snapshot_every: int = 1) -> CurveFlowResult:
     """The snapshots of csf_march; a fixed dt gives the uniformly spaced
     trajectories the phase-evolution check requires."""
-    _, times, curves = zip(*csf_march(curve, t_end, dt, scheme,
-                                      snapshot_every))
+    _, times, curves = zip(*csf_march(curve, t_end, dt, snapshot_every))
     return CurveFlowResult(times=np.array(times), curves=list(curves),
                            truncated=times[-1] < t_end)
 
@@ -339,9 +320,6 @@ def diagnostics(curve: PlaneCurve) -> CurveDiagnostics:
 # Lift to the Lagrangian torus
 # ---------------------------------------------------------------------------
 
-JET_BLOCK = BLOCK   # points per block of TorusFromCurve._gamma_jets
-
-
 class TorusFromCurve(ParametricSurface):
     """Analytic jets of (x, y) -> (gamma(x) cos y, gamma(x) sin y) in C^2.
 
@@ -370,7 +348,7 @@ class TorusFromCurve(ParametricSurface):
 
         Each distinct parameter is evaluated once and gathered back (a
         parameter grid repeats every u along v).  The (points x modes)
-        matrix of exponentials is built for at most JET_BLOCK points at a
+        matrix of exponentials is built for at most util.BLOCK points at a
         time, which bounds memory on large grids.  No point is evaluated on
         its own when the input has more, since numpy sends a one-row
         product to a dot kernel that rounds differently from the

@@ -56,7 +56,7 @@ class StencilOutOfDomain(GeometryError):
 
 
 class StabilityViolation(GeometryError):
-    """An explicit time step exceeds the mesh- or curve-dependent bound."""
+    """A curve flow rk4 step exceeds STEP_BOUND * (min spacing)^2."""
 
 
 class SolveFailure(GeometryError):

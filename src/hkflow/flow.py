@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (InsufficientHistory, NotBlowingUp, SolveFailure,
-                     StabilityViolation)
+from .errors import InsufficientHistory, NotBlowingUp, SolveFailure
 from .mesh import (PaddedMatrix, SurfaceMesh, mesh_bnorm,
                    mesh_mean_curvature, mesh_tangent_frames, write_off4)
 from .phase import containment_margin, tension
@@ -24,7 +23,7 @@ from .surfaces import (ParametricSurface, frames, mean_curvature,
                        midpoint_grid, normal_projection)
 from .util import write_jsonl
 
-MCF_SCHEMES = ("semi-implicit", "explicit")
+MCF_SCHEMES = ("semi-implicit",)   # the integrators mcf_step has
 TYPE1_TAIL = 0.4   # trailing fraction of a history that the Type-I fit reads
 CG_RTOL = 1e-10    # the implicit solve stops at |b - a x| < CG_RTOL |b|
 CG_MAXITER = 10000
@@ -96,24 +95,10 @@ class FlowHistory:
                    margin=cols.get("margin"), **kwargs)
 
 
-def _advance_vertices(state: FlowState, dt: float, scheme: str) -> np.ndarray:
-    """New vertex positions after one step from state, using the cotangent
-    matrix and mixed areas that its measurement assembled."""
+def _advance_vertices(state: FlowState, dt: float) -> np.ndarray:
+    """New vertex positions after one semi-implicit step from state, using
+    the cotangent matrix and mixed areas that its measurement assembled."""
     mesh = state.mesh
-    if scheme == "explicit":
-        h_min = mesh.min_edge_length()
-        bound = 0.25 * h_min * h_min
-        if dt > bound:
-            raise StabilityViolation(
-                f"explicit dt={dt:g} exceeds 0.25*h_min^2={bound:g}")
-        h, valid = mesh_mean_curvature(mesh, state.cot_matrix,
-                                       state.mixed_areas)
-        disp = np.where(valid[:, None], h, 0.0)
-        return mesh.vertices + dt * disp
-    if scheme != "semi-implicit":
-        raise ValueError(f"unknown scheme {scheme!r}; choose from "
-                         f"{MCF_SCHEMES}")
-
     a, rhs, x0 = _implicit_system(state, dt)
     diag = a.diagonal()
     if np.any(diag <= 0):
@@ -196,12 +181,11 @@ def _pcg(a: PaddedMatrix, b: np.ndarray, x0: np.ndarray,
                        f"{CG_MAXITER} iterations")
 
 
-def mcf_step(state: FlowState, dt: float,
-             scheme: str = "semi-implicit") -> FlowState:
-    """Advance the mesh by one step of mean curvature motion."""
+def mcf_step(state: FlowState, dt: float) -> FlowState:
+    """Advance the mesh by one semi-implicit step of mean curvature motion."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    verts = _advance_vertices(state, dt, scheme)
+    verts = _advance_vertices(state, dt)
     return FlowState.measure(state.mesh.with_vertices(verts), state.t + dt)
 
 
@@ -248,11 +232,11 @@ def march(state, advance, t_end: float, dt: float | None, every: int = 1,
 
 
 def run_mcf(mesh: SurfaceMesh, dt: float | None, t_end: float,
-            scheme: str = "semi-implicit", log_path=None,
-            checkpoint_every: int = 0, checkpoint_dir=None) -> FlowHistory:
+            log_path=None, checkpoint_every: int = 0,
+            checkpoint_dir=None) -> FlowHistory:
     """march to t_end, logging one flushed JSON record per state, so a run
     that an exception stops leaves every state it reached.  dt=None steps
-    0.2 h_min^2 of the initial mesh (explicit bound: 0.25 h_min^2)."""
+    0.2 h_min^2 of the initial mesh throughout."""
     if dt is None:
         dt = 0.2 * mesh.min_edge_length() ** 2
     first = state = FlowState.measure(mesh, 0.0)
@@ -261,7 +245,7 @@ def run_mcf(mesh: SurfaceMesh, dt: float | None, t_end: float,
         nonlocal state
         # past max|B| h_min = 0.5 the discrete curvature is under-resolved
         for k, t, state in march(
-                first, lambda s, h: mcf_step(s, h, scheme), t_end, dt,
+                first, mcf_step, t_end, dt,
                 guard=lambda s: s.max_b * s.mesh.min_edge_length() > 0.5):
             state.t = t   # the march's counted clock
             yield state.record()

@@ -336,11 +336,15 @@ def arc_distance(lam) -> np.ndarray:
 
 def containment_margin(lams) -> ContainmentReport:
     """Containment of a phase sample set (..., 3) in the complement of the
-    half circle.  arc_distance is exactly 0 on the half circle and positive
-    off it, so a zero distance is the exact membership test: it forces
-    margin 0 and the violation flag; otherwise the margin is the smallest
-    pointwise distance."""
-    margins = arc_distance(lams)
+    half circle (_containment of its arc_distance values)."""
+    return _containment(arc_distance(lams))
+
+
+def _containment(margins) -> ContainmentReport:
+    """Containment from pointwise arc_distance values.  arc_distance is
+    exactly 0 on the half circle and positive off it, so a zero distance is
+    the exact membership test: it forces margin 0 and the violation flag;
+    otherwise the margin is the smallest pointwise distance."""
     if margins.size == 0:
         raise ValueError("empty phase sample set")
     hit = bool(np.any(margins == 0.0))
@@ -353,17 +357,22 @@ def containment_margin(lams) -> ContainmentReport:
 # ---------------------------------------------------------------------------
 
 def write_phase_field_csv(path, family: ParametricSurface,
-                          n: int = 32) -> PhaseSample:
+                          n: int = 32) -> tuple[np.ndarray, ContainmentReport]:
     """Phase field on the midpoint grid of family.window() as CSV; returns
-    the PhaseSample written, of shape (n, n).
+    the (n, n, 3) phase grid and its containment, decided from the margin
+    column.
 
     Columns: u, v, lam1, lam2, lam3, e_del, e_delbar, detdJ, margin, where
-    margin is the pointwise distance to the half circle.
+    margin is the pointwise distance to the half circle.  Each column is
+    computed one block of points at a time (grid_geometry), so dJ is held
+    for one block only.
     """
+    def columns(fr, sff):
+        _, _, *energies = _dj_fields(fr.lam, _dj_shape_operator(fr, sff))
+        return fr.lam, *energies, arc_distance(fr.lam)
+
     ug, vg, _, _ = midpoint_grid(family.window(), n)
-    sample = phase_sample_exact(family, ug, vg)
-    margin = arc_distance(sample.lam)
-    cols = [ug, vg, sample.lam[..., 0], sample.lam[..., 1], sample.lam[..., 2],
-            sample.e_del, sample.e_delbar, sample.detdj, margin]
-    write_csv(path, "u,v,lam1,lam2,lam3,e_del,e_delbar,detdJ,margin", cols)
-    return sample
+    lam, *fields = grid_geometry(family, ug, vg, columns)
+    write_csv(path, "u,v,lam1,lam2,lam3,e_del,e_delbar,detdJ,margin",
+              [ug, vg, *np.moveaxis(lam, -1, 0), *fields])
+    return lam, _containment(fields[-1])

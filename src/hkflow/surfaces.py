@@ -71,8 +71,10 @@ def frames(jet: SurfaceJet) -> FrameData:
     g12 = np.sum(xu * xv, axis=-1)
     g22 = np.sum(xv * xv, axis=-1)
     det = g11 * g22 - g12 * g12
-    if np.any(det <= 1e-12 * g11 * g22):
-        raise DegenerateJet("tangent vectors are (numerically) dependent")
+    # a NaN fails every comparison: a metric that overflowed is degenerate
+    if not np.all(det > 1e-12 * g11 * g22):
+        raise DegenerateJet("tangent vectors are (numerically) dependent, "
+                            "or their metric is NaN")
 
     inv_n1 = 1.0 / np.sqrt(g11)
     e1 = xu * inv_n1[..., None]

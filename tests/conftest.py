@@ -25,8 +25,7 @@ def circle_flow():
 @pytest.fixture(scope="session")
 def icosphere_flow():
     """Coarse shrinking icosphere; the rescaling tests read its last state."""
-    return run_mcf(icosphere(3, 1.0), dt=1e-3, t_end=0.15,
-                   scheme="semi-implicit")
+    return run_mcf(icosphere(3, 1.0), dt=1e-3, t_end=0.15)
 
 
 @pytest.fixture()

@@ -268,8 +268,7 @@ def test_criterion_10_phase_evolution_refines():
 
 
 def test_criterion_11_mesh_radius_law_and_area():
-    hist = run_mcf(icosphere(4, 1.0), dt=5e-4, t_end=0.2,
-                   scheme="semi-implicit")
+    hist = run_mcf(icosphere(4, 1.0), dt=5e-4, t_end=0.2)
     assert not hist.truncated
     r2 = np.linalg.norm(hist.states[-1].mesh.vertices, axis=1) ** 2
     worst_final = float(np.max(np.abs(r2 - 0.2) / 0.2))
@@ -278,7 +277,7 @@ def test_criterion_11_mesh_radius_law_and_area():
     monotone = bool(np.all(np.diff(hist.area) < 0))
     from hkflow.curves import embed_torus
     tmesh, _ = embed_torus(PlaneCurve.circle(1.0, n=48), ny=24)
-    thist = run_mcf(tmesh, dt=1e-3, t_end=0.01, scheme="semi-implicit")
+    thist = run_mcf(tmesh, dt=1e-3, t_end=0.01)
     tmonotone = bool(np.all(np.diff(thist.area) < 0))
     ok = worst_final <= 0.02 and ratio_err <= 0.02 and monotone and tmonotone
     _line("11", ok, f"r^2 error {worst_final:.3%}, area-law error "

@@ -13,6 +13,8 @@ import pytest
 
 import hkflow
 from hkflow.cli import _IDENTITY_NAMES, _SCHEMA, main
+from hkflow.curves import CSF_SCHEMES
+from hkflow.flow import MCF_SCHEMES
 from hkflow.mesh import flat_square, icosphere, read_off4
 from hkflow.phase import phase_differential
 
@@ -259,6 +261,10 @@ CONFIG_ERRORS = {
     # name is checked before the run and not inside a step
     "curve-scheme-explicit": ("[flow]\nscheme = explicit\n", "flow-curve", ""),
     "mesh-scheme-rk4": ("[flow]\nscheme = rk4\n", "flow-mesh", ""),
+    # each flow has one integrator: these second ones are gone
+    "curve-scheme-semi-implicit": ("[flow]\nscheme = semi-implicit\n",
+                                   "flow-curve", ""),
+    "mesh-scheme-explicit": ("[flow]\nscheme = explicit\n", "flow-mesh", ""),
     "mesh-scheme-unknown-no-step": ("[flow]\nscheme = foo\nt_end = 0\n",
                                     "flow-mesh", ""),
     # float() reads nan and inf; no run can use them
@@ -349,26 +355,52 @@ def test_bad_input_is_a_config_error(tmp_path, monkeypatch, capsys, case):
 
 
 @pytest.mark.parametrize("command, choices", [
-    ("flow-curve", "('auto', 'rk4', 'semi-implicit')"),
-    ("flow-mesh", "('auto', 'semi-implicit', 'explicit')"),
+    ("flow-curve", "('auto', 'rk4')"),
+    ("flow-mesh", "('auto', 'semi-implicit')"),
 ])
 def test_unknown_scheme_names_the_choices(tmp_path, capsys, command, choices):
-    cfg = config(tmp_path, "[flow]\nscheme = foo\n")
-    assert main(["--config", cfg, "--out", str(tmp_path / "out"),
-                 command]) == 1
-    err = capsys.readouterr().err
-    assert err == (f"hkflow: config error: unknown [flow] scheme 'foo'; "
-                   f"choose from {choices}\n")
+    """An unknown name, a removed integrator (the curve's semi-implicit,
+    the mesh's explicit) or the other flow's integrator."""
+    for name in ("foo", "rk4", "semi-implicit", "explicit"):
+        if f"'{name}'" in choices:
+            continue
+        cfg = config(tmp_path, f"[flow]\nscheme = {name}\n")
+        assert main(["--config", cfg, "--out", str(tmp_path / "out"),
+                     command]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"hkflow: config error: unknown [flow] scheme "
+                       f"'{name}'; choose from {choices}\n")
+
+
+@pytest.mark.parametrize("command, scheme", [("flow-curve", "rk4"),
+                                            ("flow-mesh", "semi-implicit")])
+def test_a_flow_runs_under_its_scheme_name(tmp_path, command, scheme):
+    """Naming a flow's one integrator gives the bytes of scheme = auto."""
+    outs = []
+    for name in ("auto", scheme):
+        cfg = config(tmp_path, "[curve]\nn = 32\n[mesh]\nsubdivisions = 2\n"
+                               f"[flow]\nt_end = 0.01\nscheme = {name}\n")
+        outs.append(tmp_path / name)
+        assert main(["--config", cfg, "--out", str(outs[-1]), command]) == 0
+    assert (outs[0] / "history.jsonl").read_bytes() \
+        == (outs[1] / "history.jsonl").read_bytes()
 
 
 def test_readme_config_reference_matches_schema():
-    """README's configuration table lists every key with its default."""
-    readme = Path(__file__).resolve().parents[1] / "README.md"
+    """README's configuration table lists every key with its default, and
+    its scheme list names each flow's integrators."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     rows = re.findall(r"^\| `\[(\w+)\]` \| `(\w+)` \| `([^`]*)` \|",
-                      readme.read_text(), flags=re.MULTILINE)
+                      text, flags=re.MULTILINE)
     assert rows == [(sec, key, str(default))
                     for sec, keys in _SCHEMA.items()
                     for key, (_, default) in keys.items()]
+    listed = dict(re.findall(
+        r"^- `(flow-\w+)` accepts `auto` and ((?:`[\w-]+`(?:,? and |, )?)+)",
+        text, flags=re.MULTILINE))
+    assert {flow: tuple(re.findall(r"`([\w-]+)`", names))
+            for flow, names in listed.items()} == {
+        "flow-curve": CSF_SCHEMES, "flow-mesh": MCF_SCHEMES}
 
 
 def test_analyze_non_unit_v0_is_a_config_error(tmp_path, capsys):
@@ -551,26 +583,30 @@ def test_flow_mesh_ends_at_t_end(tmp_path):
     assert not summary["truncated"]
 
 
-def test_flow_mesh_explicit_dt_too_large_exits_2(tmp_path):
+def test_flow_mesh_stopped_by_guard_leaves_its_records(tmp_path,
+                                                       monkeypatch):
+    """The second step meets a geometric guard (a folded vertex of the new
+    mesh), so the run exits 2.  The history holds the two states reached,
+    as a finished run writes them."""
+    import hkflow.flow
+    from hkflow.errors import FoldedVertex
+
+    step, steps = hkflow.flow.mcf_step, []
+
+    def folds_on_second_step(state, dt):
+        steps.append(dt)
+        if len(steps) == 2:
+            raise FoldedVertex("the new one-ring folds over itself")
+        return step(state, dt)
+
+    monkeypatch.setattr(hkflow.flow, "mcf_step", folds_on_second_step)
     cfg = config(tmp_path, "\n".join([
         "[mesh]", "kind = icosphere", "subdivisions = 2",
-        "[flow]", "dt = 0.1", "t_end = 0.2", "scheme = explicit",
-    ]))
-    code = main(["--config", cfg, "--out", str(tmp_path / "out"),
-                 "flow-mesh"])
-    assert code == 2
-
-
-def test_flow_mesh_stopped_by_guard_leaves_its_records(tmp_path):
-    """dt sits just under 0.25 h_min^2 of icosphere(2); one explicit step
-    shrinks the edges below the bound, so the second step raises.  The
-    history holds the two states reached, as a finished run writes them."""
-    cfg = config(tmp_path, "\n".join([
-        "[mesh]", "kind = icosphere", "subdivisions = 2",
-        "[flow]", "dt = 0.019", "t_end = 0.2", "scheme = explicit",
+        "[flow]", "dt = 0.019", "t_end = 0.2",
     ]))
     out = tmp_path / "out"
     assert main(["--config", cfg, "--out", str(out), "flow-mesh"]) == 2
+    assert steps == [0.019, 0.019]
     records = [json.loads(line) for line in
                (out / "history.jsonl").read_text().splitlines()]
     assert [r["t"] for r in records] == [0.0, 0.019]
@@ -637,6 +673,20 @@ def test_phase_cylinder_touches_forbidden_set(tmp_path):
     assert np.allclose(rows[:, 2], 0.0, atol=1e-12)
 
 
+def test_phase_of_an_overflowing_sphere_exits_2(tmp_path, capsys):
+    """At radius 1e200 the metric r^2, r^4 overflows to NaN: the run is a
+    DegenerateJet, and no JSON holds a NaN (phase_report.json is not
+    written at all)."""
+    cfg = config(tmp_path, "[surface]\nradius = 1e200\n")
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out = run(tmp_path, "--config", cfg, "phase", "--surface",
+                        "sphere")
+    assert code == 2
+    assert capsys.readouterr().err.startswith("hkflow: DegenerateJet")
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+    assert "NaN" not in (out / "manifest.json").read_text()
+
+
 def test_phase_reaper_stays_clear(tmp_path):
     code, out = run(tmp_path, "phase", "--surface", "grim-reaper")
     assert code == 0
@@ -651,7 +701,7 @@ def test_phase_reaper_stays_clear(tmp_path):
 # diagnostics.json, phase_field.csv, verify_report.json, summary.json and
 # analyze_report.json that a run writes, then of every snapshot CSV, in that
 # order.  Each case is (command line, config, digest); "analyze" reads
-# TYPE1_LOG from log.jsonl.  The first four were recorded at the parent
+# TYPE1_LOG from log.jsonl.  The first three were recorded at the parent
 # commit of the spectral factor cache, the 17-digit row writer and the
 # blocked torus jets, the last four at the parent commit of the shared
 # trajectory-log reader and writer, the shared Type-I report and the shared
@@ -668,11 +718,6 @@ GOLDEN = {
     "rk4": ("flow-curve", "[curve]\nfamily = perturbed-circle\nn = 64\n"
             "[flow]\nt_end = 0.05\nsnapshot_every = 5\n",
             "5a32c235ec05e937f38d838de523dda66423e055405958a7409539a4a5e16b72"),
-    "semi-implicit": (
-        "flow-curve", "[curve]\nfamily = perturbed-circle\nn = 64\n"
-        "[flow]\ndt = 2e-3\nt_end = 0.05\nscheme = semi-implicit\n"
-        "snapshot_every = 5\n",
-        "0c34ab98151230c15155b04239dd3e58b285d09cbaeecd04459f404eb4477ba1"),
     "torus-16": ("phase --surface torus", "[surface]\nn = 16\n",
                  "25d123f762b598e2c47409d2e48d028a4787955121b0e602eb720dd85e3fc272"),
     # 48 x 48 points but 48 distinct u: the torus jets of those are

@@ -11,6 +11,7 @@ from hkflow.errors import (DegenerateDerivative, GeometryError,
                            OriginCollision, PointOnCurve, StabilityViolation)
 from hkflow.flow import type1_monitor
 from hkflow.surfaces import frames, mean_curvature
+from hkflow.util import BLOCK
 
 
 def _limacon(n=256):
@@ -131,14 +132,10 @@ def test_csf_circle_shrinking_law():
     assert not res.truncated
 
 
-def test_csf_schemes_consistent():
+def test_csf_fixed_step_keeps_the_exact_circle_radius():
     exact = np.sqrt(1.0 - 4.0 * 0.01)
     rk = run_csf(PlaneCurve.circle(1.0, n=128), t_end=0.01, dt=1e-5)
     assert np.max(np.abs(np.abs(rk.final().samples) - exact)) < 1e-12
-    si = run_csf(PlaneCurve.circle(1.0, n=128), t_end=0.01, dt=1e-5,
-                 scheme="semi-implicit")
-    # first order in time, unconditionally stable
-    assert np.max(np.abs(np.abs(si.final().samples) - exact)) < 1e-5
 
 
 def test_csf_step_guards():
@@ -146,8 +143,9 @@ def test_csf_step_guards():
     h = c.min_spacing()
     with pytest.raises(StabilityViolation):
         csf_step(c, dt=0.3 * h * h)
-    with pytest.raises(ValueError):
-        csf_step(c, dt=1e-5, scheme="euler")
+    # the step has one integrator and no scheme to choose
+    with pytest.raises(TypeError):
+        csf_step(c, dt=1e-5, scheme="semi-implicit")
     # a loop skimming the origin trips the guard band on the first step
     near = PlaneCurve.circle(1.0, center=1.0005, n=128)
     with pytest.raises(OriginCollision):
@@ -356,7 +354,6 @@ def test_embed_torus_mesh_matches_family_area():
 
 
 def test_gamma_jets_blocks_match_one_shot_product():
-    from hkflow.curves import JET_BLOCK
     fam = TorusFromCurve(_limacon(64))
 
     def one_shot(u):
@@ -364,7 +361,7 @@ def test_gamma_jets_blocks_match_one_shot_product():
         return [e @ c for c in fam._coefs]
 
     rng = np.random.default_rng(3)
-    for shape in [(2 * JET_BLOCK + 1,), (70, 71), (), (5,)]:
+    for shape in [(2 * BLOCK + 1,), (70, 71), (), (5,)]:
         u = rng.uniform(0.0, 2 * np.pi, shape)
         got = fam._gamma_jets(u)
         for a, b in zip(got, one_shot(u)):
@@ -433,7 +430,7 @@ def test_rk4_step_makes_ten_transforms(monkeypatch):
     reads the derivatives the curve measured at construction."""
     c = PlaneCurve.circle(1.0, n=256)
     calls = _count_transforms(monkeypatch)
-    csf_step(c, 0.1 * c.min_spacing() ** 2, "rk4")
+    csf_step(c, 0.1 * c.min_spacing() ** 2)
     assert len(calls) == 10
 
 

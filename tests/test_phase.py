@@ -341,14 +341,17 @@ def test_containment_margin_exact_hit():
 
 def test_phase_field_csv(tmp_path):
     path = tmp_path / "field.csv"
-    sample = write_phase_field_csv(path, Cylinder(1.0, half_length=1.0), n=8)
+    lam, contain = write_phase_field_csv(path, Cylinder(1.0, half_length=1.0),
+                                         n=8)
     rows = np.loadtxt(path, delimiter=",", skiprows=1)
     assert rows.shape == (64, 9)
-    # 17 digits round-trip: the margins of the returned sample are the
-    # written ones
-    margin = arc_distance(sample.lam)
+    # 17 digits round-trip: the margins of the returned phase grid are the
+    # written ones, and its containment is decided from them
+    margin = arc_distance(lam)
     assert margin.shape == (8, 8)
     assert np.array_equal(margin.ravel(), rows[:, 8])
+    assert contain == containment_margin(lam)
+    assert np.array_equal(lam.reshape(-1, 3), rows[:, 2:5])
     header = path.read_text().splitlines()[0]
     assert header == "u,v,lam1,lam2,lam3,e_del,e_delbar,detdJ,margin"
     lam = rows[:, 2:5]
