@@ -56,6 +56,8 @@ class PlaneCurve:
     """
 
     samples: np.ndarray
+    # the derivative rows; _from_rows sets them ahead of __post_init__
+    _derivatives = None
 
     def __post_init__(self):
         z = np.asarray(self.samples)
@@ -81,7 +83,8 @@ class PlaneCurve:
             raise OriginCollision("curve passes through the origin")
         self._diameter = d
         self._min_spacing = h
-        self._derivatives = readonly(_first_two_derivatives(z))
+        if self._derivatives is None:
+            self._derivatives = readonly(_first_two_derivatives(z))
 
     @property
     def n(self) -> int:
@@ -100,6 +103,15 @@ class PlaneCurve:
     def derivatives(self) -> np.ndarray:
         """gamma' and gamma'' at the samples, as read-only (2, n) rows."""
         return self._derivatives
+
+    @classmethod
+    def _from_rows(cls, rows: np.ndarray) -> "PlaneCurve":
+        """PlaneCurve(rows[0]), carrying rows[1:] as its derivatives; the
+        caller vouches that they are those of rows[0]'s spectrum."""
+        curve = cls.__new__(cls)
+        curve.samples, curve._derivatives = rows[0], readonly(rows[1:])
+        curve.__post_init__()
+        return curve
 
     @classmethod
     def circle(cls, radius: float = 1.0, center: complex = 0.0,
@@ -137,8 +149,25 @@ def _derivative_stack(n: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def _filter_profile(n: int) -> np.ndarray:
+    """High-order exponential smoothing of the top of the spectrum.
+
+    Pseudospectral products alias onto near-Nyquist modes; left alone the
+    aliased energy grows a few percent per step and eventually stalls the
+    flow at a spurious discrete equilibrium.  The exp(-36 (k/kmax)^36)
+    profile is machine-zero at Nyquist and below 1e-9 for |k| <= kmax/2,
+    so resolved content is untouched even over millions of steps.
+    """
     k = np.abs(_spectral_modes(n)) / (n // 2)
     return readonly(np.exp(-36.0 * k ** 36))
+
+
+@functools.lru_cache(maxsize=32)
+def _filter_stack(n: int) -> np.ndarray:
+    """_filter_profile(n) and its products with _derivative_stack(n), as
+    (3, n) rows."""
+    profile = _filter_profile(n)
+    return readonly(np.concatenate(([profile],
+                                    profile * _derivative_stack(n))))
 
 
 def spectral_derivative(values: np.ndarray, order: int = 1) -> np.ndarray:
@@ -192,22 +221,27 @@ def _flow_rhs(samples: np.ndarray) -> np.ndarray:
 
 
 def _velocity(samples: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Flow velocity from the samples and their first two derivatives."""
-    _, nrm, kap = _curvature_frame(d)
-    gperp = np.real(samples * np.conj(nrm)) * nrm
-    return kap - gperp / np.abs(samples) ** 2
+    """Flow velocity from the samples and their first two derivatives.
 
-
-def _spectral_filter(values: np.ndarray) -> np.ndarray:
-    """High-order exponential smoothing of the top of the spectrum.
-
-    Pseudospectral products alias onto near-Nyquist modes; left alone the
-    aliased energy grows a few percent per step and eventually stalls the
-    flow at a spurious discrete equilibrium.  The exp(-36 (k/kmax)^36)
-    profile is machine-zero at Nyquist and below 1e-9 for |k| <= kmax/2,
-    so resolved content is untouched even over millions of steps.
+    The curvature vector less gamma^perp / |gamma|^2 is
+    (gamma'' - gamma' c) / |gamma'|^2 with
+    c = Re(conj(gamma') gamma'') / |gamma'|^2
+        + i Im(gamma conj(gamma')) / |gamma|^2,
+    which needs no unit normal.
     """
-    return np.fft.ifft(np.fft.fft(values) * _filter_profile(len(values)))
+    g1, g2 = d
+    g1c = np.conj(g1)
+    speed2 = np.abs(g1) ** 2
+    c = np.empty_like(g1)
+    np.divide(np.real(g1c * g2), speed2, out=c.real)
+    np.divide(np.imag(samples * g1c), np.abs(samples) ** 2, out=c.imag)
+    return (g2 - g1 * c) / speed2
+
+
+def _filtered_rows(values: np.ndarray) -> np.ndarray:
+    """The spectrally filtered values and their first two derivatives as
+    (3, n) rows, from one forward and one stacked inverse transform."""
+    return np.fft.ifft(np.fft.fft(values) * _filter_stack(len(values)))
 
 
 STEP_BOUND = 0.2   # c in the parabolic step bound dt <= c * spacing^2
@@ -234,11 +268,11 @@ def csf_step(curve: PlaneCurve, dt: float) -> PlaneCurve:
     k2 = _flow_rhs(z + 0.5 * dt * k1)
     k3 = _flow_rhs(z + 0.5 * dt * k2)
     k4 = _flow_rhs(z + dt * k3)
-    z_new = _spectral_filter(z + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
-    if np.abs(z_new).min() < 1e-3 * curve.diameter():
+    rows = _filtered_rows(z + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
+    if np.abs(rows[0]).min() < 1e-3 * curve.diameter():
         raise OriginCollision("curve entered the origin guard band")
     try:
-        return PlaneCurve(z_new)
+        return PlaneCurve._from_rows(rows)
     except ValueError as exc:
         raise GeometryError(
             f"the step left the supported curves: {exc}") from exc

@@ -343,6 +343,11 @@ def type1_monitor(history: FlowHistory) -> Type1Report:
         raise InsufficientHistory(f"need at least 5 history points, got {len(t)}")
     n_tail = max(2, int(math.ceil(TYPE1_TAIL * len(t))))
     tt, bb = t[-n_tail:], b[-n_tail:]
+    # a run stopped at the blow-up time: its tail times agree to about the
+    # square root of the rounding unit, and no fit resolves them
+    if tt[-1] - tt[0] <= math.sqrt(np.finfo(float).eps) * abs(tt[-1]):
+        raise InsufficientHistory("the tail times are too close together "
+                                  "to fit")
     y = 1.0 / (bb * bb)
     a_mat = np.stack([np.ones_like(tt), tt], axis=1)
     coef, res, rank, _sv = np.linalg.lstsq(a_mat, y, rcond=None)
@@ -354,16 +359,11 @@ def type1_monitor(history: FlowHistory) -> Type1Report:
     if dof > 0:
         resid = y - a_mat @ coef
         sigma2 = float(resid @ resid) / dof
-        try:
-            cov = sigma2 * np.linalg.inv(a_mat.T @ a_mat)
-        except np.linalg.LinAlgError:
-            # a run stopped at the blow-up time: the tail times agree to
-            # about the square root of the rounding unit
-            raise InsufficientHistory(
-                "the tail times are too close to fit a covariance") from None
+        # the covariance sigma2 (A^T A)^-1 is sigma2 R^-1 R^-T for the R
+        # factor of A
         grad = np.array([-1.0 / beta, alpha / (beta * beta)])
-        var_t = float(grad @ cov @ grad)
-        ci = 1.96 * math.sqrt(max(var_t, 0.0))
+        w = grad @ np.linalg.inv(np.linalg.qr(a_mat, mode="r"))
+        ci = 1.96 * math.sqrt(sigma2 * float(w @ w))
     else:
         ci = 0.0
     gap = np.maximum(t_est - tt, 0.0)

@@ -67,14 +67,16 @@ class FrameData:
 def frames(jet: SurfaceJet) -> FrameData:
     """Adapted frame (e1, e2, nu1, nu2) and phase direction for a jet."""
     xu, xv = jet.xu, jet.xv
-    g11 = np.sum(xu * xu, axis=-1)
-    g12 = np.sum(xu * xv, axis=-1)
-    g22 = np.sum(xv * xv, axis=-1)
-    det = g11 * g22 - g12 * g12
-    # a NaN fails every comparison: a metric that overflowed is degenerate
-    if not np.all(det > 1e-12 * g11 * g22):
-        raise DegenerateJet("tangent vectors are (numerically) dependent, "
-                            "or their metric is NaN")
+    # a NaN fails every comparison: a metric that overflowed is degenerate,
+    # so the det test rejects it without the overflow's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        g11 = np.sum(xu * xu, axis=-1)
+        g12 = np.sum(xu * xv, axis=-1)
+        g22 = np.sum(xv * xv, axis=-1)
+        det = g11 * g22 - g12 * g12
+        if not np.all(det > 1e-12 * g11 * g22):
+            raise DegenerateJet("tangent vectors are (numerically) "
+                                "dependent, or their metric is NaN")
 
     inv_n1 = 1.0 / np.sqrt(g11)
     e1 = xu * inv_n1[..., None]

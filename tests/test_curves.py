@@ -3,13 +3,18 @@ import numpy as np
 import pytest
 
 from hkflow.curves import (DIAMETER_RANGE, CurveFlowResult, PlaneCurve,
-                           TorusFromCurve, b_norm_history, csf_step,
-                           curvature_vector, diagnostics, embed_torus, run_csf,
-                           spectral_derivative, torus_area, torus_bnorm2,
-                           winding_number, write_curve_csv)
+                           TorusFromCurve, _curvature_frame,
+                           _derivative_factor, _filter_profile, _filter_stack,
+                           _filtered_rows, _first_two_derivatives,
+                           _step_bound, _velocity, b_norm_history, csf_march,
+                           csf_step, curvature_vector, diagnostics,
+                           embed_torus, run_csf, spectral_derivative,
+                           torus_area, torus_bnorm2, winding_number,
+                           write_curve_csv)
 from hkflow.errors import (DegenerateDerivative, GeometryError,
-                           OriginCollision, PointOnCurve, StabilityViolation)
-from hkflow.flow import type1_monitor
+                           InsufficientHistory, OriginCollision, PointOnCurve,
+                           StabilityViolation)
+from hkflow.flow import march, type1_monitor
 from hkflow.surfaces import frames, mean_curvature
 from hkflow.util import BLOCK
 
@@ -425,13 +430,15 @@ def _count_transforms(monkeypatch):
 
 
 def test_rk4_step_makes_ten_transforms(monkeypatch):
-    """Three stages of one forward and one stacked inverse transform, the
-    filter's pair, and the new curve's derivative pair; the first stage
-    reads the derivatives the curve measured at construction."""
+    """Eight: three stages of one forward and one stacked inverse
+    transform, and one filtered pair that gives the new curve with its
+    derivatives; the first stage reads the derivatives the curve measured
+    at construction.  (A step made ten before the filter and the new
+    curve's derivatives shared a pair; the name is kept.)"""
     c = PlaneCurve.circle(1.0, n=256)
     calls = _count_transforms(monkeypatch)
     csf_step(c, 0.1 * c.min_spacing() ** 2)
-    assert len(calls) == 10
+    assert len(calls) == 8
 
 
 def test_b_norm_history_snapshot_makes_two_transforms(monkeypatch):
@@ -472,6 +479,101 @@ def _random_curve_samples(rng, n):
     r = 1.0 + sum(m * np.exp(1j * (k + 1) * x) for k, m in enumerate(modes))
     loop = r * np.exp(1j * x) + 1e-3 * rng.standard_normal((n, 2)) @ [1, 1j]
     return rng.uniform(0.1, 10.0) * loop
+
+
+def _reference_velocity(samples, d):
+    """The flow velocity as csf_step formed it before, through the unit
+    normal of _curvature_frame."""
+    _, nrm, kap = _curvature_frame(d)
+    gperp = np.real(samples * np.conj(nrm)) * nrm
+    return kap - gperp / np.abs(samples) ** 2
+
+
+def _reference_step(curve, dt):
+    """The rk4 step as csf_step took it before: the velocity through the
+    unit normal, the filter on its own transform pair, and the new curve
+    measuring its derivatives from its samples."""
+    def rhs(s):
+        return _reference_velocity(s, _first_two_derivatives(s))
+
+    z = curve.samples
+    k1 = _reference_velocity(z, curve.derivatives())
+    k2 = rhs(z + 0.5 * dt * k1)
+    k3 = rhs(z + 0.5 * dt * k2)
+    k4 = rhs(z + dt * k3)
+    z_new = np.fft.ifft(np.fft.fft(z + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
+                       * _filter_profile(len(z)))
+    if np.abs(z_new).min() < 1e-3 * curve.diameter():
+        raise OriginCollision("curve entered the origin guard band")
+    return PlaneCurve(z_new)
+
+
+def test_velocity_equals_the_unit_normal_route():
+    rng = np.random.default_rng(25)
+    for n in (16, 17, 64, 255, 256, 512):
+        for _ in range(20):
+            z = _random_curve_samples(rng, n)
+            d = _first_two_derivatives(z)
+            expect = _reference_velocity(z, d)
+            err = np.max(np.abs(_velocity(z, d) - expect))
+            assert err <= 4 * np.finfo(float).eps * np.max(np.abs(expect))
+
+
+@pytest.mark.parametrize("n", [16, 17, 64, 255, 256, 512])
+def test_filtered_rows_are_the_filter_and_its_derivatives(n):
+    """Row 0 is the filtered values bit for bit, rows 1-2 the stacked
+    inverse of the spectrum times the profile and (i k)^1, (i k)^2; a curve
+    made from the rows carries them and is validated as PlaneCurve is."""
+    rng = np.random.default_rng(n)
+    v = _random_curve_samples(rng, n)
+    rows = _filtered_rows(v)
+    spectrum = np.fft.fft(v)
+    k = np.abs(np.fft.fftfreq(n, d=1.0 / n)) / (n // 2)
+    profile = np.exp(-36.0 * k ** 36)
+    assert np.array_equal(profile, _filter_profile(n))
+    ik = np.stack([_derivative_factor(n, 1), _derivative_factor(n, 2)])
+    expect = [np.fft.ifft(spectrum * profile),
+              *np.fft.ifft(spectrum * (profile * ik))]
+    for got, want in zip(rows, expect):
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got.view(float)),
+                              np.signbit(want.view(float)))
+    stack = _filter_stack(n)
+    assert stack is _filter_stack(n) and not stack.flags.writeable
+    c = PlaneCurve._from_rows(rows)
+    assert np.array_equal(c.samples, rows[0]) and not c.samples.flags.writeable
+    assert np.array_equal(c.derivatives(), rows[1:])
+    assert not c.derivatives().flags.writeable
+    assert c.diameter() == PlaneCurve(rows[0]).diameter()
+    with pytest.raises(ValueError, match="outside the supported range"):
+        PlaneCurve._from_rows(rows * 1e120)
+
+
+@pytest.mark.parametrize("eps, t_end, steps", [(0.0, 0.24, 6679),
+                                               (0.05, 0.2, 4054)])
+def test_rk4_step_agrees_with_the_reference_step(eps, t_end, steps):
+    """csf_march takes as many steps as the reference route on the circle
+    and on the perturbed circle (mode 3) and ends within 1e-12 of it."""
+    c = PlaneCurve.from_function(
+        lambda x: np.exp(1j * x) * (1 + eps * np.cos(3 * x)), n=256)
+    *_, (k_ref, t_ref, ref) = march(c, _reference_step, t_end, None,
+                                    10 ** 9, bound=_step_bound,
+                                    stops=OriginCollision)
+    *_, (k, t, got) = csf_march(c, t_end, snapshot_every=10 ** 9)
+    assert k == k_ref == steps and t == t_ref == t_end
+    err = np.max(np.abs(got.samples - ref.samples))
+    assert err <= 1e-12 * np.max(np.abs(ref.samples))
+
+
+@pytest.mark.parametrize("every", [1, 10, 25])
+def test_a_run_stopped_at_the_blow_up_time_has_no_type1_fit(every):
+    """The n = 16 circle run to T = 0.25 stops with tail times closer than
+    sqrt(eps) t, which the Type-I fit refuses at every cadence."""
+    res = run_csf(PlaneCurve.circle(1.0, n=16), t_end=0.25,
+                  snapshot_every=every)
+    assert res.truncated
+    with pytest.raises(InsufficientHistory, match="too close together"):
+        type1_monitor(b_norm_history(res))
 
 
 def test_plane_curve_measures_equal_ptp_and_diff_routes():
