@@ -29,6 +29,7 @@ import numpy as np
 import scipy
 
 from . import __version__
+from .checks import IDENTITIES, identity_suite
 from .curves import (CSF_SCHEMES, PlaneCurve, TorusFromCurve, csf_march,
                      diagnostics, embed_torus, snapshot_record,
                      write_curve_csv)
@@ -36,13 +37,10 @@ from .errors import GeometryError, InsufficientHistory, NotBlowingUp
 from .flow import (MCF_SCHEMES, FlowHistory, run_mcf, translator_residual,
                    type1_monitor)
 from .mesh import flat_square, icosphere
-from .phase import (ENERGY_TOL, coupling_residual, degree, euler_numbers,
-                    gauss_normal_curvatures, phase_differential,
-                    phase_sample_exact, write_phase_field_csv)
-from .structure import QUATERNIONIC_TOL, standard_structure
+from .phase import write_phase_field_csv
 from .surfaces import (Cylinder, GrimReaper, Plane, QuadraticGraph, Sphere,
                        frames, mean_curvature, second_fundamental_form)
-from .util import json_dumps, random_rotation, write_jsonl
+from .util import json_dumps, write_jsonl
 
 # Config schema: section -> key -> (parser, default).  Values stay strings
 # until resolve() so that unknown keys in a file can be rejected by name.
@@ -235,148 +233,33 @@ def write_manifest(out: Path, command: str, argv: list, cfg: dict) -> None:
 # verify
 # ---------------------------------------------------------------------------
 
-# identity -> tolerance on its max residual, in report order
-_TOLERANCES = {"quaternionic": QUATERNIONIC_TOL, "phase-block": 1e-10,
-               "coupling": 1e-5, "energy": ENERGY_TOL, "det-gauss": 1e-6,
-               "det-norms": 1e-6, "degree-torus": 1e-3, "degree-sphere": 1e-2}
-_IDENTITY_NAMES = tuple(_TOLERANCES)
-# the identities that sample families of their own, not the --surface one
-_OWN_FAMILIES = ("det-gauss", "det-norms", "degree-torus", "degree-sphere")
-
-
-def _worst(residuals) -> float:
-    """The largest residual, NaN when any is NaN.  The builtin max keeps a
-    number against a later NaN (nan > x is False), which would report a
-    broken identity as a pass."""
-    return float(np.max(np.asarray(residuals, dtype=float)))
-
-
-def _phase_block(s, fr) -> float:
-    """max over a and the points of |omega_a(e1, e1)|, |omega_a(e2, e2)|
-    and |omega_a(e1, e2) - lam_a|."""
-    return _worst([np.max(np.abs(r)) for a in (1, 2, 3) for r in (
-        s.kahler_form(a, fr.e1, fr.e1), s.kahler_form(a, fr.e2, fr.e2),
-        s.kahler_form(a, fr.e1, fr.e2) - fr.lam[..., a - 1])])
-
-
-def _family_residuals(s, samples, full: bool) -> dict:
-    """Max phase-block residual over the (family, u, v) in samples and, when
-    full, the max coupling and energy residuals.  Each family takes one
-    jet -> frames -> sff pass here, and when full a second one inside
-    phase_differential, which also evaluates its stencil jets."""
-    res = {}
-    for fam, u, v in samples:
-        jet = fam.jet(u, v)
-        fr = frames(jet)
-        rows = {"phase-block": _phase_block(s, fr)}
-        if full:
-            sff = second_fundamental_form(jet, fr)
-            h = mean_curvature(jet, fr, sff)
-            smp = phase_differential(fam, u, v)
-            rows["coupling"] = float(np.max(coupling_residual(fr, sff,
-                                                              smp.dj)))
-            rows["energy"] = float(np.max(np.abs(
-                smp.e_del - 0.25 * np.sum(h * h, axis=-1))))
-        for name, r in rows.items():
-            res[name] = _worst([res.get(name, 0.0), r])
-    return res
-
-
-def _det_residuals(samples) -> dict:
-    """Max det-gauss and det-norms residuals over the (graph, u, v) in
-    samples."""
-    worst_g = worst_n = 0.0
-    for fam, u, v in samples:
-        jet = fam.jet(u, v)
-        fr = frames(jet)
-        sff = second_fundamental_form(jet, fr)
-        smp = phase_sample_exact(fam, u, v)
-        kap, kperp = gauss_normal_curvatures(sff)
-        h = mean_curvature(jet, fr, sff)
-        h2 = np.sum(h * h, axis=-1)
-        worst_g = _worst([worst_g, np.max(
-            np.abs(smp.detdj - (kap + kperp)))])
-        worst_n = _worst([worst_n, np.max(
-            np.abs(smp.detdj - (0.5 * h2 - 0.5 * smp.dj_norm2())))])
-    return {"det-gauss": worst_g, "det-norms": worst_n}
-
-
-def _identity_suite(cfg, rng, surface_only: str | None, suite):
-    """(name, residual, tolerance) triples, in _IDENTITY_NAMES order, of
-    the identities in suite; no other identity is evaluated.
-
-    Every draw from rng comes first, in one fixed order whatever suite and
-    surface_only say: the families (the quadratic graph's coefficients),
-    the quaternionic rotation, one sample_domain set per family in family
-    order, then the 20 det graphs, each graph's coefficients followed by
-    its samples.  So a subset reports the same rows as the full suite.  An
-    identity added later appends its draws at the end."""
-    s = standard_structure()
-    want = set(suite)
-    names = (("plane", "cylinder", "sphere", "grim-reaper", "quadratic-graph")
-             if surface_only is None else (surface_only,))
-    families = [_make_surface(cfg, rng, name) for name in names]
-    rotation = random_rotation(rng)
-
-    def sampled(fam):
-        return fam, *fam.sample_domain(rng, cfg["surface"]["points"])
-
-    samples = [sampled(fam) for fam in families]
-    graphs = [sampled(QuadraticGraph.random(rng)) for _ in range(20)]
-
-    res = {}
-    if "quaternionic" in want:
-        res["quaternionic"] = _worst([
-            s.quaternionic_residual(),
-            s.rotate(rotation).quaternionic_residual()])
-    if want & {"phase-block", "coupling", "energy"}:
-        res.update(_family_residuals(s, samples,
-                                     bool(want & {"coupling", "energy"})))
-    if want & {"det-gauss", "det-norms"}:
-        res.update(_det_residuals(graphs))
-    # the degrees draw nothing and grid the sphere at 128 x 128: let the
-    # samples go first
-    del samples, graphs
-    if "degree-torus" in want:
-        res["degree-torus"] = abs(degree(
-            TorusFromCurve(PlaneCurve.circle(1.0, n=256)), n=64))
-    if "degree-sphere" in want:
-        fam = _make_surface(cfg, rng, "sphere")
-        chi_t, chi_n = euler_numbers(fam, n=128)
-        res["degree-sphere"] = abs(2.0 * degree(fam, n=128) - (chi_t + chi_n))
-    return [(name, res[name], _TOLERANCES[name]) for name in _IDENTITY_NAMES
-            if name in want]
-
-
 def cmd_verify(cfg, args, out: Path) -> int:
     rng = np.random.default_rng(cfg["scenario"]["seed"])
-    suite = [t.strip() for t in args.suite.split(",")] \
-        if args.suite != "all" else list(_IDENTITY_NAMES)
-    unknown = [t for t in suite if t not in _IDENTITY_NAMES]
+    own = {row.name: row.own_families for row in IDENTITIES}
+    suite = list(own) if args.suite == "all" else [
+        t.strip() for t in args.suite.split(",")]
+    unknown = [t for t in suite if t not in own]
     if unknown:
         raise ConfigError(f"unknown identities {unknown}; choose from "
-                          f"{_IDENTITY_NAMES}")
-    if args.surface is not None:
-        idle = [t for t in suite if t in _OWN_FAMILIES]
-        if args.suite != "all" and idle:
-            raise ConfigError(f"identities {idle} do not run with --surface; "
-                              f"they sample families of their own")
-        suite = [t for t in suite if t not in _OWN_FAMILIES]
+                          f"{tuple(own)}")
+    idle = [t for t in suite if args.surface is not None and own[t]]
+    if idle and args.suite != "all":
+        raise ConfigError(f"identities {idle} do not run with --surface; "
+                          f"they sample families of their own")
     identities = {}
     all_pass = True
-    for name, res, tol in _identity_suite(cfg, rng, args.surface, suite):
+    for name, res, tol in identity_suite(
+            lambda name: _make_surface(cfg, rng, name), rng,
+            cfg["surface"]["points"], [t for t in suite if t not in idle],
+            args.surface):
         ok = res <= tol
         all_pass = all_pass and ok
         identities[name] = {"residual": res, "tolerance": tol, "pass": ok}
         print(f"{name:14s} residual {res:.3e}  tol {tol:.0e}  "
               f"{'PASS' if ok else 'FAIL'}")
-    report = {
-        "scenario": cfg["scenario"]["name"],
-        "seed": cfg["scenario"]["seed"],
-        "surface": args.surface,
-        "identities": identities,
-        "all_pass": all_pass,
-    }
+    report = {"scenario": cfg["scenario"]["name"],
+              "seed": cfg["scenario"]["seed"], "surface": args.surface,
+              "identities": identities, "all_pass": all_pass}
     (out / "verify_report.json").write_text(json_dumps(report, indent=2)
                                             + "\n")
     return 0 if all_pass else 2

@@ -117,11 +117,19 @@ def phase_differential(family: ParametricSurface, u, v) -> PhaseSample:
     the parameter domain and IdentityViolation if the routes disagree
     beyond max(1e-6, 10 h^2).
     """
-    h = FD_STEP * family.scale
-    family.check_stencil(u, v, h)
+    # checked before the centre's jet too, which may not exist off the domain
+    family.check_stencil(u, v, FD_STEP * family.scale)
     jet = family.jet(u, v)
     fr = frames(jet)
-    sff = second_fundamental_form(jet, fr)
+    return _phase_differential(family, u, v, fr,
+                               second_fundamental_form(jet, fr))
+
+
+def _phase_differential(family: ParametricSurface, u, v, fr: FrameData,
+                        sff: np.ndarray) -> PhaseSample:
+    """phase_differential with the frames and sff at (u, v) given."""
+    h = FD_STEP * family.scale
+    family.check_stencil(u, v, h)
     dj_b = _dj_shape_operator(fr, sff)
     dj_a = _stencil_gradient(family, u, v, fr, h, lambda j: frames(j).lam)
     gap = _check_routes(dj_a, dj_b, h, "dJ routes", family.name)
@@ -289,9 +297,9 @@ def degree(family: ParametricSurface, n: int = 64) -> float:
 def euler_numbers(family: ParametricSurface, n: int = 64):
     """(chi_T, chi_N): Euler numbers of tangent and normal bundle.
 
-    Both by curvature integrals, (1/2pi) integral of kappa resp. kappa_perp;
-    independent of the degree quadrature, so the two sides of
-    2 deg = chi_T + chi_N are genuinely distinct computations.
+    Both by curvature integrals, (1/2pi) integral of kappa resp. kappa_perp,
+    whose formulas share nothing with the degree's det dJ; verify takes all
+    three integrands from one geometry pass.
     """
     total_k, total_kperp = _closed_integrals(
         family, n, lambda fr, sff: gauss_normal_curvatures(sff))

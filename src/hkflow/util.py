@@ -7,6 +7,8 @@ the same inputs, so floats are always rendered with 17 significant digits
 """
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from .errors import NonRotation
@@ -83,7 +85,8 @@ def write_csv(path, header: str, cols) -> None:
 
 
 def json_dumps(obj, indent: int = 0) -> str:
-    """Serialize nested dict/list/scalar data with fixed float formatting.
+    """Serialize nested dict/list/scalar data as strict JSON with fixed
+    float formatting; a NaN or infinite float is written as null.
 
     Only the types this package actually emits are supported: dict, list,
     tuple, str, bool, None, ints and floats (numpy scalars included).
@@ -118,18 +121,18 @@ def _write(obj, out: list, indent: int, level: int) -> None:
     elif obj is False:
         out.append("false")
     elif isinstance(obj, str):
-        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+        out.append(json.dumps(obj, ensure_ascii=False))
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        out.append(format_float(obj))
+        out.append(format_float(obj) if np.isfinite(obj) else "null")
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
             return
         out.append("{" + nl)
         for k, (key, val) in enumerate(obj.items()):
-            out.append(pad + '"' + str(key) + '": ')
+            out.append(pad + json.dumps(str(key), ensure_ascii=False) + ": ")
             _write(val, out, indent, level + 1)
             out.append(("," if k < len(obj) - 1 else "") + nl)
         out.append(end_pad + "}")

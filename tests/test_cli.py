@@ -12,11 +12,14 @@ import numpy as np
 import pytest
 
 import hkflow
-from hkflow.cli import _IDENTITY_NAMES, _SCHEMA, main
+from hkflow.checks import IDENTITIES, _phase_differential
+from hkflow.cli import _SCHEMA, main
 from hkflow.curves import CSF_SCHEMES
 from hkflow.flow import MCF_SCHEMES
 from hkflow.mesh import flat_square, icosphere, read_off4
-from hkflow.phase import phase_differential
+from test_boundaries import _finite_json
+
+_IDENTITY_NAMES = tuple(row.name for row in IDENTITIES)
 
 
 def run(tmp_path, *argv):
@@ -91,9 +94,11 @@ def test_verify_evaluates_only_the_requested_identities(tmp_path,
     def fail(*args, **kwargs):
         raise AssertionError("an identity outside --suite was evaluated")
 
-    # every identity but quaternionic goes through one of these two
-    monkeypatch.setattr("hkflow.cli.frames", fail)
-    monkeypatch.setattr("hkflow.cli.degree", fail)
+    # every identity but quaternionic goes through frames, in the suite's
+    # own pass or in grid_geometry's, or through degree
+    monkeypatch.setattr("hkflow.checks.frames", fail)
+    monkeypatch.setattr("hkflow.surfaces.frames", fail)
+    monkeypatch.setattr("hkflow.checks.degree", fail)
     code, out = run(tmp_path, "verify", "--suite", "quaternionic")
     assert code == 0
     report = json.loads((out / "verify_report.json").read_text())
@@ -130,11 +135,11 @@ def test_verify_differentiates_the_phase_once_per_family(tmp_path,
                                                          calls):
     seen = []
 
-    def spy(family, u, v):
+    def spy(family, u, v, fr, sff):
         seen.append(family.name)
-        return phase_differential(family, u, v)
+        return _phase_differential(family, u, v, fr, sff)
 
-    monkeypatch.setattr("hkflow.cli.phase_differential", spy)
+    monkeypatch.setattr("hkflow.checks._phase_differential", spy)
     code, _ = run(tmp_path, "verify", "--suite", suite)
     assert code == 0
     assert seen == calls
@@ -153,17 +158,18 @@ def test_verify_one_surface(tmp_path):
 
 def test_verify_reports_a_nan_residual_as_a_failure(tmp_path, capsys):
     """A cylinder of radius 1e-160 overflows |H|^2 = 1/r^2, so its coupling
-    and energy residuals are NaN: they must read nan and FAIL, not pass."""
+    and energy residuals are NaN: they must print nan and FAIL, not pass,
+    and the report, strict JSON, holds them as null."""
     cfg = config(tmp_path, "[surface]\nradius = 1e-160\n")
     with np.errstate(all="ignore"):
         code, out = run(tmp_path, "--config", cfg, "verify",
                         "--surface", "cylinder")
     assert code == 2
-    report = json.loads((out / "verify_report.json").read_text())
+    report = _finite_json((out / "verify_report.json").read_text())
     assert not report["all_pass"]
     for name in ("coupling", "energy"):
         row = report["identities"][name]
-        assert math.isnan(row["residual"]) and row["pass"] is False, name
+        assert row["residual"] is None and row["pass"] is False, name
     assert re.search(r"^coupling +residual nan .*FAIL$",
                      capsys.readouterr().out, re.M)
 
@@ -171,17 +177,18 @@ def test_verify_reports_a_nan_residual_as_a_failure(tmp_path, capsys):
 def test_verify_folds_keep_a_nan_that_comes_late(tmp_path, monkeypatch):
     """A NaN that follows finite residuals survives every fold: the rotated
     triple's quaternionic residual, the last phase-block term of the second
-    family, and det dJ on the second det graph."""
+    family, and det dJ on the second det graph, which enters through the
+    det rows' one geometry pass."""
     from dataclasses import replace
 
-    import hkflow.cli as cli
+    import hkflow.checks as checks
     from hkflow.structure import StructureTriple
 
     triples = iter([1e-16, float("nan")])
     monkeypatch.setattr(StructureTriple, "quaternionic_residual",
                         lambda self: next(triples))
-    calls = {"frames": 0, "exact": 0}
-    frames, exact = cli.frames, cli.phase_sample_exact
+    calls = {"frames": 0, "det": 0}
+    frames, geometry = checks.frames, checks.grid_geometry
 
     def late_nan_frames(jet):
         fr = frames(jet)
@@ -192,29 +199,83 @@ def test_verify_folds_keep_a_nan_that_comes_late(tmp_path, monkeypatch):
         lam[-1, 2] = np.nan
         return replace(fr, lam=lam)
 
-    def late_nan_exact(family, u, v):
-        smp = exact(family, u, v)
-        calls["exact"] += 1
-        if calls["exact"] != 2:
-            return smp
-        detdj = smp.detdj.copy()
-        detdj[-1] = np.nan
-        return replace(smp, detdj=detdj)
+    def late_nan_geometry(family, u, v, fields):
+        detdj, *rest = geometry(family, u, v, fields)
+        calls["det"] += 1
+        if calls["det"] == 2:
+            detdj = detdj.copy()
+            detdj[-1] = np.nan
+        return detdj, *rest
 
-    monkeypatch.setattr(cli, "frames", late_nan_frames)
-    monkeypatch.setattr(cli, "phase_sample_exact", late_nan_exact)
+    monkeypatch.setattr(checks, "frames", late_nan_frames)
+    monkeypatch.setattr(checks, "grid_geometry", late_nan_geometry)
     suite = ["quaternionic", "phase-block", "det-gauss", "det-norms"]
     code, out = run(tmp_path, "verify", "--suite", ",".join(suite))
     assert code == 2
-    rows = json.loads((out / "verify_report.json").read_text())["identities"]
+    rows = _finite_json((out / "verify_report.json").read_text())["identities"]
     assert list(rows) == suite
     for name, row in rows.items():
-        assert math.isnan(row["residual"]) and row["pass"] is False, name
+        assert row["residual"] is None and row["pass"] is False, name
 
 
 def test_verify_unknown_identity(tmp_path):
     code, _ = run(tmp_path, "verify", "--suite", "bogus")
     assert code == 1
+
+
+def test_verify_makes_one_frames_pass_per_sample_set(tmp_path, monkeypatch):
+    """A default run computes frames 55 times: the centre and the four
+    stencil jets of each of the 5 families (25), one pass per det graph
+    (20), and the degree grids in blocks of BLOCK points, 2 for the torus
+    at n = 64 and 8 for the sphere at n = 128."""
+    import hkflow.checks
+    import hkflow.phase
+    import hkflow.surfaces
+
+    real, calls = hkflow.surfaces.frames, []
+
+    def counted(jet):
+        calls.append(None)
+        return real(jet)
+
+    for module in (hkflow.surfaces, hkflow.phase, hkflow.checks):
+        monkeypatch.setattr(module, "frames", counted)
+    code, _ = run(tmp_path, "verify")
+    assert code == 0
+    assert len(calls) == 55
+
+
+def test_a_multi_line_name_round_trips_through_the_json_files(tmp_path):
+    """An INI continuation line puts a newline into [scenario] name; the
+    manifest and the report escape it, so both stay strict JSON."""
+    cfg = config(tmp_path, "[scenario]\nname = foo\n  bar\n")
+    code, out = run(tmp_path, "--config", cfg, "verify", "--suite",
+                    "quaternionic")
+    assert code == 0
+    manifest = _finite_json((out / "manifest.json").read_text())
+    report = _finite_json((out / "verify_report.json").read_text())
+    assert manifest["config"]["scenario"]["name"] == "foo\nbar"
+    assert report["scenario"] == "foo\nbar"
+
+
+def test_readme_verify_text_matches_the_identity_table():
+    """README's verify text names every row of hkflow.checks.IDENTITIES in
+    report order, counts them, and lists the rows that run on one family."""
+    text = " ".join((Path(__file__).resolve().parents[1]
+                     / "README.md").read_text().split())
+    usage = re.search(r"verify run the identity suite \(all (\d+) identities"
+                      r".*? restricts it to the (\d+) that run on one family",
+                      text)
+    rows = re.search(r"`verify` checks .*? in report order they are (.*?) The",
+                     text).group(1)
+    on_one = re.search(r"`verify --surface NAME` runs only the identities "
+                       r"evaluated on that family \(([^)]*)\)", text).group(1)
+    one_family = [row.name for row in IDENTITIES if not row.own_families]
+    assert int(usage.group(1)) == len(IDENTITIES)
+    assert int(usage.group(2)) == len(one_family)
+    assert [n for n in re.findall(r"`([a-z-]+)`", rows)
+            if n in _IDENTITY_NAMES] == list(_IDENTITY_NAMES)
+    assert re.findall(r"`([a-z-]+)`", on_one) == one_family
 
 
 # -- config handling --------------------------------------------------------------
@@ -715,8 +776,11 @@ def test_phase_reaper_stays_clear(tmp_path):
 # and took the new curve's derivatives from the filter's transform pair,
 # which move every curve value in its last bits; type1-log when the Type-I
 # covariance moved to the R factor of a QR, which moves ci_halfwidth in its
-# last bits and nothing else.  Another FFT or BLAS build may round
-# differently.
+# last bits and nothing else.  verify-surface-torus and verify-2100 were
+# recorded at the parent commit of the identity table (hkflow.checks), which
+# gives each sample set one geometry pass and had to leave these bytes
+# unchanged; 2100 points exceed BLOCK, so the det rows' pass runs in two
+# blocks.  Another FFT or BLAS build may round differently.
 GOLDEN = {
     "rk4": ("flow-curve", "[curve]\nfamily = perturbed-circle\nn = 64\n"
             "[flow]\nt_end = 0.05\nsnapshot_every = 5\n",
@@ -729,6 +793,11 @@ GOLDEN = {
                  "8c47346c66b80e84d000d00574bd46c34926ddfbc7454f7d9bd9977b0668b3a7"),
     "verify-20": ("verify", "[surface]\npoints = 20\n",
                   "42d83f6bec2fc78c57d45a7f276a16ddc58b217e005b612579507d4c97ae7f5b"),
+    "verify-surface-torus": (
+        "verify --surface torus", "",
+        "d8e5560afdcb2b8ca4f8da6fc02b593c671c2e46169fc49463efb8dc6046a746"),
+    "verify-2100": ("verify", "[surface]\npoints = 2100\n",
+                    "e0b7936bd857bbf9360bccdca5283d5eef19f01fb85dc8858d4380e1292f762f"),
     "icosphere-2": ("flow-mesh", "[mesh]\nkind = icosphere\nsubdivisions = 2\n"
                     "[flow]\ndt = 1e-3\nt_end = 0.01\n",
                     "314b62d025d8cebd99c65153b543e47f7dbca619b491259849a470b72e481d10"),
