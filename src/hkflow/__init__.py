@@ -16,8 +16,8 @@ from .phase import (ContainmentReport, PhaseSample, SphereChart,
                     gauss_normal_curvatures, phase_differential,
                     phase_sample_exact, tension, write_phase_field_csv)
 from .mesh import (SurfaceMesh, flat_square, grid_torus_mesh, icosphere,
-                   mesh_bnorm, mesh_mean_curvature, mesh_phase_field,
-                   mesh_tangent_frames, read_off4, write_off4)
+                   mesh_bnorm, mesh_mean_curvature, mesh_tangent_frames,
+                   read_off4, write_off4)
 from .flow import (FlowHistory, FlowState, PhaseEvolutionReport, Type1Report,
                    blowup_point, mcf_step, parabolic_rescale,
                    phase_evolution_check, run_mcf, shrinker_radius_by_bisection,
@@ -45,7 +45,7 @@ __all__ = [
     "containment_margin", "write_phase_field_csv",
     "SurfaceMesh", "icosphere", "flat_square", "grid_torus_mesh",
     "mesh_mean_curvature", "mesh_tangent_frames", "mesh_bnorm",
-    "mesh_phase_field", "read_off4", "write_off4",
+    "read_off4", "write_off4",
     "FlowState", "FlowHistory", "Type1Report", "PhaseEvolutionReport",
     "mcf_step", "run_mcf", "shrinker_residual",
     "shrinker_residual_of_family", "shrinker_radius_by_bisection",

@@ -140,6 +140,10 @@ class MeshTopology:
     - two_ring, (n, k): row i is the two-ring of i, i excluded, padding
       last, the order in which the |B| fit sums its ring moments.
 
+    two_ring_size counts each row's ring, and unfitted marks the vertices
+    the |B| fit leaves NaN: fewer than six two-ring neighbours, or on the
+    boundary.
+
     `weight_matrix` fills in the operator's values.  `_half_edges` holds,
     for the edge (i, j) opposite each corner c of each triangle t, the flat
     slots of (i, j) and (j, i) in the (k, n) values array; `_off_diag`
@@ -161,8 +165,12 @@ class MeshTopology:
             raise NonOrientableMesh("a directed edge appears twice; windings "
                                     "are not globally consistent")
         rev = directed[:, 1].astype(np.int64) * n + directed[:, 0]
-        # boundary edges are the directed edges without a reversed partner
-        self.boundary_edges = readonly(directed[~np.isin(key, rev)])
+        # boundary edges are the directed edges without a reversed partner;
+        # both key sets are distinct, so a sorted search tests membership
+        # (np.isin would import numpy.ma through np.unique)
+        rev_sorted = np.sort(rev)
+        at = np.minimum(np.searchsorted(rev_sorted, key), len(rev) - 1)
+        self.boundary_edges = readonly(directed[rev_sorted[at] != key])
         mask = np.zeros(n, dtype=bool)
         mask[self.boundary_edges.ravel()] = True
         self.boundary_mask = readonly(mask)
@@ -176,6 +184,9 @@ class MeshTopology:
         far = reach != own[:, None, None]
         self.two_ring = readonly(_ring_table(
             _sorted_distinct((own[:, None, None] * n + reach)[far]), n))
+        self.two_ring_size = readonly(
+            np.count_nonzero(self.two_ring != own[:, None], axis=1))
+        self.unfitted = readonly((self.two_ring_size < 6) | mask)
 
         start = np.searchsorted(closed, own * n)
         self.diag = readonly(np.searchsorted(closed, own * (n + 1)) - start)
@@ -378,14 +389,22 @@ def mesh_mean_curvature(mesh: SurfaceMesh, w: PaddedMatrix | None = None,
 # Per-vertex frames, phase field, curvature-norm estimate
 # ---------------------------------------------------------------------------
 
-def two_ring_offsets(mesh: SurfaceMesh) -> np.ndarray:
-    """Offsets x_j - x_i from each vertex i to its padded two-ring, shape
-    (n, k, 4).  The padding slots of topology.two_ring hold the vertex
-    itself, so their offsets are exactly 0 and sums over the ring need no
-    mask."""
+# Vertices per block of the |B| fit.  A block's offsets and their
+# projection, 2 x 512 x 18 x 4 doubles on icosphere(4), stay in a 2 MiB L2
+# cache through the fit's passes; an in-process sweep of flow-mesh on
+# icosphere(4) was flat from 256 to 1024 and slower at 2048 and unblocked.
+BNORM_BLOCK = 512
+
+
+def two_ring_offsets(mesh: SurfaceMesh,
+                     rows: slice = slice(None)) -> np.ndarray:
+    """Offsets x_j - x_i from each vertex i in rows to its padded two-ring,
+    shape (b, k, 4) for the b vertices of rows.  The padding slots of
+    topology.two_ring hold the vertex itself, so their offsets are exactly
+    0 and sums over the ring need no mask."""
     v = mesh.vertices
-    d = v.take(mesh.topology.two_ring, axis=0)
-    d -= v[:, None, :]
+    d = v.take(mesh.topology.two_ring[rows], axis=0)
+    d -= v[rows, None, :]
     return d
 
 
@@ -514,44 +533,48 @@ def mesh_bnorm(mesh: SurfaceMesh, frames=None) -> np.ndarray:
 
     One projection of the offsets onto (t1, t2, m1, m2) gives the tangent
     coordinates (u, v) and both normal deflections (w1, w2), each a
-    contiguous (n, k) plane.  Fitting w ~ c1 u + c2 v + (a u^2 + 2b uv +
+    contiguous (b, k) plane.  Fitting w ~ c1 u + c2 v + (a u^2 + 2b uv +
     c v^2)/2 per normal direction recovers the second fundamental form.
     The normal equations are built from ring moments: the 5x5 Gram from the
     twelve sums of u^p v^q with 2 <= p+q <= 4, the right-hand sides from
-    the ten sums of u^p v^q w with 1 <= p+q <= 2.  Scaling (u, v) by the
-    rms ring radius rho, for conditioning, rescales each sum by a power of
-    rho.  `_spd_solve` then solves both normals at once.  Vertices with
-    fewer than six neighbors (or on the boundary) return NaN.  frames is
-    mesh_tangent_frames(mesh) when the caller has it.
+    the ten sums of u^p v^q w with 1 <= p+q <= 2.  The offsets are gathered,
+    projected and summed BNORM_BLOCK vertices at a time; each sum is one
+    vertex's, so the blocks change no bit of it.  Scaling (u, v) by the rms
+    ring radius rho, for conditioning, rescales each sum by a power of rho.
+    `_spd_solve` then solves both normals of every vertex at once.  Vertices
+    in topology.unfitted (fewer than six neighbors, or on the boundary)
+    return NaN.  frames is mesh_tangent_frames(mesh) when the caller has
+    it.
     """
-    d = two_ring_offsets(mesh)
     if frames is None:
         frames = mesh_tangent_frames(mesh)
     t1, t2, m1, m2, _lam = frames
-    n, k, _ = d.shape
-    proj = np.empty((4, n, k))
-    np.matmul(d, np.stack([t1, t2, m1, m2], axis=-1),
-              out=proj.transpose(1, 2, 0))
-    u, v, w = proj[0], proj[1], proj[2:]
-    uu, uv, vv = u * u, u * v, v * v
-
-    def moment(a, b):
-        return np.einsum("nk,nk->n", a, b)
-
-    def load(a):
-        return np.einsum("nk,cnk->cn", a, w)
-
-    m20, m11, m02 = moment(u, u), moment(u, v), moment(v, v)
-    m30, m21 = moment(uu, u), moment(uu, v)
-    m12, m03 = moment(uv, v), moment(vv, v)
-    m40, m31, m22 = moment(uu, uu), moment(uu, uv), moment(uu, vv)
-    m13, m04 = moment(uv, vv), moment(vv, vv)
-    count = np.count_nonzero(mesh.topology.two_ring != np.arange(n)[:, None],
-                             axis=1)
-    ok = count >= 6
-    ok &= ~mesh.boundary_vertex_mask
+    basis = np.stack([t1, t2, m1, m2], axis=-1)
+    topo = mesh.topology
+    n, k = topo.two_ring.shape
+    # rows m20 m11 m02 m30 m21 m12 m03 m40 m31 m22 m13 m04 of the sums of
+    # u^p v^q, and the loads (sums of u w, v w, uu w, uv w, vv w) per normal
+    moments = np.empty((12, n))
+    loads = np.empty((5, 2, n))
+    for start in range(0, n, BNORM_BLOCK):
+        rows = slice(start, start + BNORM_BLOCK)
+        d = two_ring_offsets(mesh, rows)
+        proj = np.empty((4, len(d), k))
+        np.matmul(d, basis[rows], out=proj.transpose(1, 2, 0))
+        u, v, w = proj[0], proj[1], proj[2:]
+        uu, uv, vv = u * u, u * v, v * v
+        for row, (a, b) in enumerate(((u, u), (u, v), (v, v), (uu, u),
+                                      (uu, v), (uv, v), (vv, v), (uu, uu),
+                                      (uu, uv), (uu, vv), (uv, vv),
+                                      (vv, vv))):
+            moments[row, rows] = np.einsum("nk,nk->n", a, b)
+        for row, a in enumerate((u, v, uu, uv, vv)):
+            loads[row, :, rows] = np.einsum("nk,cnk->cn", a, w)
+    m20, m11, m02, m30, m21, m12, m03, m40, m31, m22, m13, m04 = moments
+    lu, lv, luu, luv, lvv = loads
     # 1 / rho^2; the floor keeps rho^-4 finite
-    r2 = 1.0 / np.maximum((m20 + m02) / np.maximum(count, 1), 1e-150)
+    r2 = 1.0 / np.maximum((m20 + m02) / np.maximum(topo.two_ring_size, 1),
+                          1e-150)
     r1 = np.sqrt(r2)
     r3, r4 = r2 * r1, r2 * r2
     # lower triangle of the Gram of the basis (u, v, u^2/2, uv, v^2/2)/rho
@@ -572,19 +595,14 @@ def mesh_bnorm(mesh: SurfaceMesh, frames=None) -> np.ndarray:
     gram[4, 3] = 0.5 * m13 * r4
     gram[4, 4] = 0.25 * m04 * r4
     # guard the solve on under-determined rows
-    gram[:, :, ~ok] = np.eye(5)[:, :, None]
-    rhs = np.stack([load(u) * r1, load(v) * r1, 0.5 * load(uu) * r2,
-                    load(uv) * r2, 0.5 * load(vv) * r2])
+    gram[:, :, topo.unfitted] = np.eye(5)[:, :, None]
+    rhs = np.stack([lu * r1, lv * r1, 0.5 * luu * r2, luv * r2,
+                    0.5 * lvv * r2])
     # a, b, c are (2, n): one row per normal
     a, b, c = _spd_solve(gram, rhs)[2:] * r2
     out = np.sqrt(np.sum(a * a + 2 * b * b + c * c, axis=0))
-    out[~ok] = np.nan
+    out[topo.unfitted] = np.nan
     return out
-
-
-def mesh_phase_field(mesh: SurfaceMesh) -> np.ndarray:
-    """Unit phase directions per vertex, (n, 3)."""
-    return mesh_tangent_frames(mesh)[4]
 
 
 # ---------------------------------------------------------------------------

@@ -780,7 +780,11 @@ def test_phase_reaper_stays_clear(tmp_path):
 # recorded at the parent commit of the identity table (hkflow.checks), which
 # gives each sample set one geometry pass and had to leave these bytes
 # unchanged; 2100 points exceed BLOCK, so the det rows' pass runs in two
-# blocks.  Another FFT or BLAS build may round differently.
+# blocks.  icosphere-4 was recorded at the parent commit of the blocked |B|
+# fit, which had to leave these bytes unchanged: its 2562 vertices make six
+# blocks of BNORM_BLOCK = 512, the last of two vertices, where icosphere-2
+# (162 vertices) and test_run_mcf_fingerprint (642) fit in one and two.
+# Another FFT or BLAS build may round differently.
 GOLDEN = {
     "rk4": ("flow-curve", "[curve]\nfamily = perturbed-circle\nn = 64\n"
             "[flow]\nt_end = 0.05\nsnapshot_every = 5\n",
@@ -801,6 +805,9 @@ GOLDEN = {
     "icosphere-2": ("flow-mesh", "[mesh]\nkind = icosphere\nsubdivisions = 2\n"
                     "[flow]\ndt = 1e-3\nt_end = 0.01\n",
                     "314b62d025d8cebd99c65153b543e47f7dbca619b491259849a470b72e481d10"),
+    "icosphere-4": ("flow-mesh", "[mesh]\nkind = icosphere\nsubdivisions = 4\n"
+                    "[flow]\ndt = 5e-4\nt_end = 2e-3\n",
+                    "19b089a71360eedeeeeb7948143bc911bc16461235bc571896d8899521a34bc8"),
     "type1-log": ("analyze log.jsonl", "",
                   "13e4ed6d083902304df7c5f52a5e1f423960d1b009183402e56eb89d8bfbb1f2"),
     "sphere-32": ("phase --surface sphere", "",

@@ -13,7 +13,8 @@ from hkflow.flow import (FlowHistory, FlowState, blowup_point, mcf_step,
                          shrinker_residual_of_family, translator_residual,
                          type1_monitor)
 from hkflow.mesh import (PaddedMatrix, flat_square, icosphere, mesh_bnorm,
-                         mesh_mean_curvature, mesh_phase_field, read_off4)
+                         mesh_mean_curvature, mesh_tangent_frames,
+                         read_off4)
 from hkflow.phase import arc_distance
 from hkflow.surfaces import (Cylinder, GrimReaper, Plane, Sphere, frames,
                              mean_curvature)
@@ -101,7 +102,7 @@ def test_measure_matches_separate_estimators(torus):
     h, valid = mesh_mean_curvature(mesh)
     assert state.max_h == float(np.nanmax(np.linalg.norm(h[valid], axis=1)))
     assert state.max_b == float(np.nanmax(mesh_bnorm(mesh)))
-    assert state.margin == float(np.min(arc_distance(mesh_phase_field(mesh))))
+    assert state.margin == float(np.min(arc_distance(mesh_tangent_frames(mesh)[4])))
 
 
 def test_run_mcf_fingerprint():
@@ -319,9 +320,8 @@ def test_parabolic_rescale_scaling_laws(icosphere_flow):
     assert np.isclose(unit.max_b, 1.0, rtol=1e-10)
     assert unit.t == 0.0
     # the phase field is scale and translation invariant
-    from hkflow.mesh import mesh_phase_field
-    lam0 = mesh_phase_field(state.mesh)
-    lam1 = mesh_phase_field(unit.mesh)
+    lam0 = mesh_tangent_frames(state.mesh)[4]
+    lam1 = mesh_tangent_frames(unit.mesh)[4]
     assert np.allclose(lam0, lam1, atol=1e-12)
     with pytest.raises(ValueError):
         parabolic_rescale(state, 0.0, q, 0.0)

@@ -1,4 +1,11 @@
 """Triangle meshes in R^4: operators, estimators, OFF round-trip."""
+import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -8,9 +15,8 @@ from hkflow import mesh as mesh_module
 from hkflow.errors import (DegenerateTriangle, FoldedVertex, NonOrientableMesh,
                            SolveFailure)
 from hkflow.flow import FlowState, _implicit_system, _pcg
-from hkflow.mesh import (SurfaceMesh, flat_square,
-                         grid_torus_mesh, icosphere, mesh_bnorm,
-                         mesh_mean_curvature, mesh_phase_field,
+from hkflow.mesh import (SurfaceMesh, flat_square, grid_torus_mesh,
+                         icosphere, mesh_bnorm, mesh_mean_curvature,
                          mesh_tangent_frames, read_off4, two_ring_offsets,
                          write_off4)
 from hkflow.structure import standard_structure
@@ -52,6 +58,30 @@ def test_boundary_detection():
     assert ico.is_closed
     assert not ico.boundary_vertex_mask.any()
 
+
+def test_building_meshes_leaves_numpy_ma_unimported():
+    """np.isin imports numpy.ma through np.unique (numpy 2.4), about 10 ms
+    and 1.1 MiB of a run; the boundary search does without it, and finds
+    on flat_square() the directed edges without a reversed partner, in
+    the order of the directed edge list."""
+    code = ("import json, sys\n"
+            "from hkflow.mesh import flat_square, icosphere\n"
+            "icosphere(1)\n"
+            "edges = flat_square().topology.boundary_edges.tolist()\n"
+            "print(json.dumps(['numpy.ma' in sys.modules, edges]))\n")
+    src = str(Path(mesh_module.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path},
+                          check=True)
+    imported, edges = json.loads(proc.stdout)
+    t = flat_square().triangles
+    directed = [tuple(e) for e in np.concatenate(
+        [t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]).tolist()]
+    present = set(directed)
+    assert not imported
+    assert edges == [list(e) for e in directed if e[::-1] not in present]
+    assert len(edges) == 48
 
 def test_icosphere_vertices_on_sphere():
     for sub, r in ((0, 1.0), (2, 0.5), (3, 2.0)):
@@ -223,7 +253,8 @@ def test_with_vertices_shares_readonly_topology():
     assert m2.triangles is m.triangles
     topo = m.topology
     for arr in (topo.triangles, topo.boundary_edges, topo.boundary_mask,
-                topo.closed_ring, topo.diag, topo.two_ring):
+                topo.closed_ring, topo.diag, topo.two_ring,
+                topo.two_ring_size, topo.unfitted):
         assert not arr.flags.writeable
     with pytest.raises(ValueError):
         m2.triangles[0, 0] = 1
@@ -297,7 +328,7 @@ def test_mesh_phase_field_matches_continuum():
     from hkflow.curves import PlaneCurve, embed_torus
 
     mesh, fam = embed_torus(PlaneCurve.circle(1.0, n=64), ny=32)
-    lam = mesh_phase_field(mesh)
+    lam = mesh_tangent_frames(mesh)[4]
     # analytic: lam = (0, Re w, Im w), w = gamma gamma' / |gamma gamma'|
     z = np.exp(1j * 2 * np.pi * np.arange(64) / 64)
     w = z * (1j * z)
@@ -549,8 +580,8 @@ class _Reference:
         return out
 
 
-def _perturbed_icosphere():
-    m = icosphere(3)
+def _perturbed_icosphere(subdivisions=3):
+    m = icosphere(subdivisions)
     rng = np.random.default_rng(11)
     return m.with_vertices(m.vertices
                            + 1e-2 * rng.standard_normal(m.vertices.shape))
@@ -721,6 +752,139 @@ def test_bnorm_matches_reference_fit_to_rounding(make):
     pos = fin & (want > 0.0)
     assert np.all(np.abs(got[pos] - want[pos]) <= 1e-13 * want[pos])
     assert np.all(np.abs(got[fin & ~pos] - want[fin & ~pos]) <= 1e-13)
+
+
+def _whole_mesh_bnorm(mesh, frames):
+    """mesh_bnorm as written before the fit ran in vertex blocks: one
+    gather and projection of every offset, each ring moment a pass over
+    the whole (n, k) planes, and the ring sizes counted on every call."""
+    d = two_ring_offsets(mesh)
+    t1, t2, m1, m2, _lam = frames
+    n, k, _ = d.shape
+    proj = np.empty((4, n, k))
+    np.matmul(d, np.stack([t1, t2, m1, m2], axis=-1),
+              out=proj.transpose(1, 2, 0))
+    u, v, w = proj[0], proj[1], proj[2:]
+    uu, uv, vv = u * u, u * v, v * v
+
+    def moment(a, b):
+        return np.einsum("nk,nk->n", a, b)
+
+    def load(a):
+        return np.einsum("nk,cnk->cn", a, w)
+
+    m20, m11, m02 = moment(u, u), moment(u, v), moment(v, v)
+    m30, m21 = moment(uu, u), moment(uu, v)
+    m12, m03 = moment(uv, v), moment(vv, v)
+    m40, m31, m22 = moment(uu, uu), moment(uu, uv), moment(uu, vv)
+    m13, m04 = moment(uv, vv), moment(vv, vv)
+    count = np.count_nonzero(mesh.topology.two_ring != np.arange(n)[:, None],
+                             axis=1)
+    ok = count >= 6
+    ok &= ~mesh.boundary_vertex_mask
+    r2 = 1.0 / np.maximum((m20 + m02) / np.maximum(count, 1), 1e-150)
+    r1 = np.sqrt(r2)
+    r3, r4 = r2 * r1, r2 * r2
+    gram = np.zeros((5, 5, n))
+    gram[0, 0] = m20 * r2
+    gram[1, 0] = m11 * r2
+    gram[1, 1] = m02 * r2
+    gram[2, 0] = 0.5 * m30 * r3
+    gram[2, 1] = 0.5 * m21 * r3
+    gram[2, 2] = 0.25 * m40 * r4
+    gram[3, 0] = m21 * r3
+    gram[3, 1] = m12 * r3
+    gram[3, 2] = 0.5 * m31 * r4
+    gram[3, 3] = m22 * r4
+    gram[4, 0] = 0.5 * m12 * r3
+    gram[4, 1] = 0.5 * m03 * r3
+    gram[4, 2] = 0.25 * m22 * r4
+    gram[4, 3] = 0.5 * m13 * r4
+    gram[4, 4] = 0.25 * m04 * r4
+    gram[:, :, ~ok] = np.eye(5)[:, :, None]
+    rhs = np.stack([load(u) * r1, load(v) * r1, 0.5 * load(uu) * r2,
+                    load(uv) * r2, 0.5 * load(vv) * r2])
+    a, b, c = mesh_module._spd_solve(gram, rhs)[2:] * r2
+    out = np.sqrt(np.sum(a * a + 2 * b * b + c * c, axis=0))
+    out[~ok] = np.nan
+    return out
+
+
+def _octahedron():
+    # every vertex has only the five others in its two-ring: under-determined
+    e = np.eye(4)
+    verts = np.concatenate([e[:3], -e[:3]])
+    tris = []
+    for sx, sy, sz in np.ndindex(2, 2, 2):
+        face = [3 * sx, 1 + 3 * sy, 2 + 3 * sz]
+        tris.append(face if (sx + sy + sz) % 2 == 0 else face[::-1])
+    return SurfaceMesh(verts, np.array(tris))
+
+
+def _union(*meshes):
+    """The disjoint union of meshes, vertices numbered in order."""
+    offsets = np.cumsum([0] + [len(m.vertices) for m in meshes])
+    return SurfaceMesh(np.concatenate([m.vertices for m in meshes]),
+                       np.concatenate([m.triangles + o
+                                       for m, o in zip(meshes, offsets)]))
+
+
+def _mixed_mesh():
+    """A jittered torus, two squares with boundaries and between them an
+    octahedron, whose six vertices are under-determined: 328 vertices, 62
+    of them NaN in the fit (56 on the boundary)."""
+    rng = np.random.default_rng(23)
+    torus = _clifford_torus(16, 12)
+    torus = torus.with_vertices(
+        torus.vertices + 1e-3 * rng.standard_normal(torus.vertices.shape))
+    return _union(torus, _signed_zero_square(), _octahedron(),
+                  _sheared_square())
+
+
+@pytest.mark.parametrize("block", [lambda n: n + 1, lambda n: n,
+                                   lambda n: n - 1, lambda n: 59],
+                         ids=["below_one", "one", "one_past", "several"])
+def test_blocked_bnorm_matches_whole_mesh_fit_bits(monkeypatch, block):
+    """The fit in blocks against the whole-mesh fit, bit for bit and NaN
+    rows included, with the mesh smaller than one block, exactly one
+    block, one vertex past a block, and several blocks."""
+    mesh = _mixed_mesh()
+    n = len(mesh.vertices)
+    want = _whole_mesh_bnorm(mesh, mesh_tangent_frames(mesh))
+    assert np.isnan(want).sum() == 62 and mesh.topology.unfitted.sum() == 62
+    assert mesh.boundary_vertex_mask.sum() == 56
+    monkeypatch.setattr(mesh_module, "BNORM_BLOCK", block(n))
+    _same_bits(mesh_bnorm(mesh), want)
+
+
+@pytest.mark.parametrize("make", [lambda: _perturbed_icosphere(2),
+                                  _perturbed_icosphere,
+                                  lambda: _perturbed_icosphere(4),
+                                  lambda: flat_square(40)],
+                         ids=["icosphere2", "icosphere3", "icosphere4",
+                              "flat_square40"])
+def test_bnorm_blocks_match_whole_mesh_fit_bits(make):
+    """At the package's block size: icosphere(2) fits in one block, the
+    others span two to six, flat_square(40) with its boundary."""
+    mesh = make()
+    frames = mesh_tangent_frames(mesh)
+    _same_bits(mesh_bnorm(mesh, frames), _whole_mesh_bnorm(mesh, frames))
+
+
+def test_blocked_bnorm_halves_the_transient_memory():
+    """On icosphere(5), 10242 vertices, the fit's traced peak allocation is
+    under half the whole-mesh fit's (observed about 9.6 and 23 MiB)."""
+    mesh = icosphere(5)
+    frames = mesh_tangent_frames(mesh)
+    peaks = []
+    for fit in (mesh_bnorm, _whole_mesh_bnorm):
+        tracemalloc.start()
+        try:
+            fit(mesh, frames)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 0.5 * peaks[1]
 
 
 @pytest.mark.parametrize("make", WIDE_MESHES, ids=WIDE_IDS)
@@ -930,7 +1094,7 @@ def test_phase_error_shrinks_against_exact_jets(case):
             v = np.tile(2 * np.pi * np.arange(ny) / ny, nx)
             jet = fam.jet(u, v)
             assert np.max(np.abs(jet.x - mesh.vertices)) < 1e-12
-            errors.append(np.max(np.abs(mesh_phase_field(mesh)
+            errors.append(np.max(np.abs(mesh_tangent_frames(mesh)[4]
                                         - frames(jet).lam)))
         floor = 1.8
     else:
@@ -939,7 +1103,7 @@ def test_phase_error_shrinks_against_exact_jets(case):
             y = mesh.vertices
             jet = Sphere().jet(np.arccos(y[:, 2]),
                                np.arctan2(y[:, 1], y[:, 0]))
-            errors.append(np.max(np.abs(mesh_phase_field(mesh)
+            errors.append(np.max(np.abs(mesh_tangent_frames(mesh)[4]
                                         - frames(jet).lam)))
         floor = 0.8
     assert errors[0] < 0.2
@@ -972,5 +1136,3 @@ def test_folded_one_ring_raises(make, vertex):
     mesh = make()
     with pytest.raises(FoldedVertex, match=f"at 1 of .* first vertex {vertex}$"):
         mesh_tangent_frames(mesh)
-    with pytest.raises(FoldedVertex):
-        mesh_phase_field(mesh)
