@@ -88,6 +88,10 @@ _SCHEMA = {
 # counts a run divides by or samples with, so they must be at least 1
 _COUNT_KEYS = (("flow", "snapshot_every"), ("surface", "n"),
                ("surface", "points"), ("mesh", "n"))
+# a negative seed is no numpy seed, and k % -2 would checkpoint every 2
+# steps; t_end = 0 asks for the initial state alone
+_NONNEGATIVE_KEYS = (("scenario", "seed"), ("flow", "checkpoint_every"),
+                     ("flow", "t_end"))
 
 
 class ConfigError(Exception):
@@ -106,9 +110,9 @@ def load_config(path: str | None) -> dict:
     """Flat INI -> nested dict of typed values, defaults filled in.
 
     Every config is checked whole, whatever command reads it: [flow] dt and
-    [analyze] v0 must parse (they stay text, as written) and [flow] t_end
-    must not be negative; t_end = 0 asks for the initial state alone.  A
-    scheme name is checked by the flow that runs it."""
+    [analyze] v0 must parse (they stay text, as written), and the counts
+    must be at least 1 and the _NONNEGATIVE_KEYS not negative.  A scheme
+    name is checked by the flow that runs it."""
     cfg = {sec: {k: d for k, (_, d) in keys.items()}
            for sec, keys in _SCHEMA.items()}
     if path is None:
@@ -138,8 +142,8 @@ def load_config(path: str | None) -> dict:
                 raise ConfigError(f"[{sec}] {key} must be finite")
             if (sec, key) in _COUNT_KEYS and cfg[sec][key] < 1:
                 raise ConfigError(f"[{sec}] {key} must be at least 1")
-    if cfg["flow"]["t_end"] < 0:
-        raise ConfigError("[flow] t_end must not be negative")
+            if (sec, key) in _NONNEGATIVE_KEYS and cfg[sec][key] < 0:
+                raise ConfigError(f"[{sec}] {key} must not be negative")
     _parse_dt(cfg["flow"]["dt"])
     _parse_v0(cfg["analyze"]["v0"])
     return cfg
@@ -511,6 +515,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigError("--seed must not be negative")
             cfg["scenario"]["seed"] = args.seed
         if args.out is not None:
             cfg["output"]["dir"] = args.out

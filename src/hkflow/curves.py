@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,7 +85,8 @@ class PlaneCurve:
         self._diameter = d
         self._min_spacing = h
         if self._derivatives is None:
-            self._derivatives = readonly(_first_two_derivatives(z))
+            self._derivatives = readonly(
+                _spectral_rows(z, _spectrum(len(z)).derivative))
 
     @property
     def n(self) -> int:
@@ -123,68 +125,56 @@ class PlaneCurve:
         return cls(np.asarray(fn(_grid(n)), dtype=complex))
 
 
-# Per-grid spectral factors, built on first use and shared read-only by
-# every caller; a run touches a handful of grid sizes.
+def _derivative_factor(k: np.ndarray, order: int) -> np.ndarray:
+    """(i k)^order for the modes k; the Nyquist mode is zeroed for odd
+    orders on even grids (it carries no well-defined odd derivative)."""
+    factor = (1j * k) ** order
+    if order % 2 == 1 and len(k) % 2 == 0:
+        factor[len(k) // 2] = 0.0
+    return factor
 
-@functools.lru_cache(maxsize=32)
-def _spectral_modes(n: int) -> np.ndarray:
-    return readonly(np.fft.fftfreq(n, d=1.0 / n))
 
-
-@functools.lru_cache(maxsize=64)
-def _derivative_factor(n: int, order: int) -> np.ndarray:
-    """(i k)^order; the Nyquist mode is zeroed for odd orders on even grids."""
-    factor = (1j * _spectral_modes(n)) ** order
-    if order % 2 == 1 and n % 2 == 0:
-        factor[n // 2] = 0.0
-    return readonly(factor)
+class _Spectrum(NamedTuple):
+    modes: np.ndarray        # k, as fftfreq(n) * n
+    derivative: np.ndarray   # (2, n) rows i k, (i k)^2
+    filtered: np.ndarray     # (3, n) rows P, P i k, P (i k)^2
 
 
 @functools.lru_cache(maxsize=32)
-def _derivative_stack(n: int) -> np.ndarray:
-    """_derivative_factor(n, 1) and _derivative_factor(n, 2) as (2, n) rows."""
-    return readonly(np.stack([_derivative_factor(n, 1),
-                              _derivative_factor(n, 2)]))
+def _spectrum(n: int) -> _Spectrum:
+    """The read-only spectral table of the n-point grid, built on first use
+    and shared by every caller; a run touches a handful of grid sizes.
 
-
-@functools.lru_cache(maxsize=32)
-def _filter_profile(n: int) -> np.ndarray:
-    """High-order exponential smoothing of the top of the spectrum.
-
+    P is a high-order exponential smoothing of the top of the spectrum.
     Pseudospectral products alias onto near-Nyquist modes; left alone the
     aliased energy grows a few percent per step and eventually stalls the
     flow at a spurious discrete equilibrium.  The exp(-36 (k/kmax)^36)
     profile is machine-zero at Nyquist and below 1e-9 for |k| <= kmax/2,
     so resolved content is untouched even over millions of steps.
     """
-    k = np.abs(_spectral_modes(n)) / (n // 2)
-    return readonly(np.exp(-36.0 * k ** 36))
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    ik = np.stack([_derivative_factor(k, 1), _derivative_factor(k, 2)])
+    profile = np.exp(-36.0 * (np.abs(k) / (n // 2)) ** 36)
+    filtered = np.concatenate(([profile], profile * ik))
+    return _Spectrum(*map(readonly, (k, ik, filtered)))
 
 
-@functools.lru_cache(maxsize=32)
-def _filter_stack(n: int) -> np.ndarray:
-    """_filter_profile(n) and its products with _derivative_stack(n), as
-    (3, n) rows."""
-    profile = _filter_profile(n)
-    return readonly(np.concatenate(([profile],
-                                    profile * _derivative_stack(n))))
+def _spectral_rows(values: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """The inverse transforms of values' spectrum times each row of
+    factors, from one forward and one stacked inverse transform; each row
+    equals its own ifft to the bit."""
+    return np.fft.ifft(np.fft.fft(values) * factors)
 
 
 def spectral_derivative(values: np.ndarray, order: int = 1) -> np.ndarray:
-    """Fourier derivative of a periodic complex signal on the uniform grid.
+    """Fourier derivative of a periodic complex signal on the uniform grid,
+    by _derivative_factor's Nyquist rule.
 
-    The Nyquist mode is zeroed for odd orders (it carries no well-defined
-    odd derivative on an even grid).
+    The package reads orders 1 and 2 from _spectrum; this routine stays
+    while perfbench/tracer.py wraps it, as tests/test_tracer_names.py pins.
     """
-    return np.fft.ifft(np.fft.fft(values)
-                       * _derivative_factor(len(values), order))
-
-
-def _first_two_derivatives(samples: np.ndarray) -> np.ndarray:
-    """spectral_derivative orders 1 and 2 as (2, n) rows, from one forward
-    transform and one stacked inverse transform; each row equals its own
-    ifft to the bit."""
-    return np.fft.ifft(np.fft.fft(samples) * _derivative_stack(len(samples)))
+    return _spectral_rows(
+        values, _derivative_factor(_spectrum(len(values)).modes, order))
 
 
 def _require_speed(g1: np.ndarray) -> None:
@@ -217,7 +207,8 @@ def curvature_vector(curve: PlaneCurve) -> np.ndarray:
 
 
 def _flow_rhs(samples: np.ndarray) -> np.ndarray:
-    return _velocity(samples, _first_two_derivatives(samples))
+    return _velocity(samples, _spectral_rows(
+        samples, _spectrum(len(samples)).derivative))
 
 
 def _velocity(samples: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -236,12 +227,6 @@ def _velocity(samples: np.ndarray, d: np.ndarray) -> np.ndarray:
     np.divide(np.real(g1c * g2), speed2, out=c.real)
     np.divide(np.imag(samples * g1c), np.abs(samples) ** 2, out=c.imag)
     return (g2 - g1 * c) / speed2
-
-
-def _filtered_rows(values: np.ndarray) -> np.ndarray:
-    """The spectrally filtered values and their first two derivatives as
-    (3, n) rows, from one forward and one stacked inverse transform."""
-    return np.fft.ifft(np.fft.fft(values) * _filter_stack(len(values)))
 
 
 STEP_BOUND = 0.2   # c in the parabolic step bound dt <= c * spacing^2
@@ -268,7 +253,8 @@ def csf_step(curve: PlaneCurve, dt: float) -> PlaneCurve:
     k2 = _flow_rhs(z + 0.5 * dt * k1)
     k3 = _flow_rhs(z + 0.5 * dt * k2)
     k4 = _flow_rhs(z + dt * k3)
-    rows = _filtered_rows(z + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
+    rows = _spectral_rows(z + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4),
+                          _spectrum(curve.n).filtered)
     if np.abs(rows[0]).min() < 1e-3 * curve.diameter():
         raise OriginCollision("curve entered the origin guard band")
     try:
@@ -372,10 +358,10 @@ class TorusFromCurve(ParametricSurface):
         self.curve = curve
         n = curve.n
         coef = np.fft.fft(curve.samples) / n
-        self._k = _spectral_modes(n)
+        spectrum = _spectrum(n)
+        self._k = spectrum.modes
         # coefficients of gamma, gamma' and gamma''
-        self._coefs = (coef, _derivative_factor(n, 1) * coef,
-                       _derivative_factor(n, 2) * coef)
+        self._coefs = (coef, *(spectrum.derivative * coef))
 
     def _gamma_jets(self, u):
         """gamma and its first two derivatives at the parameters u.

@@ -258,7 +258,9 @@ class SurfaceMesh:
                              f"supported {MAX_COORDINATE:g}")
         if t.ndim != 2 or t.shape[1] != 3:
             raise ValueError(f"triangles must be (m, 3), got {t.shape}")
-        if t.min(initial=0) < 0 or t.max(initial=-1) >= len(v):
+        if len(t) == 0:
+            raise ValueError("a mesh needs at least one triangle")
+        if t.min() < 0 or t.max() >= len(v):
             raise ValueError("triangle indices out of range")
         topo = self.topology
         if topo is not None:
@@ -359,7 +361,9 @@ class SurfaceMesh:
 
     def vertex_neighbors(self, rings: int = 1) -> list:
         """Neighbor index arrays per vertex (one- or two-ring, vertex
-        excluded), in increasing order, read off the topology's rings."""
+        excluded), in increasing order, read off the topology's rings.
+        The package reads the rings directly; this method stays while
+        perfbench/tracer.py wraps it, as tests/test_tracer_names.py pins."""
         if rings not in (1, 2):
             raise ValueError(f"rings must be 1 or 2, got {rings}")
         topo = self.topology

@@ -389,6 +389,18 @@ CONFIG_ERRORS = {
                             "u,v\n0.1,0.2\n0.3,abc\n"),
     "soliton-no-samples": ("", "analyze log.jsonl --mode soliton", "u,v\n"),
     "log-empty": ("", "analyze log.jsonl", ""),
+    # numpy takes no negative seed, for any command that draws
+    "seed-negative-verify": ("[scenario]\nseed = -1\n",
+                             "verify --suite quaternionic", ""),
+    "seed-negative-phase": ("[scenario]\nseed = -1\n",
+                            "phase --surface quadratic-graph", ""),
+    "seed-negative-soliton": ("[scenario]\nseed = -1\n",
+                              "analyze log.jsonl --mode soliton",
+                              "u,v\n0.1,0.2\n"),
+    "seed-option-negative": ("", "--seed -3 verify", ""),
+    # k % -2 made a negative count checkpoint every 2 steps
+    "checkpoint-every-negative": ("[flow]\ncheckpoint_every = -2\n",
+                                  "flow-mesh", ""),
 }
 # what an analyze error names when it is not one line of log.jsonl
 WHOLE_INPUT_ERRORS = {
@@ -397,6 +409,14 @@ WHOLE_INPUT_ERRORS = {
     "soliton-v0-not-numeric": "bad v0 '0,0,one,0'",
     "soliton-no-samples": "log.jsonl: no u,v samples",
     "log-empty": "log.jsonl: empty trajectory log",
+    "seed-negative-soliton": "[scenario] seed must not be negative",
+}
+# the whole message of a rejected negative value, which names its key
+NEGATIVE_VALUE_ERRORS = {
+    "seed-negative-verify": "[scenario] seed must not be negative",
+    "seed-option-negative": "--seed must not be negative",
+    "checkpoint-every-negative":
+        "[flow] checkpoint_every must not be negative",
 }
 
 
@@ -413,6 +433,8 @@ def test_bad_input_is_a_config_error(tmp_path, monkeypatch, capsys, case):
     assert "Traceback" not in err
     if command.startswith("analyze"):
         assert WHOLE_INPUT_ERRORS.get(case, "log.jsonl, line ") in err
+    if case in NEGATIVE_VALUE_ERRORS:
+        assert err == f"hkflow: config error: {NEGATIVE_VALUE_ERRORS[case]}\n"
 
 
 @pytest.mark.parametrize("command, choices", [
@@ -784,11 +806,18 @@ def test_phase_reaper_stays_clear(tmp_path):
 # fit, which had to leave these bytes unchanged: its 2562 vertices make six
 # blocks of BNORM_BLOCK = 512, the last of two vertices, where icosphere-2
 # (162 vertices) and test_run_mcf_fingerprint (642) fit in one and two.
+# rk4-odd was recorded at the parent commit of the one spectral table per
+# curve grid, which had to leave these bytes unchanged: on its 63-point
+# grid the first derivative keeps the top mode that an even grid zeroes,
+# a branch no other case runs.
 # Another FFT or BLAS build may round differently.
 GOLDEN = {
     "rk4": ("flow-curve", "[curve]\nfamily = perturbed-circle\nn = 64\n"
             "[flow]\nt_end = 0.05\nsnapshot_every = 5\n",
             "95d48b435ed757816ef1570cd5832a75c2f7b9076fa48278a4513cdd0dc8120f"),
+    "rk4-odd": ("flow-curve", "[curve]\nfamily = perturbed-circle\nn = 63\n"
+                "[flow]\nt_end = 0.05\nsnapshot_every = 5\n",
+                "1acd571cda270b4705a7458a3987bfd9734f6e3b57b609f8101c7ba7cd741575"),
     "torus-16": ("phase --surface torus", "[surface]\nn = 16\n",
                  "25d123f762b598e2c47409d2e48d028a4787955121b0e602eb720dd85e3fc272"),
     # 48 x 48 points but 48 distinct u: the torus jets of those are

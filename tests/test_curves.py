@@ -1,13 +1,13 @@
 """Reduced plane-curve flow, winding diagnostics, and the torus lift."""
+import functools
+
 import numpy as np
 import pytest
 
 from hkflow.curves import (DIAMETER_RANGE, CurveFlowResult, PlaneCurve,
-                           TorusFromCurve, _curvature_frame,
-                           _derivative_factor, _filter_profile, _filter_stack,
-                           _filtered_rows, _first_two_derivatives,
-                           _step_bound, _velocity, b_norm_history, csf_march,
-                           csf_step, curvature_vector, diagnostics,
+                           TorusFromCurve, _curvature_frame, _spectral_rows,
+                           _spectrum, _step_bound, _velocity, b_norm_history,
+                           csf_march, csf_step, curvature_vector, diagnostics,
                            embed_torus, run_csf, spectral_derivative,
                            torus_area, torus_bnorm2, winding_number,
                            write_curve_csv)
@@ -16,7 +16,7 @@ from hkflow.errors import (DegenerateDerivative, GeometryError,
                            StabilityViolation)
 from hkflow.flow import march, type1_monitor
 from hkflow.surfaces import frames, mean_curvature
-from hkflow.util import BLOCK
+from hkflow.util import BLOCK, readonly
 
 
 def _limacon(n=256):
@@ -84,15 +84,71 @@ def test_spectral_derivative_bitwise_matches_reference(n, order):
 
 
 def test_spectral_factors_are_cached_read_only():
-    from hkflow.curves import (_derivative_factor, _filter_profile,
-                               _spectral_modes)
-    for table in (_spectral_modes(64), _derivative_factor(64, 1),
-                  _derivative_factor(64, 2), _filter_profile(64)):
+    spectrum = _spectrum(64)
+    for table in spectrum:
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0] = 1.0
-    assert _derivative_factor(64, 1) is _derivative_factor(64, 1)
-    assert _derivative_factor(64, 1)[32] == 0.0
+    assert _spectrum(64) is spectrum
+    assert spectrum.derivative[0, 32] == 0.0
+
+
+# The five cached factor tables the spectral table replaced, body for body:
+# the reference route of test_spectrum_bitwise_matches_the_factor_tables.
+
+@functools.lru_cache(maxsize=32)
+def _reference_modes(n):
+    return readonly(np.fft.fftfreq(n, d=1.0 / n))
+
+
+@functools.lru_cache(maxsize=64)
+def _reference_derivative_factor(n, order):
+    factor = (1j * _reference_modes(n)) ** order
+    if order % 2 == 1 and n % 2 == 0:
+        factor[n // 2] = 0.0
+    return readonly(factor)
+
+
+@functools.lru_cache(maxsize=32)
+def _reference_derivative_stack(n):
+    return readonly(np.stack([_reference_derivative_factor(n, 1),
+                              _reference_derivative_factor(n, 2)]))
+
+
+@functools.lru_cache(maxsize=32)
+def _reference_filter_profile(n):
+    k = np.abs(_reference_modes(n)) / (n // 2)
+    return readonly(np.exp(-36.0 * k ** 36))
+
+
+@functools.lru_cache(maxsize=32)
+def _reference_filter_stack(n):
+    profile = _reference_filter_profile(n)
+    return readonly(np.concatenate(([profile],
+                                    profile * _reference_derivative_stack(n))))
+
+
+def _assert_same_bits(got, want):
+    """Equal values and equal sign bits, so -0.0 differs from 0.0."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got.view(float)),
+                          np.signbit(want.view(float)))
+
+
+@pytest.mark.parametrize("n", [16, 17, 64, 255, 256, 512])
+def test_spectrum_bitwise_matches_the_factor_tables(n):
+    """The table is cached, read-only in every field and, signs of zero
+    included, the factor tables it replaced: odd grids keep their top mode
+    in the first derivative, even grids zero it."""
+    spectrum = _spectrum(n)
+    assert _spectrum(n) is spectrum
+    for table in spectrum:
+        assert not table.flags.writeable
+    _assert_same_bits(spectrum.modes, _reference_modes(n))
+    _assert_same_bits(spectrum.derivative, _reference_derivative_stack(n))
+    _assert_same_bits(spectrum.filtered, _reference_filter_stack(n))
+    assert (spectrum.derivative[0, n // 2] == 0.0) == (n % 2 == 0)
 
 
 def test_curve_measures_stored_at_construction():
@@ -409,16 +465,13 @@ def test_write_curve_csv(tmp_path):
 
 @pytest.mark.parametrize("n", [16, 17, 64, 255, 256, 512])
 def test_first_two_derivatives_equal_two_spectral_derivatives(n):
-    from hkflow.curves import _derivative_stack, _first_two_derivatives
     z = np.random.default_rng(n).standard_normal((n, 2)) @ [1, 1j]
-    g1, g2 = _first_two_derivatives(z)
+    g1, g2 = _spectral_rows(z, _spectrum(n).derivative)
     for got, order in ((g1, 1), (g2, 2)):
         expect = spectral_derivative(z, order)
         assert np.array_equal(got, expect)
         assert np.array_equal(np.signbit(got.view(float)),
                               np.signbit(expect.view(float)))
-    stack = _derivative_stack(n)
-    assert stack is _derivative_stack(n) and not stack.flags.writeable
 
 
 def _count_transforms(monkeypatch):
@@ -494,7 +547,8 @@ def _reference_step(curve, dt):
     unit normal, the filter on its own transform pair, and the new curve
     measuring its derivatives from its samples."""
     def rhs(s):
-        return _reference_velocity(s, _first_two_derivatives(s))
+        return _reference_velocity(s, np.fft.ifft(
+            np.fft.fft(s) * _reference_derivative_stack(len(s))))
 
     z = curve.samples
     k1 = _reference_velocity(z, curve.derivatives())
@@ -502,7 +556,7 @@ def _reference_step(curve, dt):
     k3 = rhs(z + 0.5 * dt * k2)
     k4 = rhs(z + dt * k3)
     z_new = np.fft.ifft(np.fft.fft(z + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
-                       * _filter_profile(len(z)))
+                       * _reference_filter_profile(len(z)))
     if np.abs(z_new).min() < 1e-3 * curve.diameter():
         raise OriginCollision("curve entered the origin guard band")
     return PlaneCurve(z_new)
@@ -513,7 +567,7 @@ def test_velocity_equals_the_unit_normal_route():
     for n in (16, 17, 64, 255, 256, 512):
         for _ in range(20):
             z = _random_curve_samples(rng, n)
-            d = _first_two_derivatives(z)
+            d = _spectral_rows(z, _spectrum(n).derivative)
             expect = _reference_velocity(z, d)
             err = np.max(np.abs(_velocity(z, d) - expect))
             assert err <= 4 * np.finfo(float).eps * np.max(np.abs(expect))
@@ -526,20 +580,18 @@ def test_filtered_rows_are_the_filter_and_its_derivatives(n):
     made from the rows carries them and is validated as PlaneCurve is."""
     rng = np.random.default_rng(n)
     v = _random_curve_samples(rng, n)
-    rows = _filtered_rows(v)
+    rows = _spectral_rows(v, _spectrum(n).filtered)
     spectrum = np.fft.fft(v)
     k = np.abs(np.fft.fftfreq(n, d=1.0 / n)) / (n // 2)
     profile = np.exp(-36.0 * k ** 36)
-    assert np.array_equal(profile, _filter_profile(n))
-    ik = np.stack([_derivative_factor(n, 1), _derivative_factor(n, 2)])
+    assert np.array_equal(profile, _spectrum(n).filtered[0])
+    ik = _spectrum(n).derivative
     expect = [np.fft.ifft(spectrum * profile),
               *np.fft.ifft(spectrum * (profile * ik))]
     for got, want in zip(rows, expect):
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got.view(float)),
                               np.signbit(want.view(float)))
-    stack = _filter_stack(n)
-    assert stack is _filter_stack(n) and not stack.flags.writeable
     c = PlaneCurve._from_rows(rows)
     assert np.array_equal(c.samples, rows[0]) and not c.samples.flags.writeable
     assert np.array_equal(c.derivatives(), rows[1:])

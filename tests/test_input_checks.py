@@ -35,6 +35,9 @@ CASES = {
                         "vertices must be finite"),
     "mesh-vertex-in-no-triangle": (_icosphere_with_extra_vertex, ValueError,
                                    "^vertex 42 belongs to no triangle$"),
+    "mesh-no-triangles": (
+        lambda: SurfaceMesh(np.zeros((0, 4)), np.zeros((0, 3), int)),
+        ValueError, "^a mesh needs at least one triangle$"),
     # the implicit step's dot products grow as the sixth power of the scale
     "mesh-vertex-beyond-1e50": (lambda: _icosphere_with(1e51), ValueError,
                                 "exceeds the supported 1e\\+50"),

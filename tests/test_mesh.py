@@ -379,8 +379,10 @@ def test_off4_rejects_wrong_dimension(tmp_path):
     ("OFF\n-1 0 0\n", "counts line"),
     ("OFF\n3 1 0\n0 0 0 0\n1 0 0 0\n0 1 0 0\n3 0 1 2\n3 0 2 1\n",
      "rows past the 3 vertices and 1 faces of the counts line"),
+    ("OFF\n0 0 0\n", "^a mesh needs at least one triangle$"),
 ], ids=["empty", "other-header", "truncated", "quad", "short-face",
-        "no-counts", "one-count", "negative-count", "rows-past-counts"])
+        "no-counts", "one-count", "negative-count", "rows-past-counts",
+        "no-triangles"])
 def test_off4_rejects_malformed_files(tmp_path, text, message):
     path = tmp_path / "bad.off"
     path.write_text(text)
