@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from hkflow import (Cylinder, GrimReaper, PlaneCurve, Sphere, TorusFromCurve,
-                    arc_distance, chart, containment_margin, degree, errors,
-                    euler_numbers, phase_sample_exact, write_phase_field_csv)
+                    arc_distance, chart, closed_invariants, containment_margin,
+                    degree, errors, phase_sample_exact, write_phase_field_csv)
 
 # --- chart coordinates and distance to the half circle ----------------------
 pts = {
@@ -63,8 +63,7 @@ print(f"curve lift:  margin = {rep.margin:.4f}, violation = {rep.violation}")
 
 # --- degree and Euler numbers ----------------------------------------------
 sph = Sphere(1.0)
-d = degree(sph, n=96)
-chi_t, chi_n = euler_numbers(sph, n=96)
+d, chi_t, chi_n = closed_invariants(sph, n=96)
 print(f"\nsphere: deg = {d:.4f}, chi(T) = {chi_t:.4f}, chi(T_perp) = {chi_n:.1e}")
 print(f"        2 deg - chi(T) - chi(T_perp) = {2 * d - chi_t - chi_n:.1e}")
 

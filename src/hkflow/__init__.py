@@ -11,18 +11,18 @@ from .surfaces import (Cylinder, FrameData, GrimReaper, NumericalJetSurface,
                        SurfaceJet, frames, mean_curvature, normal_projection,
                        second_fundamental_form, tangential_projection)
 from .phase import (ContainmentReport, PhaseSample, SphereChart,
-                    arc_distance, chart, containment_margin, coupling_residual,
-                    curvature_form, degree, energy_split, euler_numbers,
-                    gauss_normal_curvatures, phase_differential,
+                    arc_distance, chart, closed_invariants, containment_margin,
+                    coupling_residual, curvature_form, degree, energy_split,
+                    euler_numbers, gauss_normal_curvatures, phase_differential,
                     phase_sample_exact, tension, write_phase_field_csv)
 from .mesh import (SurfaceMesh, flat_square, grid_torus_mesh, icosphere,
                    mesh_bnorm, mesh_mean_curvature, mesh_tangent_frames,
                    read_off4, write_off4)
 from .flow import (FlowHistory, FlowState, PhaseEvolutionReport, Type1Report,
-                   blowup_point, mcf_step, parabolic_rescale,
-                   phase_evolution_check, run_mcf, shrinker_radius_by_bisection,
-                   shrinker_residual, shrinker_residual_of_family,
-                   translator_residual, type1_monitor)
+                   mcf_step, parabolic_rescale, phase_evolution_check,
+                   run_mcf, shrinker_radius_by_bisection, shrinker_residual,
+                   shrinker_residual_of_family, translator_residual,
+                   type1_monitor)
 from .curves import (CurveDiagnostics, CurveFlowResult, PlaneCurve,
                      TorusFromCurve, b_norm_history, csf_step,
                      curvature_vector, diagnostics, embed_torus, run_csf,
@@ -41,16 +41,16 @@ __all__ = [
     "PhaseSample", "SphereChart", "ContainmentReport",
     "phase_differential", "phase_sample_exact", "curvature_form",
     "energy_split", "gauss_normal_curvatures", "coupling_residual",
-    "tension", "degree", "euler_numbers", "chart", "arc_distance",
-    "containment_margin", "write_phase_field_csv",
+    "tension", "closed_invariants", "degree", "euler_numbers", "chart",
+    "arc_distance", "containment_margin", "write_phase_field_csv",
     "SurfaceMesh", "icosphere", "flat_square", "grid_torus_mesh",
     "mesh_mean_curvature", "mesh_tangent_frames", "mesh_bnorm",
     "read_off4", "write_off4",
     "FlowState", "FlowHistory", "Type1Report", "PhaseEvolutionReport",
     "mcf_step", "run_mcf", "shrinker_residual",
     "shrinker_residual_of_family", "shrinker_radius_by_bisection",
-    "translator_residual", "type1_monitor", "blowup_point",
-    "parabolic_rescale", "phase_evolution_check",
+    "translator_residual", "type1_monitor", "parabolic_rescale",
+    "phase_evolution_check",
     "PlaneCurve", "CurveFlowResult", "CurveDiagnostics", "TorusFromCurve",
     "spectral_derivative", "curvature_vector", "csf_step", "run_csf",
     "winding_number", "diagnostics",

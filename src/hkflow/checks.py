@@ -16,9 +16,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .curves import PlaneCurve, TorusFromCurve
-from .phase import (ENERGY_TOL, _closed_integrals, _dj_fields,
-                    _dj_shape_operator, _phase_differential,
-                    coupling_residual, degree, gauss_normal_curvatures)
+from .phase import (ENERGY_TOL, _dj_fields, _dj_shape_operator,
+                    _phase_differential, closed_invariants, coupling_residual,
+                    degree, gauss_normal_curvatures)
 from .structure import QUATERNIONIC_TOL, standard_structure
 from .surfaces import (QuadraticGraph, frames, grid_geometry, mean_curvature,
                        second_fundamental_form)
@@ -102,15 +102,9 @@ def _degree_torus(d: Draws, want) -> dict:
 
 
 def _degree_sphere(d: Draws, want) -> dict:
-    """2 deg = chi_T + chi_N on the sphere: det dJ, kappa and kappa_perp
-    from one pass at n = 128, normalised as degree and euler_numbers do."""
-    def fields(fr, sff):
-        return (_dj_fields(fr.lam, _dj_shape_operator(fr, sff))[-1],
-                *gauss_normal_curvatures(sff))
-
-    det, kap, kperp = _closed_integrals(d.make_family("sphere"), 128, fields)
-    chi = float(kap / (2 * np.pi)) + float(kperp / (2 * np.pi))
-    return {"degree-sphere": abs(2.0 * float(det / (4 * np.pi)) - chi)}
+    """2 deg = chi_T + chi_N on the sphere at n = 128."""
+    deg, chi_t, chi_n = closed_invariants(d.make_family("sphere"), 128)
+    return {"degree-sphere": abs(2.0 * deg - (chi_t + chi_n))}
 
 
 #: the rows of verify, in report order

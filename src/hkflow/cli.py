@@ -118,11 +118,9 @@ def load_config(path: str | None) -> dict:
     if path is None:
         return cfg
     parser = configparser.ConfigParser()
+    text = _read_text(path, "config")
     try:
-        with open(path) as fh:
-            parser.read_file(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}")
+        parser.read_string(text, source=path)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}")
     for sec in parser.sections():
@@ -147,6 +145,15 @@ def load_config(path: str | None) -> dict:
     _parse_dt(cfg["flow"]["dt"])
     _parse_v0(cfg["analyze"]["v0"])
     return cfg
+
+
+def _read_text(path, what: str) -> str:
+    """The text of the file at path; a file that cannot be opened or
+    decoded is a ConfigError naming what it was and its path."""
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}")
 
 
 def _parse_dt(raw) -> float | None:
@@ -360,21 +367,23 @@ def _analyze_type1(cfg, path: Path) -> dict:
     with numeric t, max_B, area and (if present) margin, or whose t does
     not increase, is a ConfigError naming the file and the line."""
     records = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                ok = all(type(x) in (int, float) for x in (
-                    rec["t"], rec["max_B"], rec["area"], rec.get("margin", 0)))
-            except (ValueError, TypeError, KeyError):
-                ok = False
-            if not ok or (records and not rec["t"] > records[-1]["t"]):
-                raise ConfigError(
-                    f"{path}, line {lineno}: expected a JSON record with "
-                    f"numeric t, max_B, area and margin, t increasing")
-            records.append(rec)
+    # split at "\n" alone, as file iteration did; splitlines also splits at
+    # "\x0b", "\x85", "\u2028" and others, and would shift line numbers
+    lines = _read_text(path, "trajectory log").split("\n")
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+            ok = all(type(x) in (int, float) for x in (
+                rec["t"], rec["max_B"], rec["area"], rec.get("margin", 0)))
+        except (ValueError, TypeError, KeyError):
+            ok = False
+        if not ok or (records and not rec["t"] > records[-1]["t"]):
+            raise ConfigError(
+                f"{path}, line {lineno}: expected a JSON record with "
+                f"numeric t, max_B, area and margin, t increasing")
+        records.append(rec)
     if not records:
         raise ConfigError(f"{path}: empty trajectory log")
     hist = FlowHistory.from_records(records)
@@ -397,19 +406,19 @@ def _analyze_soliton(cfg, path: Path) -> dict:
             for x, (lo, hi), per in zip(uv, fam.domain, fam.periodic))
 
     samples = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            if lineno == 1 or not line.strip():
-                continue
-            try:
-                uv = tuple(map(float, line.split(",")))
-            except ValueError:
-                uv = ()
-            if not inside(uv):
-                raise ConfigError(
-                    f"{path}, line {lineno}: expected finite u,v strictly "
-                    f"inside the {fam.name} domain {fam.domain}")
-            samples.append(uv)
+    lines = _read_text(path, "sample file").split("\n")
+    for lineno, line in enumerate(lines, 1):
+        if lineno == 1 or not line.strip():
+            continue
+        try:
+            uv = tuple(map(float, line.split(",")))
+        except ValueError:
+            uv = ()
+        if not inside(uv):
+            raise ConfigError(
+                f"{path}, line {lineno}: expected finite u,v strictly "
+                f"inside the {fam.name} domain {fam.domain}")
+        samples.append(uv)
     if not samples:
         raise ConfigError(f"{path}: no u,v samples below the header line")
     data = np.array(samples)
@@ -521,7 +530,10 @@ def main(argv=None) -> int:
         if args.out is not None:
             cfg["output"]["dir"] = args.out
         out = Path(cfg["output"]["dir"])
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make output directory {out}: {exc}")
         write_manifest(out, args.command, argv, cfg)
         return _COMMANDS[args.command](cfg, args, out)
     except ConfigError as exc:

@@ -95,26 +95,6 @@ class FlowHistory:
                    margin=cols.get("margin"), **kwargs)
 
 
-def _advance_vertices(state: FlowState, dt: float) -> np.ndarray:
-    """New vertex positions after one semi-implicit step from state, using
-    the cotangent matrix and mixed areas that its measurement assembled."""
-    mesh = state.mesh
-    a, rhs, x0 = _implicit_system(state, dt)
-    diag = a.diagonal()
-    if np.any(diag <= 0):
-        raise SolveFailure("implicit operator lost positivity")
-    inv_diag = 1.0 / diag
-    out = np.empty_like(x0)
-    for k, b in enumerate(np.ascontiguousarray(rhs.T)):
-        out[:, k] = _pcg(a, b, x0[:, k], inv_diag)[0]
-    bdry = mesh.boundary_vertex_mask
-    if bdry.any():
-        full = mesh.vertices.copy()
-        full[~bdry] = out
-        return full
-    return out
-
-
 def _implicit_system(state: FlowState, dt: float):
     """(a, rhs, x0) of the semi-implicit step (m - dt W) x = m x_old, m the
     mixed areas, with the boundary vertices pinned: their rows are dropped
@@ -182,10 +162,26 @@ def _pcg(a: PaddedMatrix, b: np.ndarray, x0: np.ndarray,
 
 
 def mcf_step(state: FlowState, dt: float) -> FlowState:
-    """Advance the mesh by one semi-implicit step of mean curvature motion."""
+    """Advance the mesh by one semi-implicit step of mean curvature motion,
+    solving with the cotangent matrix and mixed areas that the measurement
+    of state assembled; the boundary vertices stay where they are."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    verts = _advance_vertices(state, dt)
+    a, rhs, x0 = _implicit_system(state, dt)
+    diag = a.diagonal()
+    if np.any(diag <= 0):
+        raise SolveFailure("implicit operator lost positivity")
+    inv_diag = 1.0 / diag
+    verts = np.empty_like(x0)
+    for k, b in enumerate(np.ascontiguousarray(rhs.T)):
+        verts[:, k] = _pcg(a, b, x0[:, k], inv_diag)[0]
+    # freed before the measurement, where a step peaks in memory
+    del a, rhs, x0, b, diag, inv_diag
+    bdry = state.mesh.boundary_vertex_mask
+    if bdry.any():
+        full = state.mesh.vertices.copy()
+        full[~bdry] = verts
+        verts = full
     return FlowState.measure(state.mesh.with_vertices(verts), state.t + dt)
 
 
@@ -369,13 +365,6 @@ def type1_monitor(history: FlowHistory) -> Type1Report:
     gap = np.maximum(t_est - tt, 0.0)
     sup = float(np.max(np.sqrt(gap) * bb))
     return Type1Report(t_est=float(t_est), ci_halfwidth=ci, sup_rescaled=sup)
-
-
-def blowup_point(state: FlowState) -> tuple[int, np.ndarray]:
-    """First vertex (in index order) attaining max|B|, and its position."""
-    b = mesh_bnorm(state.mesh)
-    idx = int(np.nanargmax(b))
-    return idx, state.mesh.vertices[idx].copy()
 
 
 def parabolic_rescale(state: FlowState, eps: float, q, t_k: float) -> FlowState:

@@ -235,9 +235,9 @@ class SurfaceMesh:
     otherwise).  Without a `topology`, one is built from the triangles,
     which runs the vertex-use and orientation checks (`NonOrientableMesh`);
     with one, as `with_vertices` passes, the triangles must be its own
-    array and the connectivity is not validated again.  `vertices` is a read-only copy of the input and `triangles` is
-    read-only, so the triangle geometry measured at construction stays
-    valid.
+    array and the connectivity is not validated again.  `vertices` is a
+    read-only copy of the input and `triangles` is read-only, so the
+    triangle geometry measured at construction stays valid.
     """
 
     vertices: np.ndarray

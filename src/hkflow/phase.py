@@ -270,40 +270,37 @@ def tension(family: ParametricSurface, u, v) -> np.ndarray:
 # Degree
 # ---------------------------------------------------------------------------
 
-def _closed_integrals(family: ParametricSurface, n: int, fields):
-    """Integrals of fields(fr, sff) dmu over a closed family, by the tensor
-    midpoint rule on the n x n grid of its domain.
+def closed_invariants(family: ParametricSurface, n: int = 64):
+    """(deg, chi_T, chi_N) of a closed family: (1/4pi) integral of det dJ
+    and (1/2pi) integrals of kappa and kappa_perp, whose formulas share
+    nothing with det dJ.
 
-    Midpoint quadrature is spectrally accurate for the periodic directions
-    of closed parametrizations and keeps the grid off boundary poles.  The
-    fields and dmu are filled into (n, n) arrays block by block
-    (grid_geometry), and each sum runs over the whole array.
+    One geometry pass fills the three integrands and dmu into (n, n) arrays
+    block by block (grid_geometry) on the tensor midpoint grid of the
+    domain, spectrally accurate for the periodic directions of closed
+    parametrizations and off boundary poles; each sum runs over the whole
+    array.
     """
     if not family.closed:
         raise NonClosedSurface(f"{family.name} is not closed")
     ug, vg, du, dv = midpoint_grid(family.domain, n)
     *values, dmu = grid_geometry(family, ug, vg, lambda fr, sff: (
-        *fields(fr, sff), np.sqrt(np.linalg.det(fr.g))))
-    return [np.sum(f * dmu) * du * dv for f in values]
+        _dj_fields(fr.lam, _dj_shape_operator(fr, sff))[-1],
+        *gauss_normal_curvatures(sff), np.sqrt(np.linalg.det(fr.g))))
+    det, kap, kperp = [np.sum(f * dmu) * du * dv for f in values]
+    return (float(det / (4 * np.pi)), float(kap / (2 * np.pi)),
+            float(kperp / (2 * np.pi)))
 
 
 def degree(family: ParametricSurface, n: int = 64) -> float:
-    """(1/4pi) integral of det dJ, by the tensor midpoint rule on n x n."""
-    (total,) = _closed_integrals(family, n, lambda fr, sff: _dj_fields(
-        fr.lam, _dj_shape_operator(fr, sff))[-1:])
-    return float(total / (4 * np.pi))
+    """deg of closed_invariants."""
+    return closed_invariants(family, n)[0]
 
 
 def euler_numbers(family: ParametricSurface, n: int = 64):
-    """(chi_T, chi_N): Euler numbers of tangent and normal bundle.
-
-    Both by curvature integrals, (1/2pi) integral of kappa resp. kappa_perp,
-    whose formulas share nothing with the degree's det dJ; verify takes all
-    three integrands from one geometry pass.
-    """
-    total_k, total_kperp = _closed_integrals(
-        family, n, lambda fr, sff: gauss_normal_curvatures(sff))
-    return float(total_k / (2 * np.pi)), float(total_kperp / (2 * np.pi))
+    """(chi_T, chi_N) of closed_invariants: Euler numbers of tangent and
+    normal bundle."""
+    return closed_invariants(family, n)[1:]
 
 
 # ---------------------------------------------------------------------------

@@ -707,6 +707,40 @@ def test_analyze_missing_file(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("hkflow: config error")
 
 
+# files to make (bytes, or None for a directory), the arguments, and the
+# path that the error must name
+OUTSIDE_FILE_ERRORS = {
+    "out-is-a-file": ({"taken": b""}, "--out taken verify", "taken"),
+    "out-below-a-file": ({"taken": b""}, "--out taken/sub verify",
+                         "taken/sub"),
+    "analyze-a-directory": ({"logs": None}, "--out out analyze logs", "logs"),
+    "config-undecodable": ({"run.ini": b"[scenario]\nname = \xff\n"},
+                           "--config run.ini --out out verify", "run.ini"),
+    "log-undecodable": ({"log.jsonl": b'{"t": 0.0, "max_B": 1\xff}\n'},
+                        "--out out analyze log.jsonl", "log.jsonl"),
+    "samples-undecodable": ({"uv.csv": b"u,v\n0.1,\xff\n"},
+                            "--out out analyze uv.csv", "uv.csv"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUTSIDE_FILE_ERRORS))
+def test_an_unusable_outside_file_is_a_config_error(tmp_path, monkeypatch,
+                                                     capsys, case):
+    files, argv, named = OUTSIDE_FILE_ERRORS[case]
+    monkeypatch.chdir(tmp_path)
+    for name, data in files.items():
+        if data is None:
+            Path(name).mkdir()
+        else:
+            Path(name).write_bytes(data)
+    code = main(argv.split())
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("hkflow: config error")
+    assert named in err
+    assert "Traceback" not in err
+
+
 def test_analyze_soliton_residual(tmp_path):
     rng = np.random.default_rng(0)
     u = rng.uniform(-1.2, 1.2, size=40)

@@ -4,9 +4,9 @@ import pytest
 
 from hkflow.errors import (IdentityViolation, NonClosedSurface,
                            NonNormalInput, OnForbiddenSet)
-from hkflow.phase import (arc_distance, chart, containment_margin,
-                          coupling_residual, curvature_form, degree,
-                          energy_split, euler_numbers,
+from hkflow.phase import (arc_distance, chart, closed_invariants,
+                          containment_margin, coupling_residual,
+                          curvature_form, degree, energy_split, euler_numbers,
                           gauss_normal_curvatures, phase_differential,
                           phase_sample_exact, tension, write_phase_field_csv)
 from hkflow.structure import standard_structure
@@ -252,6 +252,32 @@ def test_degree_requires_closed():
         degree(Plane())
     with pytest.raises(NonClosedSurface):
         euler_numbers(GrimReaper())
+    with pytest.raises(NonClosedSurface):
+        closed_invariants(Cylinder(1.0))
+
+
+# (deg, chi_T, chi_N) as float.hex, recorded when degree and euler_numbers
+# made a geometry pass each
+CLOSED_INVARIANT_BITS = {
+    ("sphere", 64): ("0x1.00069487e72aep+0", "0x1.00069487e72acp+1",
+                     "0x1.1f9119f15194ap-112"),
+    ("sphere", 128): ("0x1.0001a51c4b08dp+0", "0x1.0001a51c4b08bp+1",
+                      "0x1.1365637f523a7p-111"),
+    ("torus", 64): ("0x1.78993202ad9acp-51", "0x1.8dcdde11cf333p-51",
+                    "0x1.665681676bfe1p-51"),
+}
+
+
+@pytest.mark.parametrize("name,n", sorted(CLOSED_INVARIANT_BITS))
+def test_closed_invariants_keep_their_bits(name, n):
+    from hkflow.curves import PlaneCurve, TorusFromCurve
+
+    fam = (Sphere(1.0) if name == "sphere"
+           else TorusFromCurve(PlaneCurve.circle(1.0, n=256)))
+    want = tuple(float.fromhex(x) for x in CLOSED_INVARIANT_BITS[name, n])
+    deg, chi_t, chi_n = closed_invariants(fam, n=n)
+    assert (deg, chi_t, chi_n) == want
+    assert (degree(fam, n=n), *euler_numbers(fam, n=n)) == want
 
 
 # -- chart, arc distance, containment -----------------------------------------
