@@ -534,8 +534,13 @@ def main(argv=None) -> int:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot make output directory {out}: {exc}")
-        write_manifest(out, args.command, argv, cfg)
-        return _COMMANDS[args.command](cfg, args, out)
+        try:
+            write_manifest(out, args.command, argv, cfg)
+            return _COMMANDS[args.command](cfg, args, out)
+        except (FileExistsError, IsADirectoryError,
+                NotADirectoryError) as exc:
+            # a file or directory in --out stands where a run writes
+            raise ConfigError(f"cannot write {exc.filename}: {exc.strerror}")
     except ConfigError as exc:
         print(f"hkflow: config error: {exc}", file=sys.stderr)
         return 1

@@ -38,7 +38,8 @@ products bit for bit without importing them.
 The triangle geometry (corner cotangents, areas and squared edge lengths)
 is measured once per vertex set, at construction, where the area check
 needs it; the vertices are a read-only copy, so it stays valid, and every
-metric operator reads it.
+metric operator reads it, as do the tangent frames, from (4, m) corner
+planes gathered off the vertices' (4, n) coordinate planes.
 """
 from __future__ import annotations
 
@@ -68,6 +69,12 @@ def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
     first = np.ones(len(keys), dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
     return keys[first]
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Column dot products of (4, m) planes, added as np.sum(..., axis=1)
+    adds a row of four: from +0.0, so an exact zero is +0.0 there too."""
+    return 0.0 + a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
 
 
 def _ring_table(keys: np.ndarray, n: int) -> np.ndarray:
@@ -236,8 +243,8 @@ class SurfaceMesh:
     which runs the vertex-use and orientation checks (`NonOrientableMesh`);
     with one, as `with_vertices` passes, the triangles must be its own
     array and the connectivity is not validated again.  `vertices` is a
-    read-only copy of the input and `triangles` is read-only, so the
-    triangle geometry measured at construction stays valid.
+    read-only copy of the input, also kept as (4, n) coordinate planes, and
+    `triangles` is read-only, so the triangle geometry stays valid.
     """
 
     vertices: np.ndarray
@@ -270,6 +277,7 @@ class SurfaceMesh:
                 raise ValueError(f"topology has {topo.n_vertices} vertices, "
                                  f"got {len(v)}")
         self.vertices = readonly(v)
+        self._planes = readonly(np.ascontiguousarray(v.T))
         self.triangles = t
         self._measure_triangles()
         if np.any(self._areas <= 1e-14):
@@ -280,23 +288,24 @@ class SurfaceMesh:
 
     def _measure_triangles(self) -> None:
         """Corner cotangents, areas and squared edge lengths of every
-        triangle, from one gather of the corners; stored read-only."""
-        p, q, r = self.corner_vectors()
-        cots = np.empty((len(p), 3))
-        l2 = np.empty((len(p), 3))
+        triangle, from one gather of the corner planes; stored read-only,
+        the (m, 3) ones as transposes of (3, m) rows."""
+        p, q, r = self._corner_planes()
+        cots = np.empty((3, len(self.triangles)))
+        l2 = np.empty_like(cots)
         for k, (apex, u, w) in enumerate(((p, q, r), (q, r, p), (r, p, q))):
             a, b = u - apex, w - apex
-            aa = np.sum(a * a, axis=1)
-            dot = np.sum(a * b, axis=1)
-            cross2 = aa * np.sum(b * b, axis=1) - dot * dot
-            cots[:, k] = dot / np.sqrt(np.maximum(cross2, 1e-300))
+            aa = _dot(a, a)
+            dot = _dot(a, b)
+            cross2 = aa * _dot(b, b) - dot * dot
+            cots[k] = dot / np.sqrt(np.maximum(cross2, 1e-300))
             # a runs from corner k to corner k+1, opposite corner k+2
-            l2[:, (k + 2) % 3] = aa
+            l2[(k + 2) % 3] = aa
             if k == 0:
                 self._areas = readonly(
                     0.5 * np.sqrt(np.maximum(cross2, 0.0)))
-        self._cots = readonly(cots)
-        self._l2 = readonly(l2)
+        self._cots = readonly(cots.T)
+        self._l2 = readonly(l2.T)
 
     # -- topology -----------------------------------------------------------
 
@@ -314,10 +323,13 @@ class SurfaceMesh:
 
     # -- metric quantities, read off the geometry measured at construction --
 
+    def _corner_planes(self) -> np.ndarray:
+        """Corner planes (p, q, r) of every triangle, each (4, m)."""
+        return self._planes.take(self.triangles.T, axis=1).swapaxes(0, 1)
+
     def corner_vectors(self):
         """Corner positions (p, q, r) of every triangle, each shape (m, 4)."""
-        v, t = self.vertices, self.triangles
-        return tuple(v.take(t[:, k], axis=0) for k in range(3))
+        return tuple(c.T for c in self._corner_planes())
 
     def triangle_areas(self) -> np.ndarray:
         return self._areas
@@ -420,26 +432,6 @@ def _antisymmetric(upper: np.ndarray) -> np.ndarray:
     return out
 
 
-def _largest_column(proj: np.ndarray) -> np.ndarray:
-    """The column of each projector with the largest diagonal entry (the
-    longest column, at least 1/sqrt(2) for rank 2), normalised."""
-    k = np.argmax(np.diagonal(proj, axis1=1, axis2=2), axis=1)
-    col = proj[np.arange(len(proj)), :, k]
-    return col / np.linalg.norm(col, axis=1, keepdims=True)
-
-
-def _vertex_sums(triangles: np.ndarray, values: np.ndarray,
-                 n: int) -> np.ndarray:
-    """Per-vertex sums of per-triangle values, (m,) or (m, c) -> (n,) or
-    (n, c).  np.bincount adds in input order from 0.0, so each vertex adds
-    its triangles' values in increasing triangle order, as a product with
-    the 0/1 vertex-triangle incidence matrix does."""
-    corners = triangles.ravel()
-    per_corner = np.repeat(values.reshape(len(triangles), -1), 3, axis=0)
-    sums = [np.bincount(corners, w, minlength=n) for w in per_corner.T]
-    return np.stack(sums, axis=-1).reshape(n, *values.shape[1:])
-
-
 def mesh_tangent_frames(mesh: SurfaceMesh):
     """Oriented tangent frames (t1, t2), normal legs (m1, m2), phase field.
 
@@ -448,27 +440,39 @@ def mesh_tangent_frames(mesh: SurfaceMesh):
     coefficients s_a = <J_a, M>_F / 4, and the remainder T are each
     normalised to unit Frobenius norm; A = S + T is then a unit simple
     bivector carrying the winding orientation.  Pi = -A^2 projects onto the
-    tangent plane: t1 is its longest column, normalised, and t2 = A^T t1.
-    The normal legs are m1 from I - Pi and m2 = (S - T)^T m1, so
-    (t1, t2, m1, m2) is a positively oriented orthonormal frame.  The phase
-    lam_a = <J_a t1, t2> equals -s / |s|.
+    tangent plane: t1 is its column with the largest diagonal entry (the
+    longest, at least 1/sqrt(2) for rank 2), normalised, and t2 = A^T t1.
+    The normal legs are m1, the column of I - Pi picked the same way, and
+    m2 = (S - T)^T m1, so (t1, t2, m1, m2) is a positively oriented
+    orthonormal frame.  The phase lam_a = <J_a t1, t2> equals -s / |s|.
+
+    np.bincount sums the six bivector planes per vertex from 0.0 in
+    increasing triangle order, as the 0/1 vertex-triangle incidence matrix
+    does.  Pi stays a batched matmul, whose bits are fused multiply-adds;
+    it is negated in place, and the corner planes are freed before it, so
+    a frame pass adds little to the heap.
 
     Raises FoldedVertex where S or T vanishes (to 1e-12 of the area of the
     vertex's triangles): the one-ring folds over itself and has no plane.
     """
-    p, q, r = mesh.corner_vectors()
+    p, q, r = mesh._corner_planes()
     a, b = q - p, r - p
-    i, j = UPPER
     n = len(mesh.vertices)
-    m6 = _vertex_sums(mesh.triangles, a[:, i] * b[:, j] - a[:, j] * b[:, i],
-                      n)
+    corners = mesh.triangles.ravel()
+
+    def vertex_sums(values):
+        return np.bincount(corners, np.repeat(values, 3), minlength=n)
+
+    m6 = np.stack([vertex_sums(a[i] * b[j] - a[j] * b[i])
+                   for i, j in zip(*UPPER)], axis=1)
     s = 0.5 * (m6 @ J_UPPER.T)
     s6 = s @ J_UPPER
     t6 = m6 - s6
     # |X|_F = sqrt(2) |upper entries|, and |J_a|_F = 2
     s_norm = 2.0 * np.linalg.norm(s, axis=1)
     t_norm = np.sqrt(2.0) * np.linalg.norm(t6, axis=1)
-    area = _vertex_sums(mesh.triangles, mesh.triangle_areas(), n)
+    area = vertex_sums(mesh.triangle_areas())
+    del p, q, r, a, b
     folded = np.minimum(s_norm, t_norm) <= 1e-12 * area
     if folded.any():
         raise FoldedVertex(
@@ -478,10 +482,18 @@ def mesh_tangent_frames(mesh: SurfaceMesh):
     s6 /= s_norm[:, None]
     t6 /= t_norm[:, None]
     tangent = _antisymmetric(s6 + t6)
-    proj = -(tangent @ tangent)
-    t1 = _largest_column(proj)
+    proj = np.matmul(tangent, tangent)
+    np.negative(proj, out=proj)
+    at = np.arange(n)
+    diag = np.diagonal(proj, axis1=1, axis2=2)
+    t1 = proj[at, :, np.argmax(diag, axis=1)]
+    # the entries of I - Pi: 0.0 - x, and 1.0 + (0.0 - x) = 1.0 - x
+    k = np.argmax(1.0 - diag, axis=1)
+    m1 = 0.0 - proj[at, :, k]
+    m1[at, k] += 1.0
+    for col in (t1, m1):
+        col /= np.sqrt(_dot(col.T, col.T))[:, None]
     t2 = np.einsum("nji,nj->ni", tangent, t1)
-    m1 = _largest_column(np.eye(4) - proj)
     m2 = np.einsum("nji,nj->ni", _antisymmetric(s6 - t6), m1)
     lam = -s / (0.5 * s_norm)[:, None]
     return t1, t2, m1, m2, lam

@@ -291,6 +291,20 @@ class Plane(ParametricSurface):
                 (0.0,) * 4, (0.0,) * 4, (0.0,) * 4)
 
 
+# The largest radius of a Sphere or a Cylinder: their metric determinant
+# r^4 overflows near 1.3e77, and this bound keeps it below 1e280.
+MAX_RADIUS = 1e70
+
+
+def _checked_radius(radius) -> float:
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+    if radius > MAX_RADIUS:
+        raise ValueError(f"radius {radius:.3g} exceeds the supported "
+                         f"{MAX_RADIUS:g}")
+    return float(radius)
+
+
 class Cylinder(ParametricSurface):
     """Round cylinder of radius r about the x3-axis inside {x4 = 0}.
 
@@ -305,9 +319,7 @@ class Cylinder(ParametricSurface):
     periodic = (False, True)
 
     def __init__(self, radius: float = 1.0, half_length: float = 1.0):
-        if radius <= 0:
-            raise ValueError("radius must be positive")
-        self.radius = float(radius)
+        self.radius = _checked_radius(radius)
         self.domain = ((-float(half_length), float(half_length)),
                        (0.0, 2.0 * np.pi))
 
@@ -327,9 +339,7 @@ class Sphere(ParametricSurface):
     closed = True
 
     def __init__(self, radius: float = 1.0):
-        if radius <= 0:
-            raise ValueError("radius must be positive")
-        self.radius = float(radius)
+        self.radius = _checked_radius(radius)
 
     def jet_rows(self, u, v):
         # u = polar angle in (0, pi), v = azimuth

@@ -365,6 +365,12 @@ CONFIG_ERRORS = {
     "torus-ny-4": ("[mesh]\nkind = torus\nny = 4\n", "flow-mesh", ""),
     "sphere-radius-negative": ("[surface]\nradius = -1\n",
                                "phase --surface sphere", ""),
+    # past MAX_RADIUS the metric r^4 overflows: found at load, not as a
+    # DegenerateJet mid-computation
+    "sphere-radius-overflow": ("[surface]\nradius = 1e200\n",
+                               "phase --surface sphere", ""),
+    "cylinder-radius-overflow": ("[surface]\nradius = 1e200\n",
+                                 "verify --surface cylinder", ""),
     "log-not-json": ("", "analyze log.jsonl", _ONE_RECORD + "not json\n"),
     "log-without-area": ("", "analyze log.jsonl", '{"t": 0, "max_B": 1}\n'),
     "log-repeated-t": ("", "analyze log.jsonl", _ONE_RECORD * 2),
@@ -741,6 +747,40 @@ def test_an_unusable_outside_file_is_a_config_error(tmp_path, monkeypatch,
     assert "Traceback" not in err
 
 
+# a path inside --out that a run writes, made first as a directory (None)
+# or a file (b""), the command and its config
+_SMALL_FLOW = "[curve]\nn = 32\n[mesh]\nsubdivisions = 1\n[flow]\ndt = 1e-3\n" \
+              "t_end = 2e-3\n"
+BLOCKED_OUT_PATHS = {
+    "manifest-a-directory": ("manifest.json", None,
+                             "verify --suite quaternionic", ""),
+    "snapshots-a-file": ("snapshots", b"", "flow-curve", _SMALL_FLOW),
+    "checkpoints-a-file": ("checkpoints", b"", "flow-mesh",
+                           _SMALL_FLOW + "checkpoint_every = 1\n"),
+    "history-a-directory": ("history.jsonl", None, "flow-mesh", _SMALL_FLOW),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCKED_OUT_PATHS))
+def test_a_blocked_path_inside_out_is_a_config_error(tmp_path, monkeypatch,
+                                                      capsys, case):
+    name, data, command, text = BLOCKED_OUT_PATHS[case]
+    monkeypatch.chdir(tmp_path)
+    Path("run.ini").write_text(text)
+    blocked = Path("out") / name
+    Path("out").mkdir()
+    if data is None:
+        blocked.mkdir()
+    else:
+        blocked.write_bytes(data)
+    code = main(["--config", "run.ini", "--out", "out", *command.split()])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("hkflow: config error")
+    assert str(blocked) in err
+    assert "Traceback" not in err
+
+
 def test_analyze_soliton_residual(tmp_path):
     rng = np.random.default_rng(0)
     u = rng.uniform(-1.2, 1.2, size=40)
@@ -790,16 +830,14 @@ def test_phase_cylinder_touches_forbidden_set(tmp_path):
     assert np.allclose(rows[:, 2], 0.0, atol=1e-12)
 
 
-def test_phase_of_an_overflowing_sphere_exits_2(tmp_path, capsys):
-    """At radius 1e200 the metric r^2, r^4 overflows to NaN: the run is a
-    DegenerateJet, with no warning on the way, and no JSON holds a NaN
-    (phase_report.json is not written at all)."""
-    cfg = config(tmp_path, "[surface]\nradius = 1e200\n")
-    code, out = run(tmp_path, "--config", cfg, "phase", "--surface", "sphere")
-    assert code == 2
-    assert capsys.readouterr().err.startswith("hkflow: DegenerateJet")
-    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
-    assert "NaN" not in (out / "manifest.json").read_text()
+@pytest.mark.parametrize("command", ["phase --surface sphere",
+                                     "verify --surface cylinder"])
+def test_a_surface_radius_below_the_bound_runs(tmp_path, command):
+    """1e60 is below MAX_RADIUS: its metric r^4 = 1e240 is finite, and the
+    run passes."""
+    cfg = config(tmp_path, "[surface]\nradius = 1e60\n")
+    code, _ = run(tmp_path, "--config", cfg, *command.split())
+    assert code == 0
 
 
 def test_phase_reaper_stays_clear(tmp_path):
@@ -843,7 +881,12 @@ def test_phase_reaper_stays_clear(tmp_path):
 # rk4-odd was recorded at the parent commit of the one spectral table per
 # curve grid, which had to leave these bytes unchanged: on its 63-point
 # grid the first derivative keeps the top mode that an even grid zeroes,
-# a branch no other case runs.
+# a branch no other case runs.  mesh-torus and mesh-square were recorded at
+# the parent commit of the mesh's coordinate planes, which had to leave
+# these bytes unchanged.  icosphere-2 and icosphere-4 lie in {x4 = 0} and
+# never meet an exact zero dot product.  The lifted torus has all four
+# coordinates nonzero; the square's right angles make 72 of its cotangents
+# exactly +0.0, and its boundary vertices stay pinned.
 # Another FFT or BLAS build may round differently.
 GOLDEN = {
     "rk4": ("flow-curve", "[curve]\nfamily = perturbed-circle\nn = 64\n"
@@ -871,6 +914,12 @@ GOLDEN = {
     "icosphere-4": ("flow-mesh", "[mesh]\nkind = icosphere\nsubdivisions = 4\n"
                     "[flow]\ndt = 5e-4\nt_end = 2e-3\n",
                     "19b089a71360eedeeeeb7948143bc911bc16461235bc571896d8899521a34bc8"),
+    "mesh-torus": ("flow-mesh", "[curve]\nn = 48\n[mesh]\nkind = torus\n"
+                   "ny = 12\n[flow]\ndt = 1e-3\nt_end = 3e-3\n",
+                   "c6d6b792d7bae38ff8f6aa58579cc8eec9370688c6abc08011ac933d3f9997a3"),
+    "mesh-square": ("flow-mesh", "[mesh]\nkind = square\nn = 8\n[flow]\n"
+                    "dt = 1e-3\nt_end = 3e-3\n",
+                    "5d7404002c231763516ec3384a7ced0d578627d455662f4902776d5c4b749940"),
     "type1-log": ("analyze log.jsonl", "",
                   "13e4ed6d083902304df7c5f52a5e1f423960d1b009183402e56eb89d8bfbb1f2"),
     "sphere-32": ("phase --surface sphere", "",

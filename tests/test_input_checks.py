@@ -5,7 +5,7 @@ import pytest
 from hkflow.errors import NonRotation
 from hkflow.mesh import SurfaceMesh, flat_square, grid_torus_mesh, icosphere
 from hkflow.structure import StructureTriple
-from hkflow.surfaces import Cylinder, QuadraticGraph, SurfaceJet
+from hkflow.surfaces import Cylinder, QuadraticGraph, Sphere, SurfaceJet
 from hkflow.util import check_rotation
 
 _ROW = np.zeros(4)
@@ -50,6 +50,8 @@ CASES = {
         ValueError, "xuu must have trailing dimension 4"),
     "cylinder-radius-0": (lambda: Cylinder(radius=0.0), ValueError,
                           "radius must be positive"),
+    "sphere-radius-beyond-1e70": (lambda: Sphere(radius=1e71), ValueError,
+                                  "exceeds the supported 1e\\+70"),
     "quadratic-graph-coeffs": (lambda: QuadraticGraph(np.zeros((2, 4))),
                                ValueError, r"\(2, 5\)"),
     "rotation-not-3x3": (lambda: check_rotation(np.eye(4)), NonRotation,

@@ -19,7 +19,7 @@ from hkflow.mesh import (SurfaceMesh, flat_square, grid_torus_mesh,
                          icosphere, mesh_bnorm, mesh_mean_curvature,
                          mesh_tangent_frames, read_off4, two_ring_offsets,
                          write_off4)
-from hkflow.structure import standard_structure
+from hkflow.structure import J_UPPER, UPPER, standard_structure
 from hkflow.surfaces import Sphere, frames
 
 S = standard_structure()
@@ -661,11 +661,68 @@ def test_cotangent_products_and_row_sums_match_csr_bits(make):
     _same_bits(w.diagonal() + 0.0, w_ref.diagonal())
 
 
+def _vertex_sums(triangles, values, n):
+    """Per-vertex sums of per-triangle values, (m,) or (m, c) -> (n,) or
+    (n, c).  np.bincount adds in input order from 0.0, so each vertex adds
+    its triangles' values in increasing triangle order, as a product with
+    the 0/1 vertex-triangle incidence matrix does."""
+    corners = triangles.ravel()
+    per_corner = np.repeat(values.reshape(len(triangles), -1), 3, axis=0)
+    sums = [np.bincount(corners, w, minlength=n) for w in per_corner.T]
+    return np.stack(sums, axis=-1).reshape(n, *values.shape[1:])
+
+
+def _largest_column(proj):
+    """The column of each projector with the largest diagonal entry (the
+    longest column, at least 1/sqrt(2) for rank 2), normalised."""
+    k = np.argmax(np.diagonal(proj, axis1=1, axis2=2), axis=1)
+    col = proj[np.arange(len(proj)), :, k]
+    return col / np.linalg.norm(col, axis=1, keepdims=True)
+
+
+def _reference_tangent_frames(mesh):
+    """mesh_tangent_frames as written before the mesh kept coordinate
+    planes: (m, 4) corners, (m, 6) bivectors summed by _vertex_sums, and
+    both columns picked by _largest_column, m1's from I - Pi."""
+    v, t = mesh.vertices, mesh.triangles
+    p, q, r = (v.take(t[:, k], axis=0) for k in range(3))
+    a, b = q - p, r - p
+    i, j = UPPER
+    n = len(v)
+    m6 = _vertex_sums(t, a[:, i] * b[:, j] - a[:, j] * b[:, i], n)
+    s = 0.5 * (m6 @ J_UPPER.T)
+    s6 = s @ J_UPPER
+    t6 = m6 - s6
+    s_norm = 2.0 * np.linalg.norm(s, axis=1)
+    t_norm = np.sqrt(2.0) * np.linalg.norm(t6, axis=1)
+    area = _vertex_sums(t, mesh.triangle_areas(), n)
+    assert not (np.minimum(s_norm, t_norm) <= 1e-12 * area).any()
+    s6 /= s_norm[:, None]
+    t6 /= t_norm[:, None]
+    tangent = mesh_module._antisymmetric(s6 + t6)
+    proj = -(tangent @ tangent)
+    t1 = _largest_column(proj)
+    t2 = np.einsum("nji,nj->ni", tangent, t1)
+    m1 = _largest_column(np.eye(4) - proj)
+    m2 = np.einsum("nji,nj->ni", mesh_module._antisymmetric(s6 - t6), m1)
+    lam = -s / (0.5 * s_norm)[:, None]
+    return t1, t2, m1, m2, lam
+
+
+def _jittered_icosphere():
+    # every coordinate moved, x4 off its plane too, by more than the
+    # geometry meshes' 1e-2
+    m = icosphere(3)
+    rng = np.random.default_rng(29)
+    return m.with_vertices(m.vertices
+                           + 5e-2 * rng.standard_normal(m.vertices.shape))
+
+
 @pytest.mark.parametrize("make", WIDE_MESHES, ids=WIDE_IDS)
 def test_vertex_sums_match_incidence_product_bits(make):
-    """The per-vertex sums of the tangent frames (the triangle areas and the
-    (m, 6) winding bivectors) against the product with the CSR
-    vertex-triangle incidence matrix."""
+    """The per-vertex sums of the reference tangent frames (the triangle
+    areas and the (m, 6) winding bivectors) against the product with the
+    CSR vertex-triangle incidence matrix."""
     mesh = make()
     t = mesh.triangles
     n = len(mesh.vertices)
@@ -676,7 +733,29 @@ def test_vertex_sums_match_incidence_product_bits(make):
     bivectors = (np.einsum("mi,mj->mij", q - p, r - p)
                  .reshape(len(t), 16)[:, [1, 2, 3, 6, 7, 11]])
     for values in (mesh.triangle_areas(), bivectors):
-        _same_bits(mesh_module._vertex_sums(t, values, n), inc @ values)
+        _same_bits(_vertex_sums(t, values, n), inc @ values)
+
+
+@pytest.mark.parametrize("make", [*WIDE_MESHES, _jittered_icosphere],
+                         ids=[*WIDE_IDS, "jittered_icosphere"])
+def test_tangent_frames_match_reference_bits(make):
+    """The frames from the coordinate planes against the (m, 4) route:
+    t1, t2, m1, m2 and the phase, bit for bit."""
+    mesh = make()
+    for got, want in zip(mesh_tangent_frames(mesh),
+                         _reference_tangent_frames(mesh), strict=True):
+        _same_bits(got, want)
+
+
+@pytest.mark.parametrize("make", [*WIDE_MESHES, _jittered_icosphere],
+                         ids=[*WIDE_IDS, "jittered_icosphere"])
+def test_vertex_planes_are_the_readonly_transpose(make):
+    mesh = make()
+    planes = mesh._planes
+    _same_bits(planes, np.ascontiguousarray(mesh.vertices.T))
+    assert planes.flags.c_contiguous and not planes.flags.writeable
+    with pytest.raises(ValueError):
+        planes[0, 0] = 1.0
 
 
 def _signed_zero_square():
