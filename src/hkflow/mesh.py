@@ -72,9 +72,9 @@ def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Column dot products of (4, m) planes, added as np.sum(..., axis=1)
-    adds a row of four: from +0.0, so an exact zero is +0.0 there too."""
-    return 0.0 + a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
+    """Dot products over the leading axis of coordinate planes, added as
+    np.sum(..., axis=1) adds a row: from +0.0, so a zero sum is +0.0."""
+    return sum(x * y for x, y in zip(a, b))
 
 
 def _ring_table(keys: np.ndarray, n: int) -> np.ndarray:
@@ -145,14 +145,17 @@ class MeshTopology:
       its sorted slot diag[i].  It is the cotangent operator's pattern
       (PaddedMatrix's cols and diag), in the CSR order its products add in;
     - two_ring, (n, k): row i is the two-ring of i, i excluded, padding
-      last, the order in which the |B| fit sums its ring moments.
+      last, the order in which the |B| fit sums its ring moments;
+    - fan, (k, n): column i lists the triangles at i in increasing order
+      (a stable sort of the corners), padded with m, where the frames'
+      per-vertex sums read a zero.
 
     two_ring_size counts each row's ring, and unfitted marks the vertices
     the |B| fit leaves NaN: fewer than six two-ring neighbours, or on the
     boundary.
 
     `weight_matrix` fills in the operator's values.  `_half_edges` holds,
-    for the edge (i, j) opposite each corner c of each triangle t, the flat
+    for the edge (i, j) opposite corner c of triangle t, c-major, the flat
     slots of (i, j) and (j, i) in the (k, n) values array; `_off_diag`
     holds the flat slots of the off-diagonal entries in CSR order, split
     into rows at `_starts`.
@@ -162,10 +165,14 @@ class MeshTopology:
         t = readonly(np.array(triangles, dtype=int))
         self.triangles = t
         self.n_vertices = n = n_vertices
-        used = np.bincount(t.ravel(), minlength=n) > 0
-        if not used.all():
-            raise ValueError(f"vertex {int(np.argmin(used))} belongs to no "
+        counts = np.bincount(t.ravel(), minlength=n)
+        if not counts.all():
+            raise ValueError(f"vertex {int(np.argmin(counts))} belongs to no "
                              f"triangle")
+        fan = np.full((counts.max(), n), len(t))
+        fan.T[np.arange(len(fan)) < counts[:, None]] = \
+            np.argsort(t.ravel(), kind="stable") // 3
+        self.fan = readonly(fan)
         directed = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
         key = directed[:, 0].astype(np.int64) * n + directed[:, 1]
         if len(_sorted_distinct(key)) < len(key):
@@ -203,8 +210,8 @@ class MeshTopology:
             return (np.searchsorted(closed, key) - start[i]) * n + i
 
         # the edge opposite corner c runs from corner c + 1 to corner c + 2
-        i = t[:, [1, 2, 0]].ravel().astype(np.int64)
-        j = t[:, [2, 0, 1]].ravel().astype(np.int64)
+        i = t.T[[1, 2, 0]].ravel().astype(np.int64)
+        j = t.T[[2, 0, 1]].ravel().astype(np.int64)
         self._half_edges = readonly(
             np.concatenate([flat_slot(i * n + j), flat_slot(j * n + i)]))
         off_diag = closed[closed // n != closed % n]
@@ -217,11 +224,11 @@ class MeshTopology:
         """W with w_ij, i != j, the sum of the weights of the half-edges
         (i, j) and (j, i), and each diagonal entry minus its row's sum.
 
-        half_edge_weights is (m, 3), the weight of the edge opposite each
-        corner.  A sum of two weights is the same in either order, and the
-        row sums are the `np.add.reduceat` over the CSR-ordered entries that
-        scipy's `csr.sum(axis=1)` makes, so W equals the CSR matrix that
-        scipy assembled from the same triplets, entry for entry.
+        half_edge_weights is (3, m), the weight of the edge opposite each
+        corner, a row per corner.  A sum of two weights is the same in
+        either order, and the row sums are the `np.add.reduceat` over the
+        CSR-ordered entries that scipy's `csr.sum(axis=1)` makes, so W
+        equals the CSR matrix scipy assembled from the same triplets.
         """
         h = half_edge_weights.ravel()
         k, n = self.closed_ring.shape
@@ -288,24 +295,19 @@ class SurfaceMesh:
 
     def _measure_triangles(self) -> None:
         """Corner cotangents, areas and squared edge lengths of every
-        triangle, from one gather of the corner planes; stored read-only,
-        the (m, 3) ones as transposes of (3, m) rows."""
-        p, q, r = self._corner_planes()
-        cots = np.empty((3, len(self.triangles)))
-        l2 = np.empty_like(cots)
-        for k, (apex, u, w) in enumerate(((p, q, r), (q, r, p), (r, p, q))):
-            a, b = u - apex, w - apex
-            aa = _dot(a, a)
-            dot = _dot(a, b)
-            cross2 = aa * _dot(b, b) - dot * dot
-            cots[k] = dot / np.sqrt(np.maximum(cross2, 1e-300))
-            # a runs from corner k to corner k+1, opposite corner k+2
-            l2[(k + 2) % 3] = aa
-            if k == 0:
-                self._areas = readonly(
-                    0.5 * np.sqrt(np.maximum(cross2, 0.0)))
-        self._cots = readonly(cots.T)
-        self._l2 = readonly(l2.T)
+        triangle from its edge planes e_k = corner k+1 - corner k, stored
+        read-only as (m, 3) transposes.  At corner k the edges are e_k and
+        -e_{k+2} up to a zero's sign, so their dot is 0.0 - e_k.e_{k+2} to
+        the bit: rounding is odd, and a sum from +0.0 ignores zero signs."""
+        c = self._corner_planes()
+        e = np.subtract(c[[1, 2, 0]], c, out=c).swapaxes(0, 1)  # (4, 3, m)
+        sq = _dot(e, e)
+        dot = 0.0 - np.array([_dot(e[:, k], e[:, k - 1]) for k in range(3)])
+        cross2 = sq * sq[[2, 0, 1]] - dot * dot
+        self._areas = readonly(0.5 * np.sqrt(np.maximum(cross2[0], 0.0)))
+        self._cots = readonly((dot / np.sqrt(np.maximum(cross2, 1e-300))).T)
+        # e_{k+1} is the edge opposite corner k
+        self._l2 = readonly(sq[[1, 2, 0]].T)
 
     # -- topology -----------------------------------------------------------
 
@@ -369,7 +371,7 @@ class SurfaceMesh:
     def cotangent_matrix(self) -> PaddedMatrix:
         """Symmetric weight matrix W with (W x)_i = sum_j w_ij (x_j - x_i),
         w_ij the sum of 1/2 cot of the angles opposite edge ij."""
-        return self.topology.weight_matrix(0.5 * self._cots)
+        return self.topology.weight_matrix(0.5 * self._cots.T)
 
     def vertex_neighbors(self, rings: int = 1) -> list:
         """Neighbor index arrays per vertex (one- or two-ring, vertex
@@ -446,33 +448,30 @@ def mesh_tangent_frames(mesh: SurfaceMesh):
     m2 = (S - T)^T m1, so (t1, t2, m1, m2) is a positively oriented
     orthonormal frame.  The phase lam_a = <J_a t1, t2> equals -s / |s|.
 
-    np.bincount sums the six bivector planes per vertex from 0.0 in
-    increasing triangle order, as the 0/1 vertex-triangle incidence matrix
-    does.  Pi stays a batched matmul, whose bits are fused multiply-adds;
-    it is negated in place, and the corner planes are freed before it, so
-    a frame pass adds little to the heap.
+    The six bivector planes and the triangle areas are summed per vertex
+    along topology.fan, from 0.0 in increasing triangle order, as the 0/1
+    vertex-triangle incidence matrix does.  Pi stays a batched matmul,
+    whose bits are fused multiply-adds.
 
     Raises FoldedVertex where S or T vanishes (to 1e-12 of the area of the
     vertex's triangles): the one-ring folds over itself and has no plane.
     """
-    p, q, r = mesh._corner_planes()
-    a, b = q - p, r - p
-    n = len(mesh.vertices)
-    corners = mesh.triangles.ravel()
-
-    def vertex_sums(values):
-        return np.bincount(corners, np.repeat(values, 3), minlength=n)
-
-    m6 = np.stack([vertex_sums(a[i] * b[j] - a[j] * b[i])
-                   for i, j in zip(*UPPER)], axis=1)
+    p, a, b = planes = mesh._corner_planes()
+    planes[1:] -= p                                   # a = q - p, b = r - p
+    n, m = len(mesh.vertices), len(mesh.triangles)
+    w = np.zeros((7, m + 1))
+    for c, (i, j) in enumerate(zip(*UPPER)):
+        w[c, :m] = a[i] * b[j] - a[j] * b[i]
+    w[6, :m] = mesh.triangle_areas()
+    sums = sum(w.take(slot, axis=1) for slot in mesh.topology.fan)
+    m6, area = np.ascontiguousarray(sums[:6].T), sums[6]
+    del p, a, b, planes, w
     s = 0.5 * (m6 @ J_UPPER.T)
     s6 = s @ J_UPPER
     t6 = m6 - s6
     # |X|_F = sqrt(2) |upper entries|, and |J_a|_F = 2
     s_norm = 2.0 * np.linalg.norm(s, axis=1)
     t_norm = np.sqrt(2.0) * np.linalg.norm(t6, axis=1)
-    area = vertex_sums(mesh.triangle_areas())
-    del p, q, r, a, b
     folded = np.minimum(s_norm, t_norm) <= 1e-12 * area
     if folded.any():
         raise FoldedVertex(
@@ -483,7 +482,7 @@ def mesh_tangent_frames(mesh: SurfaceMesh):
     t6 /= t_norm[:, None]
     tangent = _antisymmetric(s6 + t6)
     proj = np.matmul(tangent, tangent)
-    np.negative(proj, out=proj)
+    np.negative(proj, out=proj)               # no second (n, 4, 4) array
     at = np.arange(n)
     diag = np.diagonal(proj, axis1=1, axis2=2)
     t1 = proj[at, :, np.argmax(diag, axis=1)]
@@ -554,7 +553,8 @@ def mesh_bnorm(mesh: SurfaceMesh, frames=None) -> np.ndarray:
     The normal equations are built from ring moments: the 5x5 Gram from the
     twelve sums of u^p v^q with 2 <= p+q <= 4, the right-hand sides from
     the ten sums of u^p v^q w with 1 <= p+q <= 2.  The offsets are gathered,
-    projected and summed BNORM_BLOCK vertices at a time; each sum is one
+    projected onto the block's own stack of frames and summed BNORM_BLOCK
+    vertices at a time, so a fit adds little to the heap; each sum is one
     vertex's, so the blocks change no bit of it.  Scaling (u, v) by the rms
     ring radius rho, for conditioning, rescales each sum by a power of rho.
     `_spd_solve` then solves both normals of every vertex at once.  Vertices
@@ -565,7 +565,6 @@ def mesh_bnorm(mesh: SurfaceMesh, frames=None) -> np.ndarray:
     if frames is None:
         frames = mesh_tangent_frames(mesh)
     t1, t2, m1, m2, _lam = frames
-    basis = np.stack([t1, t2, m1, m2], axis=-1)
     topo = mesh.topology
     n, k = topo.two_ring.shape
     # rows m20 m11 m02 m30 m21 m12 m03 m40 m31 m22 m13 m04 of the sums of
@@ -576,7 +575,8 @@ def mesh_bnorm(mesh: SurfaceMesh, frames=None) -> np.ndarray:
         rows = slice(start, start + BNORM_BLOCK)
         d = two_ring_offsets(mesh, rows)
         proj = np.empty((4, len(d), k))
-        np.matmul(d, basis[rows], out=proj.transpose(1, 2, 0))
+        basis = np.stack([t1[rows], t2[rows], m1[rows], m2[rows]], axis=-1)
+        np.matmul(d, basis, out=proj.transpose(1, 2, 0))
         u, v, w = proj[0], proj[1], proj[2:]
         uu, uv, vv = u * u, u * v, v * v
         for row, (a, b) in enumerate(((u, u), (u, v), (v, v), (uu, u),

@@ -246,6 +246,23 @@ def test_rings_match_set_reference(make):
         assert [r.tolist() for r in mesh.vertex_neighbors(rings)] == ref
 
 
+@pytest.mark.parametrize("make", [lambda: icosphere(2),
+                                  lambda: flat_square(6), _clifford_torus,
+                                  _bipyramid],
+                         ids=["icosphere", "flat_square", "torus",
+                              "bipyramid"])
+def test_fan_lists_the_triangles_at_each_vertex_in_order(make):
+    """Column i of topology.fan: the triangles with corner i, increasing,
+    padded to the longest column with m, the number of triangles."""
+    mesh = make()
+    t, fan = mesh.triangles, mesh.topology.fan
+    ref = [np.flatnonzero((t == i).any(axis=1)).tolist()
+           for i in range(len(mesh.vertices))]
+    k = max(len(r) for r in ref)
+    assert fan.T.tolist() == [r + [len(t)] * (k - len(r)) for r in ref]
+    assert not fan.flags.writeable
+
+
 def test_with_vertices_shares_readonly_topology():
     m = flat_square(4)
     m2 = m.with_vertices(m.vertices * 2.0)
