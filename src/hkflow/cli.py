@@ -342,6 +342,12 @@ def cmd_flow_mesh(cfg, args, out: Path) -> int:
                    log_path=out / "history.jsonl",
                    checkpoint_every=fl["checkpoint_every"],
                    checkpoint_dir=ckdir)
+    if len(hist.t) == 1 and fl["t_end"] > 0:
+        # only the resolution guard stops a march before its first step
+        raise GeometryError(
+            f"max|B| h_min = {hist.max_b[0] * mesh.min_edge_length():.6g} "
+            f"exceeds 0.5 at t = 0: the mesh cannot resolve its curvature, "
+            f"so no step was made")
     summary = {
         "t_final": float(hist.t[-1]),
         "steps": int(len(hist.t) - 1),
@@ -364,8 +370,10 @@ def cmd_flow_mesh(cfg, args, out: Path) -> int:
 
 def _analyze_type1(cfg, path: Path) -> dict:
     """Type-I fit of a trajectory log.  A line that is not a JSON record
-    with numeric t, max_B, area and (if present) margin, or whose t does
-    not increase, is a ConfigError naming the file and the line."""
+    with finite numeric t, max_B, area and (if present) margin, or whose t
+    does not increase, is a ConfigError naming the file and the line.
+    json.loads reads NaN, Infinity and -Infinity, which hkflow's own logs
+    never hold (they write null)."""
     records = []
     # split at "\n" alone, as file iteration did; splitlines also splits at
     # "\x0b", "\x85", "\u2028" and others, and would shift line numbers
@@ -375,14 +383,14 @@ def _analyze_type1(cfg, path: Path) -> dict:
             continue
         try:
             rec = json.loads(line)
-            ok = all(type(x) in (int, float) for x in (
+            ok = all(type(x) in (int, float) and math.isfinite(x) for x in (
                 rec["t"], rec["max_B"], rec["area"], rec.get("margin", 0)))
-        except (ValueError, TypeError, KeyError):
+        except (ValueError, TypeError, KeyError, OverflowError):
             ok = False
         if not ok or (records and not rec["t"] > records[-1]["t"]):
             raise ConfigError(
                 f"{path}, line {lineno}: expected a JSON record with "
-                f"numeric t, max_B, area and margin, t increasing")
+                f"finite numeric t, max_B, area and margin, t increasing")
         records.append(rec)
     if not records:
         raise ConfigError(f"{path}: empty trajectory log")

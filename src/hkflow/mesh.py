@@ -347,23 +347,20 @@ class SurfaceMesh:
         return self._cots
 
     def mixed_areas(self) -> np.ndarray:
-        """Mixed Voronoi vertex areas, clamped for obtuse triangles."""
+        """Mixed Voronoi vertex areas (Meyer, Desbrun, Schroeder & Barr
+        2003): corner k of a triangle takes 1/8 (l_{k+1}^2 cot_{k+1} +
+        l_{k+2}^2 cot_{k+2}), l_j the edge opposite corner j, except in an
+        obtuse triangle, whose obtuse corner takes half its area and the
+        other two a quarter each."""
         t = self.triangles
-        cots = self._cots
-        l2 = self._l2                                  # opposite each corner
-        obtuse = cots < 0.0
+        p = self._l2 * self._cots
+        # in C order, the triangle-major order the bincount below reads
+        contrib = np.multiply(0.125, p[:, [1, 2, 0]] + p[:, [2, 0, 1]],
+                              order="C")
+        obtuse = self._cots < 0.0
         any_obtuse = obtuse.any(axis=1)
-        contrib = np.empty((len(t), 3))
-        # non-obtuse: A(corner k) = 1/8 (l_{k+1}^2 cot_{k+1} + l_{k+2}^2 cot_{k+2})
-        for k in range(3):
-            k1, k2 = (k + 1) % 3, (k + 2) % 3
-            contrib[:, k] = 0.125 * (l2[:, k1] * cots[:, k1]
-                                     + l2[:, k2] * cots[:, k2])
-        if np.any(any_obtuse):
-            half = 0.5 * self._areas[any_obtuse, None]
-            quarter = 0.5 * half
-            c = np.where(obtuse[any_obtuse], half, quarter)
-            contrib[any_obtuse] = c
+        half = 0.5 * self._areas[any_obtuse, None]
+        contrib[any_obtuse] = np.where(obtuse[any_obtuse], half, 0.5 * half)
         # summed in the order np.add.at(areas, t, contrib) would use
         return np.bincount(t.ravel(), weights=contrib.ravel(),
                            minlength=len(self.vertices))
@@ -498,38 +495,31 @@ def mesh_tangent_frames(mesh: SurfaceMesh):
     return t1, t2, m1, m2, lam
 
 
-def _cholesky(gram, ridge: float):
-    """Lower Cholesky factor of gram + ridge I as nested lists of (n,)
-    arrays, one entry at a time over the whole batch; None if any pivot is
-    not positive."""
-    size = len(gram)
-    low = [[None] * size for _ in range(size)]
-    for j in range(size):
-        pivot = gram[j][j] + ridge - sum(low[j][i] ** 2 for i in range(j))
-        if not np.all(pivot > 0.0):
-            return None
-        low[j][j] = np.sqrt(pivot)
-        for r in range(j + 1, size):
-            low[r][j] = (gram[r][j] - sum(low[r][i] * low[j][i]
-                                          for i in range(j))) / low[j][j]
-    return low
-
-
-def _spd_solve(gram, rhs) -> np.ndarray:
+def _spd_solve(gram, rhs) -> list:
     """Solve a batch of symmetric positive definite systems gram x = rhs.
 
-    gram is (s, s, n), of which only the lower triangle is read; rhs is
-    (s, c, n), c right-hand sides per system; x comes back as (s, c, n).
-    The factorisation and both substitutions are unrolled over the entries
-    and vectorised over the n systems, so no per-matrix LAPACK call is
-    made.  If any pivot is not positive, the whole batch is factored again
-    with gram + 1e-12 I; if that fails too, SolveFailure is raised.
+    gram[r][j], j <= r, is the (n,) entry (r, j) of the n systems' lower
+    triangles, the only entries read; rhs and the x returned are lists of
+    s entries of shape (c, n), c right-hand sides per system.  The Cholesky
+    factorisation and both substitutions are unrolled over the entries and
+    vectorised over the n systems, so no per-matrix LAPACK call is made.
+    If any pivot is not positive, the whole batch is factored again with
+    gram + 1e-12 I; if that fails too, SolveFailure is raised.
     """
     size = len(gram)
-    low = _cholesky(gram, 0.0)
-    if low is None:
-        low = _cholesky(gram, 1e-12)
-    if low is None:
+    for ridge in (0.0, 1e-12):
+        low = [[] for _ in range(size)]
+        for j in range(size):
+            pivot = gram[j][j] + ridge - sum(low[j][i] ** 2 for i in range(j))
+            if not np.all(pivot > 0.0):
+                break
+            low[j].append(np.sqrt(pivot))
+            for r in range(j + 1, size):
+                dot = sum(low[r][i] * low[j][i] for i in range(j))
+                low[r].append((gram[r][j] - dot) / low[j][j])
+        else:  # every pivot was positive
+            break
+    else:
         raise SolveFailure(
             "Gram matrices not positive definite even with a 1e-12 ridge")
     y = []
@@ -540,7 +530,7 @@ def _spd_solve(gram, rhs) -> np.ndarray:
     for i in reversed(range(size)):
         x[i] = (y[i] - sum(low[j][i] * x[j] for j in range(i + 1, size))
                 ) / low[i][i]
-    return np.array(x)
+    return x
 
 
 def mesh_bnorm(mesh: SurfaceMesh, frames=None) -> np.ndarray:
@@ -594,28 +584,19 @@ def mesh_bnorm(mesh: SurfaceMesh, frames=None) -> np.ndarray:
     r1 = np.sqrt(r2)
     r3, r4 = r2 * r1, r2 * r2
     # lower triangle of the Gram of the basis (u, v, u^2/2, uv, v^2/2)/rho
-    gram = np.zeros((5, 5, n))
-    gram[0, 0] = m20 * r2
-    gram[1, 0] = m11 * r2
-    gram[1, 1] = m02 * r2
-    gram[2, 0] = 0.5 * m30 * r3
-    gram[2, 1] = 0.5 * m21 * r3
-    gram[2, 2] = 0.25 * m40 * r4
-    gram[3, 0] = m21 * r3
-    gram[3, 1] = m12 * r3
-    gram[3, 2] = 0.5 * m31 * r4
-    gram[3, 3] = m22 * r4
-    gram[4, 0] = 0.5 * m12 * r3
-    gram[4, 1] = 0.5 * m03 * r3
-    gram[4, 2] = 0.25 * m22 * r4
-    gram[4, 3] = 0.5 * m13 * r4
-    gram[4, 4] = 0.25 * m04 * r4
-    # guard the solve on under-determined rows
-    gram[:, :, topo.unfitted] = np.eye(5)[:, :, None]
-    rhs = np.stack([lu * r1, lv * r1, 0.5 * luu * r2, luv * r2,
-                    0.5 * lvv * r2])
+    gram = [[m20 * r2],
+            [m11 * r2, m02 * r2],
+            [0.5 * m30 * r3, 0.5 * m21 * r3, 0.25 * m40 * r4],
+            [m21 * r3, m12 * r3, 0.5 * m31 * r4, m22 * r4],
+            [0.5 * m12 * r3, 0.5 * m03 * r3, 0.25 * m22 * r4,
+             0.5 * m13 * r4, 0.25 * m04 * r4]]
+    # guard the solve on under-determined rows: the identity there
+    for r, row in enumerate(gram):
+        for j, entry in enumerate(row):
+            entry[topo.unfitted] = 1.0 if j == r else 0.0
+    rhs = [lu * r1, lv * r1, 0.5 * luu * r2, luv * r2, 0.5 * lvv * r2]
     # a, b, c are (2, n): one row per normal
-    a, b, c = _spd_solve(gram, rhs)[2:] * r2
+    a, b, c = (x * r2 for x in _spd_solve(gram, rhs)[2:])
     out = np.sqrt(np.sum(a * a + 2 * b * b + c * c, axis=0))
     out[topo.unfitted] = np.nan
     return out

@@ -377,6 +377,14 @@ CONFIG_ERRORS = {
     "log-margin-not-a-number": (
         "", "analyze log.jsonl",
         '{"t": 0, "max_B": 1, "area": 1, "margin": "wide"}\n'),
+    # json.loads reads NaN and Infinity, and ints past any float
+    "log-max-b-nan": ("", "analyze log.jsonl",
+                      _ONE_RECORD + '{"t": 1, "max_B": NaN, "area": 1}\n'),
+    "log-t-infinity": ("", "analyze log.jsonl",
+                       _ONE_RECORD + '{"t": Infinity, "max_B": 1, "area": 1}\n'),
+    "log-max-b-int-overflow": (
+        "", "analyze log.jsonl",
+        _ONE_RECORD + '{"t": 1, "max_B": 1' + "0" * 400 + ', "area": 1}\n'),
     "unknown-section": ("[colour]\nhue = red\n", "flow-curve", ""),
     "dt-not-a-number": ("[flow]\ndt = fast\n", "flow-curve", ""),
     "curve-family-unknown": ("[curve]\nfamily = spiral\n", "flow-curve", ""),
@@ -702,6 +710,33 @@ def test_flow_mesh_stopped_by_guard_leaves_its_records(tmp_path,
     assert all(set(r) == {"t", "max_B", "max_H", "area", "margin"}
                for r in records)
     assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("mesh, flow", [
+    ("[mesh]\nsubdivisions = 1\n", "[flow]\nt_end = 0.01\n"),
+    ("[mesh]\nkind = torus\nny = 8\n[curve]\nn = 16\n", ""),
+], ids=["icosphere1", "torus-ny8"])
+def test_flow_mesh_stopped_before_its_first_step_exits_2(tmp_path, capsys,
+                                                         mesh, flow):
+    """These meshes have max|B| h_min > 0.5 at t = 0, so the resolution
+    guard stops the march before its first step: no summary claims a run,
+    and the history keeps the t = 0 record.  Asked for t_end = 0, the same
+    mesh exits 0."""
+    out = tmp_path / "out"
+    assert main(["--config", config(tmp_path, mesh + flow), "--out", str(out),
+                 "flow-mesh"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hkflow: GeometryError: max|B| h_min = ")
+    assert "exceeds 0.5 at t = 0" in err
+    records = [json.loads(line) for line in
+               (out / "history.jsonl").read_text().splitlines()]
+    assert [r["t"] for r in records] == [0.0]
+    assert not (out / "summary.json").exists()
+    cfg = config(tmp_path, mesh + "[flow]\nt_end = 0\n")
+    assert main(["--config", cfg, "--out", str(tmp_path / "t0"),
+                 "flow-mesh"]) == 0
+    summary = json.loads((tmp_path / "t0" / "summary.json").read_text())
+    assert summary["steps"] == 0 and not summary["truncated"]
 
 
 # -- analyze ----------------------------------------------------------------------

@@ -1026,19 +1026,39 @@ def test_bnorm_makes_one_solve_per_state(monkeypatch):
     calls = []
 
     def spy(gram, rhs):
-        calls.append((gram.shape, rhs.shape))
+        calls.append(([len(row) for row in gram], [b.shape for b in rhs]))
         return _SPD_SOLVE(gram, rhs)
 
     monkeypatch.setattr(mesh_module, "_spd_solve", spy)
     _same_bits(mesh_bnorm(mesh), want)
     n = len(mesh.vertices)
-    assert calls == [((5, 5, n), (5, 2, n))]
+    # the lower-triangle rows of the Gram and five (2, n) loads
+    assert calls == [([1, 2, 3, 4, 5], [(2, n)] * 5)]
     rng = np.random.default_rng(7)
     for count, cols in ((1, 1), (9, 2), (400, 3)):
         spd = _spd_batch(rng, count)
         b = rng.standard_normal((count, 5, cols))
         _assert_close_per_system(_batched_spd_solve(spd, b),
                                  _SOLVE(spd, b), 1e-12)
+
+
+@pytest.mark.parametrize("singular", [False, True], ids=["plain", "ridge"])
+def test_spd_solve_on_lower_rows_matches_square_arrays_bits(singular):
+    """The ragged lower-triangle rows and (c, n) loads that mesh_bnorm
+    passes give the bits of the (5, 5, n) and (5, c, n) arrays of
+    _batched_spd_solve; a zero diagonal entry in one system makes both
+    factor the batch again with the ridge."""
+    rng = np.random.default_rng(11)
+    spd = _spd_batch(rng, 40)
+    if singular:
+        spd[7, 4, :] = spd[7, :, 4] = 0.0
+    b = rng.standard_normal((40, 5, 2))
+    gram = np.moveaxis(spd, 0, -1)
+    rows = [[gram[r, j].copy() for j in range(r + 1)] for r in range(5)]
+    rhs = [np.ascontiguousarray(b[:, i].T) for i in range(5)]
+    x = _SPD_SOLVE(rows, rhs)
+    assert [e.shape for e in x] == [(2, 40)] * 5
+    _same_bits(np.moveaxis(x, -1, 0), _batched_spd_solve(spd, b))
 
 
 def test_bnorm_solve_fallback_adds_ridge(monkeypatch):
