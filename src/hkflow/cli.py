@@ -30,12 +30,12 @@ import scipy
 
 from . import __version__
 from .checks import IDENTITIES, identity_suite
-from .curves import (CSF_SCHEMES, PlaneCurve, TorusFromCurve, csf_march,
-                     diagnostics, embed_torus, snapshot_record,
+from .curves import (CSF_SCHEMES, ORIGIN_BAND, PlaneCurve, TorusFromCurve,
+                     csf_march, diagnostics, embed_torus, snapshot_record,
                      write_curve_csv)
 from .errors import GeometryError, InsufficientHistory, NotBlowingUp
-from .flow import (MCF_SCHEMES, FlowHistory, run_mcf, translator_residual,
-                   type1_monitor)
+from .flow import (MCF_SCHEMES, RESOLUTION_LIMIT, FlowHistory, run_mcf,
+                   translator_residual, type1_monitor)
 from .mesh import flat_square, icosphere
 from .phase import write_phase_field_csv
 from .surfaces import (Cylinder, GrimReaper, Plane, QuadraticGraph, Sphere,
@@ -85,13 +85,12 @@ _SCHEMA = {
     },
 }
 
-# counts a run divides by or samples with, so they must be at least 1
-_COUNT_KEYS = (("flow", "snapshot_every"), ("surface", "n"),
-               ("surface", "points"), ("mesh", "n"))
-# a negative seed is no numpy seed, and k % -2 would checkpoint every 2
-# steps; t_end = 0 asks for the initial state alone
-_NONNEGATIVE_KEYS = (("scenario", "seed"), ("flow", "checkpoint_every"),
-                     ("flow", "t_end"))
+# (section, key) -> its least value: 1 for the counts a run divides by or
+# samples with; 0, as a negative seed is no numpy seed, k % -2 would
+# checkpoint every 2 steps, and t_end = 0 asks for the initial state alone
+_LEAST = {("flow", "snapshot_every"): 1, ("surface", "n"): 1,
+          ("surface", "points"): 1, ("mesh", "n"): 1, ("scenario", "seed"): 0,
+          ("flow", "checkpoint_every"): 0, ("flow", "t_end"): 0}
 
 
 class ConfigError(Exception):
@@ -110,9 +109,9 @@ def load_config(path: str | None) -> dict:
     """Flat INI -> nested dict of typed values, defaults filled in.
 
     Every config is checked whole, whatever command reads it: [flow] dt and
-    [analyze] v0 must parse (they stay text, as written), and the counts
-    must be at least 1 and the _NONNEGATIVE_KEYS not negative.  A scheme
-    name is checked by the flow that runs it."""
+    [analyze] v0 must parse (they stay text, as written), and each key of
+    _LEAST must reach its least value.  A scheme name is checked by the
+    flow that runs it."""
     cfg = {sec: {k: d for k, (_, d) in keys.items()}
            for sec, keys in _SCHEMA.items()}
     if path is None:
@@ -138,10 +137,10 @@ def load_config(path: str | None) -> dict:
                     f"{typ.__name__}")
             if typ is float and not math.isfinite(cfg[sec][key]):
                 raise ConfigError(f"[{sec}] {key} must be finite")
-            if (sec, key) in _COUNT_KEYS and cfg[sec][key] < 1:
-                raise ConfigError(f"[{sec}] {key} must be at least 1")
-            if (sec, key) in _NONNEGATIVE_KEYS and cfg[sec][key] < 0:
-                raise ConfigError(f"[{sec}] {key} must not be negative")
+            least = _LEAST.get((sec, key))
+            if least is not None and cfg[sec][key] < least:
+                raise ConfigError(f"[{sec}] {key} must " + (
+                    f"be at least {least}" if least else "not be negative"))
     _parse_dt(cfg["flow"]["dt"])
     _parse_v0(cfg["analyze"]["v0"])
     return cfg
@@ -154,6 +153,15 @@ def _read_text(path, what: str) -> str:
         return Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}")
+
+
+def _numbered_lines(path, what: str, skip: int = 0):
+    """(number from 1, line) of the lines past the first skip that are not
+    blank.  Split at "\n" alone, as file iteration did: splitlines also
+    splits at "\x0b", "\x85", "\u2028" and others, shifting line numbers."""
+    for lineno, line in enumerate(_read_text(path, what).split("\n"), 1):
+        if lineno > skip and line.strip():
+            yield lineno, line
 
 
 def _parse_dt(raw) -> float | None:
@@ -307,6 +315,11 @@ def cmd_flow_curve(cfg, args, out: Path) -> int:
             yield snapshot_record(t, c)
 
     records = write_jsonl(out / "history.jsonl", trajectory())
+    if len(records) == 1 and fl["t_end"] > 0:
+        # only the origin guard band stops a march before its first step
+        raise GeometryError(
+            f"the first step entered the origin guard band |gamma| < "
+            f"{ORIGIN_BAND:g} x diameter, so no step was made")
     hist = FlowHistory.from_records(records)
     diag = {**dataclasses.asdict(diagnostics(curve)),
             "t_final": float(hist.t[-1]),
@@ -346,8 +359,8 @@ def cmd_flow_mesh(cfg, args, out: Path) -> int:
         # only the resolution guard stops a march before its first step
         raise GeometryError(
             f"max|B| h_min = {hist.max_b[0] * mesh.min_edge_length():.6g} "
-            f"exceeds 0.5 at t = 0: the mesh cannot resolve its curvature, "
-            f"so no step was made")
+            f"exceeds {RESOLUTION_LIMIT:g} at t = 0: the mesh cannot resolve "
+            f"its curvature, so no step was made")
     summary = {
         "t_final": float(hist.t[-1]),
         "steps": int(len(hist.t) - 1),
@@ -375,12 +388,7 @@ def _analyze_type1(cfg, path: Path) -> dict:
     json.loads reads NaN, Infinity and -Infinity, which hkflow's own logs
     never hold (they write null)."""
     records = []
-    # split at "\n" alone, as file iteration did; splitlines also splits at
-    # "\x0b", "\x85", "\u2028" and others, and would shift line numbers
-    lines = _read_text(path, "trajectory log").split("\n")
-    for lineno, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
+    for lineno, line in _numbered_lines(path, "trajectory log"):
         try:
             rec = json.loads(line)
             ok = all(type(x) in (int, float) and math.isfinite(x) for x in (
@@ -414,10 +422,7 @@ def _analyze_soliton(cfg, path: Path) -> dict:
             for x, (lo, hi), per in zip(uv, fam.domain, fam.periodic))
 
     samples = []
-    lines = _read_text(path, "sample file").split("\n")
-    for lineno, line in enumerate(lines, 1):
-        if lineno == 1 or not line.strip():
-            continue
+    for lineno, line in _numbered_lines(path, "sample file", skip=1):
         try:
             uv = tuple(map(float, line.split(",")))
         except ValueError:
@@ -498,32 +503,28 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run the identity suite")
+    p.set_defaults(run=cmd_verify)
     p.add_argument("--suite", default="all",
                    help="comma-separated identity names or 'all'")
     p.add_argument("--surface", default=None,
                    help="restrict per-surface identities to one family")
 
-    sub.add_parser("flow-curve", help="reduced torus flow from [curve]")
-    sub.add_parser("flow-mesh", help="mesh mean curvature flow from [mesh]")
+    sub.add_parser("flow-curve", help="reduced torus flow from [curve]"
+                   ).set_defaults(run=cmd_flow_curve)
+    sub.add_parser("flow-mesh", help="mesh mean curvature flow from [mesh]"
+                   ).set_defaults(run=cmd_flow_mesh)
 
     p = sub.add_parser("analyze", help="post-process stored output")
+    p.set_defaults(run=cmd_analyze)
     p.add_argument("path", help=".jsonl trajectory log or u,v sample CSV")
     p.add_argument("--mode", choices=("auto", "type1", "soliton"),
                    default="auto")
 
     p = sub.add_parser("phase", help="dump a phase-field CSV")
+    p.set_defaults(run=cmd_phase)
     p.add_argument("--surface", default="cylinder",
                    help="family name (default cylinder)")
     return parser
-
-
-_COMMANDS = {
-    "verify": cmd_verify,
-    "flow-curve": cmd_flow_curve,
-    "flow-mesh": cmd_flow_mesh,
-    "analyze": cmd_analyze,
-    "phase": cmd_phase,
-}
 
 
 def main(argv=None) -> int:
@@ -544,7 +545,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"cannot make output directory {out}: {exc}")
         try:
             write_manifest(out, args.command, argv, cfg)
-            return _COMMANDS[args.command](cfg, args, out)
+            return args.run(cfg, args, out)
         except (FileExistsError, IsADirectoryError,
                 NotADirectoryError) as exc:
             # a file or directory in --out stands where a run writes

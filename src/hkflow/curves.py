@@ -230,6 +230,7 @@ def _velocity(samples: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 STEP_BOUND = 0.2   # c in the parabolic step bound dt <= c * spacing^2
+ORIGIN_BAND = 1e-3   # a step stops at |gamma| < ORIGIN_BAND * diameter
 CSF_SCHEMES = ("rk4",)   # the integrators csf_step has
 
 
@@ -255,7 +256,7 @@ def csf_step(curve: PlaneCurve, dt: float) -> PlaneCurve:
     k4 = _flow_rhs(z + dt * k3)
     rows = _spectral_rows(z + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4),
                           _spectrum(curve.n).filtered)
-    if np.abs(rows[0]).min() < 1e-3 * curve.diameter():
+    if np.abs(rows[0]).min() < ORIGIN_BAND * curve.diameter():
         raise OriginCollision("curve entered the origin guard band")
     try:
         return PlaneCurve._from_rows(rows)

@@ -27,6 +27,7 @@ MCF_SCHEMES = ("semi-implicit",)   # the integrators mcf_step has
 TYPE1_TAIL = 0.4   # trailing fraction of a history that the Type-I fit reads
 CG_RTOL = 1e-10    # the implicit solve stops at |b - a x| < CG_RTOL |b|
 CG_MAXITER = 10000
+RESOLUTION_LIMIT = 0.5   # max|B| h_min past which a mesh is under-resolved
 
 
 @dataclass(eq=False)
@@ -239,10 +240,9 @@ def run_mcf(mesh: SurfaceMesh, dt: float | None, t_end: float,
 
     def trajectory():
         nonlocal state
-        # past max|B| h_min = 0.5 the discrete curvature is under-resolved
         for k, t, state in march(
-                first, mcf_step, t_end, dt,
-                guard=lambda s: s.max_b * s.mesh.min_edge_length() > 0.5):
+                first, mcf_step, t_end, dt, guard=lambda s:
+                s.max_b * s.mesh.min_edge_length() > RESOLUTION_LIMIT):
             state.t = t   # the march's counted clock
             yield state.record()
             if checkpoint_every and checkpoint_dir is not None \

@@ -216,9 +216,9 @@ class MeshTopology:
             np.concatenate([flat_slot(i * n + j), flat_slot(j * n + i)]))
         off_diag = closed[closed // n != closed % n]
         self._off_diag = readonly(flat_slot(off_diag))
+        # no vertex is unused and no (i, i, i) passed: every row has entries
         counts = np.bincount(off_diag // n, minlength=n)
-        self._rows = readonly(np.flatnonzero(counts))
-        self._starts = readonly((np.cumsum(counts) - counts)[self._rows])
+        self._starts = readonly(np.cumsum(counts) - counts)
 
     def weight_matrix(self, half_edge_weights: np.ndarray) -> PaddedMatrix:
         """W with w_ij, i != j, the sum of the weights of the half-edges
@@ -235,7 +235,7 @@ class MeshTopology:
         values = np.bincount(self._half_edges, np.concatenate([h, h]),
                              minlength=k * n)
         row_sum = np.add.reduceat(values[self._off_diag], self._starts)
-        values.reshape(k, n)[self.diag[self._rows], self._rows] = -row_sum
+        values.reshape(k, n)[self.diag, np.arange(n)] = -row_sum
         return PaddedMatrix(self.closed_ring, values.reshape(k, n), self.diag)
 
 
@@ -329,10 +329,6 @@ class SurfaceMesh:
         """Corner planes (p, q, r) of every triangle, each (4, m)."""
         return self._planes.take(self.triangles.T, axis=1).swapaxes(0, 1)
 
-    def corner_vectors(self):
-        """Corner positions (p, q, r) of every triangle, each shape (m, 4)."""
-        return tuple(c.T for c in self._corner_planes())
-
     def triangle_areas(self) -> np.ndarray:
         return self._areas
 
@@ -341,10 +337,6 @@ class SurfaceMesh:
 
     def min_edge_length(self) -> float:
         return float(np.sqrt(self._l2.min()))
-
-    def cotangents(self) -> np.ndarray:
-        """cot of the interior angle at each corner, shape (m, 3)."""
-        return self._cots
 
     def mixed_areas(self) -> np.ndarray:
         """Mixed Voronoi vertex areas (Meyer, Desbrun, Schroeder & Barr
@@ -578,9 +570,9 @@ def mesh_bnorm(mesh: SurfaceMesh, frames=None) -> np.ndarray:
             loads[row, :, rows] = np.einsum("nk,cnk->cn", a, w)
     m20, m11, m02, m30, m21, m12, m03, m40, m31, m22, m13, m04 = moments
     lu, lv, luu, luv, lvv = loads
-    # 1 / rho^2; the floor keeps rho^-4 finite
-    r2 = 1.0 / np.maximum((m20 + m02) / np.maximum(topo.two_ring_size, 1),
-                          1e-150)
+    # 1 / rho^2; a triangle of positive area gives every vertex two or more
+    # two-ring neighbours, and the floor keeps rho^-4 finite
+    r2 = 1.0 / np.maximum((m20 + m02) / topo.two_ring_size, 1e-150)
     r1 = np.sqrt(r2)
     r3, r4 = r2 * r1, r2 * r2
     # lower triangle of the Gram of the basis (u, v, u^2/2, uv, v^2/2)/rho
@@ -699,6 +691,11 @@ def read_off4(path) -> SurfaceMesh:
     dialect is not interchangeable with 3-coordinate OFF files.  The file
     must hold exactly the rows its counts line declares, no fewer or more.
     """
+    def numbers(parts, number, row: str) -> list:
+        try:
+            return [number(p) for p in parts]
+        except ValueError as exc:
+            raise ValueError(f"{row}: {exc}") from None
     with open(path) as fh:
         rows = [ln.split("#")[0].strip() for ln in fh]
     rows = [r for r in rows if r]
@@ -722,11 +719,11 @@ def read_off4(path) -> SurfaceMesh:
             raise ValueError(
                 f"vertex row {i} has {len(parts)} coordinates; this reader "
                 "accepts only 4-coordinate vertices")
-        verts[i] = [float(p) for p in parts]
+        verts[i] = numbers(parts, float, f"vertex row {i}")
     tris = np.empty((nf, 3), dtype=int)
     for k in range(nf):
-        parts = rows[2 + nv + k].split()
-        if int(parts[0]) != 3 or len(parts) != 4:
+        parts = numbers(rows[2 + nv + k].split(), int, f"face row {k}")
+        if parts[0] != 3 or len(parts) != 4:
             raise ValueError(f"face row {k} is not a triangle")
-        tris[k] = [int(p) for p in parts[1:]]
+        tris[k] = parts[1:]
     return SurfaceMesh(verts, tris)

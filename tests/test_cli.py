@@ -432,6 +432,14 @@ NEGATIVE_VALUE_ERRORS = {
     "checkpoint-every-negative":
         "[flow] checkpoint_every must not be negative",
 }
+# the whole message of a value below its key's least value
+LEAST_VALUE_ERRORS = {
+    "snapshot-every-0": "[flow] snapshot_every must be at least 1",
+    "surface-n-0": "[surface] n must be at least 1",
+    "surface-points-0": "[surface] points must be at least 1",
+    "square-n-0": "[mesh] n must be at least 1",
+    "mesh-t-end-negative": "[flow] t_end must not be negative",
+}
 
 
 @pytest.mark.parametrize("case", sorted(CONFIG_ERRORS))
@@ -449,6 +457,15 @@ def test_bad_input_is_a_config_error(tmp_path, monkeypatch, capsys, case):
         assert WHOLE_INPUT_ERRORS.get(case, "log.jsonl, line ") in err
     if case in NEGATIVE_VALUE_ERRORS:
         assert err == f"hkflow: config error: {NEGATIVE_VALUE_ERRORS[case]}\n"
+
+
+@pytest.mark.parametrize("case", sorted(LEAST_VALUE_ERRORS))
+def test_a_value_below_its_least_is_named_whole(tmp_path, capsys, case):
+    text, command, _ = CONFIG_ERRORS[case]
+    assert main(["--config", config(tmp_path, text), "--out",
+                 str(tmp_path / "out"), *command.split()]) == 1
+    err = capsys.readouterr().err
+    assert err == f"hkflow: config error: {LEAST_VALUE_ERRORS[case]}\n"
 
 
 @pytest.mark.parametrize("command, choices", [
@@ -737,6 +754,34 @@ def test_flow_mesh_stopped_before_its_first_step_exits_2(tmp_path, capsys,
                  "flow-mesh"]) == 0
     summary = json.loads((tmp_path / "t0" / "summary.json").read_text())
     assert summary["steps"] == 0 and not summary["truncated"]
+
+
+@pytest.mark.parametrize("dt", ["auto", "1e-7"])
+def test_flow_curve_stopped_before_its_first_step_exits_2(tmp_path, capsys,
+                                                          dt):
+    """min|gamma| = 0.0198 of this curve lies inside the origin guard band
+    1e-3 x diameter = 0.0259, so the first step raises OriginCollision and
+    the march stops at t = 0: no diagnostics claim a run, and the history
+    and the first snapshot stay.  Asked for t_end = 0, the curve exits 0."""
+    curve = "[curve]\nfamily = perturbed-circle\neps = 10\n"
+    out = tmp_path / "out"
+    cfg = config(tmp_path, curve + f"[flow]\nt_end = 0.001\ndt = {dt}\n")
+    assert main(["--config", cfg, "--out", str(out), "flow-curve"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("hkflow: GeometryError: the first step entered the origin "
+                   "guard band |gamma| < 0.001 x diameter, so no step was "
+                   "made\n")
+    records = [json.loads(line) for line in
+               (out / "history.jsonl").read_text().splitlines()]
+    assert [r["t"] for r in records] == [0.0]
+    assert [p.name for p in (out / "snapshots").iterdir()] == [
+        "snap_00000.csv"]
+    assert not (out / "diagnostics.json").exists()
+    cfg = config(tmp_path, curve + f"[flow]\nt_end = 0\ndt = {dt}\n")
+    assert main(["--config", cfg, "--out", str(tmp_path / "t0"),
+                 "flow-curve"]) == 0
+    diag = json.loads((tmp_path / "t0" / "diagnostics.json").read_text())
+    assert diag["t_final"] == 0.0 and not diag["truncated"]
 
 
 # -- analyze ----------------------------------------------------------------------

@@ -397,9 +397,16 @@ def test_off4_rejects_wrong_dimension(tmp_path):
     ("OFF\n3 1 0\n0 0 0 0\n1 0 0 0\n0 1 0 0\n3 0 1 2\n3 0 2 1\n",
      "rows past the 3 vertices and 1 faces of the counts line"),
     ("OFF\n0 0 0\n", "^a mesh needs at least one triangle$"),
+    ("OFF\n3 1 0\n0 0 0 a\n1 0 0 0\n0 1 0 0\n3 0 1 2\n",
+     "^vertex row 0: could not convert string to float: 'a'$"),
+    ("OFF\n3 1 0\n0 0 0 0\n1 0 0 0\n0 1 0 0\n3 0 x 2\n",
+     "^face row 0: invalid literal for int.. with base 10: 'x'$"),
+    ("OFF\n3 1 0\n0 0 0 0\n1 0 0 0\n0 1 0 0\nq 0 1 2\n",
+     "^face row 0: invalid literal for int.. with base 10: 'q'$"),
 ], ids=["empty", "other-header", "truncated", "quad", "short-face",
         "no-counts", "one-count", "negative-count", "rows-past-counts",
-        "no-triangles"])
+        "no-triangles", "vertex-not-a-number", "corner-not-an-integer",
+        "face-size-not-an-integer"])
 def test_off4_rejects_malformed_files(tmp_path, text, message):
     path = tmp_path / "bad.off"
     path.write_text(text)
@@ -629,21 +636,22 @@ def test_stored_geometry_matches_reference_bits(make):
     mesh = make()
     ref = _Reference(mesh)
     _same_bits(mesh.triangle_areas(), ref.triangle_areas())
-    _same_bits(mesh.cotangents(), ref.cotangents())
+    _same_bits(mesh._cots, ref.cotangents())
     _same_bits(mesh.mixed_areas(), ref.mixed_areas())
     assert mesh.area() == ref.area()
     assert mesh.min_edge_length() == ref.min_edge_length()
-    for got, want in zip(mesh.corner_vectors(), ref.corner_vectors()):
+    for got, want in zip(tuple(c.T for c in mesh._corner_planes()),
+                         ref.corner_vectors()):
         _same_bits(got, want)
     w, w_ref = mesh.cotangent_matrix(), ref.cotangent_matrix()
     # + 0.0 equates -0.0 and 0.0: the CSR route drops its zero entries
     _same_bits(_dense(w) + 0.0, w_ref.toarray())
-    for arr in (mesh.vertices, mesh.triangle_areas(), mesh.cotangents()):
+    for arr in (mesh.vertices, mesh.triangle_areas(), mesh._cots):
         assert not arr.flags.writeable
 
 
 def test_obtuse_mesh_hits_the_mixed_area_clamp():
-    cots = _sheared_square().cotangents()
+    cots = _sheared_square()._cots
     assert np.any(cots < 0.0) and np.any(np.all(cots >= 0.0, axis=1))
 
 
@@ -663,6 +671,18 @@ def _scipy_system(mesh, dt):
         a = a[keep][:, keep]
         x0 = x0[keep]
     return a, rhs, x0
+
+
+@pytest.mark.parametrize("make", [*WIDE_MESHES, lambda: icosphere(4)],
+                         ids=[*WIDE_IDS, "icosphere4"])
+def test_every_vertex_has_neighbours_to_sum_and_fit(make):
+    """The cotangent operator sums every row's off-diagonal entries with no
+    row filter, and the |B| fit divides by two_ring_size with no floor: a
+    mesh gives every vertex a one-ring neighbour and two two-ring ones."""
+    topo = make().topology
+    own = np.arange(topo.n_vertices)
+    assert np.all(np.any(topo.closed_ring != own, axis=0))
+    assert topo.two_ring_size.min() >= 2
 
 
 @pytest.mark.parametrize("make", WIDE_MESHES, ids=WIDE_IDS)
@@ -746,7 +766,7 @@ def test_vertex_sums_match_incidence_product_bits(make):
     inc = sp.csr_matrix((np.ones(t.size), (t.ravel(),
                                             np.repeat(np.arange(len(t)), 3))),
                         shape=(n, len(t)))
-    p, q, r = mesh.corner_vectors()
+    p, q, r = tuple(c.T for c in mesh._corner_planes())
     bivectors = (np.einsum("mi,mj->mij", q - p, r - p)
                  .reshape(len(t), 16)[:, [1, 2, 3, 6, 7, 11]])
     for values in (mesh.triangle_areas(), bivectors):
@@ -827,7 +847,7 @@ def test_frames_with_shared_offsets_match_reference_projectors(make):
     *want, sgn = _Reference(mesh).tangent_frames(mesh, S)
     got = mesh_tangent_frames(mesh)
     gap = np.abs(_projectors(*got[:2]) - _projectors(*want[:2])).max()
-    p, q, r = mesh.corner_vectors()
+    p, q, r = tuple(c.T for c in mesh._corner_planes())
     h_max = np.linalg.norm(np.concatenate([q - p, r - q, p - r]), axis=1).max()
     exact = make in (GEOMETRY_MESHES[1], GEOMETRY_MESHES[3])
     assert gap <= (1e-13 if exact else h_max)
